@@ -7,7 +7,8 @@ words (all inverse letters before all positive ones) are exactly the shapes
 realized by the explicit ring constructions here, so auditing constructed
 annuli covers the flaring hypothesis for thin annuli in general.
 
-Ring lengths are exact rationals; no floating point enters any verdict.
+Annuli live on unit-length roses, so a ring's length is its number of
+edges: an exact integer, and no floating point enters any verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .graphmap import (
     Path,
     cyclic_paths_equal,
     map_loop,
-    path_length,
     random_legal_loop,
     tighten_cyclic,
     tighten_path,
@@ -108,7 +108,8 @@ class Annulus:
 
     ``rings[t]`` and ``rings[t+1]`` are related through the map named by
     ``word.letters[t]``.  ``thinness`` bounds the connecting paths; ring
-    constructions here yield 1-thin annuli.
+    constructions here yield 1-thin annuli.  Every edge of the graph must
+    have length 1, so ring lengths are edge counts.
     """
 
     graph: MarkedGraph
@@ -121,14 +122,16 @@ class Annulus:
             raise ValueError("ring count must be word length + 1")
         if self.thinness < 1:
             raise ValueError("thinness bound must be >= 1")
+        if any(l != 1 for l in self.graph.lengths):
+            raise ValueError("annulus graphs must have unit edge lengths")
 
-    def ring_lengths(self) -> tuple[Fraction, ...]:
-        return tuple(path_length(self.graph, r) for r in self.rings)
+    def ring_lengths(self) -> tuple[int, ...]:
+        return tuple(len(r) for r in self.rings)
 
     @property
-    def girth(self) -> Fraction:
+    def girth(self) -> int:
         """Length of the middle ring."""
-        return path_length(self.graph, self.rings[len(self.rings) // 2])
+        return len(self.rings[len(self.rings) // 2])
 
 
 def _common_graph(maps: Sequence[GraphMap]) -> MarkedGraph:
@@ -249,15 +252,19 @@ class LoopSample:
 class AuditViolation:
     word: AnnulusWord
     alpha: Path
-    lengths: tuple[Fraction, ...]
+    lengths: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class HyperbolicityAuditReport:
+    """``annuli`` holds the (starting loop, annulus) pairs that were checked,
+    in sampling order, for further audits of the same annuli."""
+
     words: tuple[AnnulusWord, ...]
     checked: int
     violations: tuple[AuditViolation, ...]
     note: str
+    annuli: tuple[tuple[Path, Annulus], ...] = ()
 
     @property
     def clean(self) -> bool:
@@ -288,13 +295,15 @@ def audit_31_hyperbolicity(
     exists.  Violations signal an upstream certification bug and are
     reported with full witnesses.  The audit covers thin annuli in general
     because every thin annulus word is admissible and every admissible word
-    is realized by the ring construction.
+    is realized by the ring construction.  The report returns every
+    annulus it built with its starting loop, so the flaring audit can run
+    on the same annuli without building them again.
     """
     _common_graph(maps)
     words = length_two_admissible_words(len(maps))
     rng = random.Random(loop_sample.seed)
     violations = []
-    checked = 0
+    checked: list[tuple[Path, Annulus]] = []
     for word in words:
         first = word.letters[0]
         f_first = maps[abs(first) - 1]
@@ -313,7 +322,7 @@ def audit_31_hyperbolicity(
                 for _ in range(power):
                     alpha = map_loop(f_first, alpha)
             annulus = build_annulus(alpha, word, maps, based=based)
-            checked += 1
+            checked.append((tuple(alpha), annulus))
             if not check_lambda_hyperbolic(annulus, 3, 1):
                 violations.append(
                     AuditViolation(word, tuple(alpha), annulus.ring_lengths())
@@ -324,7 +333,7 @@ def audit_31_hyperbolicity(
         "hypothesis"
     )
     return HyperbolicityAuditReport(
-        tuple(words), checked, tuple(violations), note
+        tuple(words), len(checked), tuple(violations), note, tuple(checked)
     )
 
 
@@ -332,7 +341,7 @@ def audit_31_hyperbolicity(
 class FlaringVerdict:
     kind: str  # "flares_with" | "thin_girth" | "violation"
     lam: Optional[Fraction] = None
-    witness: Optional[tuple[Fraction, ...]] = None
+    witness: Optional[tuple[int, ...]] = None
 
 
 def flaring_audit(a: Annulus, rho: int) -> FlaringVerdict:

@@ -7,7 +7,8 @@ Verdict semantics:
 * ``certified_hyperbolic`` — every representative is an expanding irreducible
   train-track immersion, pullbacks stabilize, image subgroups are essentially
   disjoint at the emitted power N, expansion holds at N, and both annulus
-  audits ran at exactly N with zero violations.
+  audits ran at exactly N with zero violations (the ring-length audit builds
+  the sampled annuli; the flaring audit checks those same annuli).
 * ``obstruction_BS`` — a verified invariant loop [φ^k(γ)] = [γ^d]; the
   mapping torus then contains a Baumslag–Solitar subgroup and is not
   hyperbolic at any power.
@@ -29,19 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from . import __version__
-from .annuli import (
-    LoopSample,
-    audit_31_hyperbolicity,
-    build_annulus,
-    flaring_audit,
-    length_two_admissible_words,
-)
+from .annuli import Annulus, LoopSample, audit_31_hyperbolicity, flaring_audit
 from .disjointness import essential_disjointness_power
 from .expansion import expansion_power
 from .graphmap import (
@@ -53,7 +47,6 @@ from .graphmap import (
     iterate_map,
     map_loop,
     pf_eigenvalue,
-    random_legal_loop,
     transition_matrix,
     verify_train_track,
 )
@@ -319,44 +312,30 @@ class _FlaringSummary:
 
 
 def _flaring_battery(
-    maps: Sequence[GraphMap],
-    loop_sample: LoopSample,
+    annuli: Sequence[tuple[Sequence[int], Annulus]],
     rho_max: int,
     rank: int,
 ) -> _FlaringSummary:
-    """Build 1-thin annuli over every admissible length-2 word and run the
-    flaring audit at every thinness bound up to ``rho_max``."""
-    rng = random.Random(loop_sample.seed)
+    """Run the flaring audit at every thinness bound up to ``rho_max`` on
+    the (starting loop, 1-thin annulus) pairs of the ring-length audit."""
     summary = _FlaringSummary()
-    for word in length_two_admissible_words(len(maps)):
-        f_first = maps[abs(word.letters[0]) - 1]
-        for _ in range(loop_sample.count):
-            length = rng.randint(1, loop_sample.max_length)
-            try:
-                seed_loop = random_legal_loop(f_first, length, rng)
-            except RuntimeError:
-                continue
-            alpha = seed_loop
-            if word.letters[0] < 0:
-                for _ in range(sum(1 for x in word.letters if x < 0)):
-                    alpha = map_loop(f_first, alpha)
-            annulus = build_annulus(alpha, word, maps)
-            for rho in range(1, rho_max + 1):
-                verdict = flaring_audit(annulus, rho)
-                summary.checked += 1
-                if verdict.kind == "flares_with":
-                    summary.flares += 1
-                elif verdict.kind == "thin_girth":
-                    summary.thin_girth += 1
-                else:
-                    summary.violations.append(
-                        {
-                            "word": list(word.letters),
-                            "alpha": _loop_str(alpha, rank),
-                            "rho": rho,
-                            "lengths": [str(l) for l in verdict.witness],
-                        }
-                    )
+    for alpha, annulus in annuli:
+        for rho in range(1, rho_max + 1):
+            verdict = flaring_audit(annulus, rho)
+            summary.checked += 1
+            if verdict.kind == "flares_with":
+                summary.flares += 1
+            elif verdict.kind == "thin_girth":
+                summary.thin_girth += 1
+            else:
+                summary.violations.append(
+                    {
+                        "word": list(annulus.word.letters),
+                        "alpha": _loop_str(alpha, rank),
+                        "rho": rho,
+                        "lengths": [str(l) for l in verdict.witness],
+                    }
+                )
     return summary
 
 
@@ -514,16 +493,6 @@ def certify(config: CertificationConfig) -> Certificate:
         verdict = essential_disjointness_power(
             rep_endos, cap=config.disjointness_cap
         )
-        if verdict.kind == "cap_exceeded" and verdict.n and verdict.n > 1:
-            # The budget blew at power n, so powers 1..n-1 were each fully
-            # tested; summarize those instead of discarding their witnesses.
-            retry = essential_disjointness_power(rep_endos, cap=verdict.n - 1)
-            if retry.kind != "cap_exceeded":
-                verdict = replace(
-                    retry,
-                    note=f"search budget exhausted at power {verdict.n}; "
-                    f"verdict covers powers 1..{verdict.n - 1}",
-                )
         evidence["disjointness"] = {
             "kind": verdict.kind,
             "n": verdict.n,
@@ -606,7 +575,7 @@ def certify(config: CertificationConfig) -> Certificate:
             for v in audit.violations
         ],
     }
-    flaring = _flaring_battery(maps_n, sample, config.flaring_rho_max, rank)
+    flaring = _flaring_battery(audit.annuli, config.flaring_rho_max, rank)
     evidence["flaring"] = {
         "power": n,
         "checked": flaring.checked,

@@ -288,8 +288,11 @@ def essential_disjointness_power(
     """Smallest N ≤ cap with all pairwise conjugate intersections trivial.
 
     Each N is tested independently (disjointness is not assumed monotone in
-    N).  If every N fails, the verdict carries a witness from the last power;
-    resource blow-ups yield cap_exceeded.
+    N).  If every N fails, the verdict carries a witness from the last power.
+    If the product budget ``max_edges`` is exhausted at a power n > 1, the
+    powers 1..n−1 were each fully tested and failed, so the verdict is
+    not_disjoint_at_cap for n − 1 with the witness from power n − 1 and a
+    note naming n; exhausting it at power 1 yields cap_exceeded.
     """
     if len(endos) < 2:
         raise ValueError("need at least two endomorphisms")
@@ -297,18 +300,25 @@ def essential_disjointness_power(
     if len(ranks) != 1:
         raise ValueError("endomorphisms act on different ranks")
     last_failure: Optional[tuple[int, Sequence[ImageSubgroup], tuple[int, int]]] = None
+    note = ""
     for n in range(1, cap + 1):
         try:
             images = [image_subgroup(e, n) for e in endos]
             bad = pairwise_disjoint_at(images, max_edges=max_edges)
         except ProductBudgetError as exc:
-            return DisjointnessVerdict("cap_exceeded", n=n, note=str(exc))
+            if last_failure is None:
+                return DisjointnessVerdict("cap_exceeded", n=n, note=str(exc))
+            note = (
+                f"search budget exhausted at power {n}; "
+                f"verdict covers powers 1..{n - 1}"
+            )
+            break
         if bad is None:
             return DisjointnessVerdict("disjoint_at", n=n)
         last_failure = (n, images, bad)
     n, images, (i, j) = last_failure
     witness = _intersection_witness(images[i].graph, images[j].graph, (i, j))
-    return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness)
+    return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 
 
 def preimage_in_image(

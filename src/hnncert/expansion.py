@@ -25,6 +25,7 @@ from .graphmap import (
     path_length,
     verify_train_track,
 )
+from .words import free_reduce
 
 Factor = Union[int, Fraction]
 
@@ -157,20 +158,14 @@ def collapse_forest(f: GraphMap, forest: InvariantForest) -> GraphMap:
 
     new_edge_map = []
     for e in keep:
-        dropped = [
+        tight = free_reduce(
             (renum[abs(s)] if s > 0 else -renum[abs(s)])
             for s in f.edge_map[e - 1]
             if abs(s) not in forest_set
-        ]
-        tight: list[int] = []
-        for s in dropped:
-            if tight and tight[-1] == -s:
-                tight.pop()
-            else:
-                tight.append(s)
+        )
         if not tight:
             raise ValueError("an edge image collapses entirely")
-        new_edge_map.append(tuple(tight))
+        new_edge_map.append(tight)
 
     induced = GraphMap(quotient, quotient, tuple(induced_vm), tuple(new_edge_map))
     if is_immersion(f) and not is_immersion(induced):

@@ -17,11 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .words import Endomorphism, Word, least_rotation
+from .words import Endomorphism, cyclic_core, free_reduce, least_rotation
 
 Path = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -89,25 +90,26 @@ def path_length(g: MarkedGraph, p: Path) -> Fraction:
     return sum((g.edge_length(s) for s in p), Fraction(0))
 
 
-def tighten_path(g: MarkedGraph, p: Sequence[int]) -> Path:
-    """Cancel adjacent edge–reverse-edge pairs until none remain.
-
-    Raises on a non-composable sequence.  The result is homotopic rel
-    endpoints to ``p`` (an empty result sits at the source of ``p``).
-    """
+def _check_composable(g: MarkedGraph, p: Sequence[int]) -> None:
+    """Raise unless ``p`` is a sequence of signed edge ids of ``g``, each
+    starting where the previous one ends."""
     prev_end: Optional[int] = None
-    out: list[int] = []
     for s in p:
         if abs(s) < 1 or abs(s) > g.num_edges:
             raise ValueError(f"no edge {s}")
         if prev_end is not None and g.src(s) != prev_end:
             raise ValueError("path is not composable")
         prev_end = g.dst(s)
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
+
+
+def tighten_path(g: MarkedGraph, p: Sequence[int]) -> Path:
+    """Cancel adjacent edge–reverse-edge pairs until none remain.
+
+    Raises on a non-composable sequence.  The result is homotopic rel
+    endpoints to ``p`` (an empty result sits at the source of ``p``).
+    """
+    _check_composable(g, p)
+    return free_reduce(p)
 
 
 @dataclass(frozen=True)
@@ -157,15 +159,8 @@ class GraphMap:
 
 def map_path(f: GraphMap, p: Sequence[int]) -> Path:
     """Image of a composable path in the domain, tightened rel endpoints."""
-    tighten_path(f.domain, p)  # composability check
-    out: list[int] = []
-    for s in p:
-        for x in f.edge_image(s):
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    _check_composable(f.domain, p)
+    return free_reduce(chain.from_iterable(map(f.edge_image, p)))
 
 
 def _check_closed_loop(g: MarkedGraph, loop: Sequence[int], based: bool) -> None:
@@ -189,11 +184,8 @@ def map_loop(f: GraphMap, loop: Sequence[int], based: bool = False) -> Path:
     rel the basepoint only, and may backtrack there.
     """
     _check_closed_loop(f.domain, loop, based)
-    image = list(map_path(f, loop))
-    if not based:
-        while len(image) >= 2 and image[0] == -image[-1]:
-            image = image[1:-1]
-    return tuple(image)
+    image = map_path(f, loop)
+    return image if based else cyclic_core(image)
 
 
 def cyclic_paths_equal(p: Sequence[int], q: Sequence[int]) -> bool:
@@ -486,12 +478,10 @@ def check_homotopy_inverse(h: GraphMap, h_inverse: GraphMap, loops: Sequence[Pat
 
 def tighten_cyclic(g: MarkedGraph, loop: Sequence[int]) -> Path:
     """Cyclically tighten a closed path."""
-    p = list(tighten_path(g, loop))
+    p = tighten_path(g, loop)
     if p and g.dst(p[-1]) != g.src(p[0]):
         raise ValueError("path is open, not a loop")
-    while len(p) >= 2 and p[0] == -p[-1]:
-        p = p[1:-1]
-    return tuple(p)
+    return cyclic_core(p)
 
 
 # --- legal-loop sampling ---

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .graphmap import (
     GraphMap,
@@ -35,7 +35,7 @@ from .graphmap import (
     rose,
 )
 from .stallings import LabeledGraph, component_labels
-from .words import least_rotation
+from .words import cyclic_core, free_reduce, least_rotation
 
 Point = tuple  # ('v', vertex) | ('e', positive edge id, Fraction offset)
 PointPair = tuple[Point, Point]
@@ -570,18 +570,6 @@ class StabilizationVerdict:
     surviving: tuple = ()
 
 
-def _cyclic_tighten_free(seq: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for s in seq:
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    while len(out) >= 2 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return tuple(out)
-
-
 def _project_cycle(fp: FiberProduct, cycle: list[tuple[int, int]], side: int) -> Path:
     """Free homotopy class of a product cycle's projection as a tight cyclic
     path of full parent edges."""
@@ -589,7 +577,7 @@ def _project_cycle(fp: FiberProduct, cycle: list[tuple[int, int]], side: int) ->
     for edge_id, direction in cycle:
         i, j = fp.edge_pairs[edge_id]
         pieces.append(direction * (i + 1) if side == 0 else direction * (j + 1))
-    pieces = list(_cyclic_tighten_free(pieces))
+    pieces = cyclic_core(free_reduce(pieces))
     if not pieces:
         return ()
     sub = fp.left if side == 0 else fp.right
@@ -609,7 +597,7 @@ def _project_cycle(fp: FiberProduct, cycle: list[tuple[int, int]], side: int) ->
     if len(runs) >= 2 and runs[-1][0] == runs[0][0] and runs[-1][2] == runs[0][1]:
         runs[0] = (runs[0][0], runs[-1][1], runs[0][2])
         runs.pop()
-    return _cyclic_tighten_free([_full_letter(r) for r in runs])
+    return cyclic_core(free_reduce(_full_letter(r) for r in runs))
 
 
 def _full_letter(seg: tuple[int, Fraction, Fraction]) -> int:

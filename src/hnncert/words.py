@@ -12,6 +12,7 @@ accepted at the I/O boundary only; see :func:`word_from_string`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -24,6 +25,16 @@ def free_reduce(raw: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(x)
     return tuple(out)
+
+
+def cyclic_core(letters: Sequence[int]) -> tuple[int, ...]:
+    """Cyclically reduce a freely reduced letter sequence: strip each
+    inverse pair of first and last letters."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return tuple(letters[i:j])
 
 
 @dataclass(frozen=True)
@@ -84,12 +95,9 @@ def conjugate(g: Word, w: Word) -> Word:
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w = conjugator · core · conjugator^{-1}`` with core cyclically reduced."""
-    letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return Word(letters[i:j], w.rank), Word(letters[:i], w.rank)
+    core = cyclic_core(w.letters)
+    trimmed = (len(w.letters) - len(core)) // 2
+    return Word(core, w.rank), Word(w.letters[:trimmed], w.rank)
 
 
 def least_rotation(seq: Sequence[int]) -> int:
@@ -182,8 +190,9 @@ class Endomorphism:
         while k:
             if k & 1:
                 result = base.compose(result)
-            base = base.compose(base)
             k >>= 1
+            if k:
+                base = base.compose(base)
         return result
 
     def max_image_length(self) -> int:
@@ -194,17 +203,14 @@ def apply_endo(e: Endomorphism, w: Word) -> Word:
     """Substitute each letter by its image (inverse image for negative letters)."""
     if e.rank != w.rank:
         raise ValueError("rank mismatch")
-    out: list[int] = []
-    for x in w.letters:
-        img = e.images[x - 1].letters if x > 0 else tuple(
-            -y for y in reversed(e.images[-x - 1].letters)
-        )
-        for y in img:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return Word(tuple(out), e.rank)
+    images = e.images
+    substituted = chain.from_iterable(
+        images[x - 1].letters
+        if x > 0
+        else tuple(-y for y in reversed(images[-x - 1].letters))
+        for x in w.letters
+    )
+    return Word(free_reduce(substituted), e.rank)
 
 
 _ORD_A = ord("a")

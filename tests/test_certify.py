@@ -2,7 +2,11 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -471,6 +475,64 @@ class TestSoundnessGating:
         )
         assert cert.verdict == "inconclusive"
         assert cert.evidence["flaring"]["violations"]
+
+
+class TestAuditAnnuli:
+    annuli = importlib.import_module("hnncert.annuli")
+
+    def test_each_audit_annulus_is_built_once(self, monkeypatch):
+        built = []
+        real = self.annuli.build_annulus
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        # wherever a module of the package binds the name
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hnncert" and (
+                getattr(module, "build_annulus", None) is real
+            ):
+                monkeypatch.setattr(module, "build_annulus", counted)
+        cert = certify(parse_config(FAST_GREEN))
+        assert cert.verdict == "certified_hyperbolic"
+        assert len(built) == cert.evidence["audit_31"]["checked"]
+        # the flaring audit still sees every annulus, once per thinness bound
+        assert cert.evidence["flaring"]["checked"] == 4 * len(built)
+
+
+class TestBenchmarkHooks:
+    """perfbench/spans.py wraps functions, methods and gates by the names
+    their callers look up; renaming or rebinding one breaks a traced run or
+    leaves its counters empty."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    SCRIPT = """
+import json, sys
+from hnncert.certify import certify, parse_config
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+cert = certify(parse_config(sys.stdin.buffer.read()))
+print(json.dumps({"verdict": cert.verdict, "counts": dict(tracer.counts)}))
+"""
+
+    def test_traced_certify_counts(self):
+        path = [str(self.ROOT / "perfbench"), str(self.ROOT / "src")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            input=FAST_GREEN,
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        out = json.loads(result.stdout)
+        assert out["verdict"] == "certified_hyperbolic"
+        assert out["counts"]["annuli.build_annulus_calls"] == 40
+        assert out["counts"]["annuli.flaring_audit_calls"] == 4 * 40
+        assert out["counts"]["gate.disjointness_calls"] == 1
 
 
 class TestDeterminismAndDigest:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnncert import disjointness
 from hnncert.disjointness import (
     DisjointnessVerdict,
     ImageSubgroup,
@@ -258,6 +259,28 @@ class TestEssentialDisjointness:
         verdict = essential_disjointness_power([SAPIR, SQUARES], cap=4, max_edges=2)
         assert verdict.kind == "cap_exceeded"
         assert verdict.note
+
+    def test_budget_tripped_past_power_one_covers_the_tested_powers(self, monkeypatch):
+        # 160 product edges suffice for powers 1..3 of this pair but not 4
+        powers = []
+        real = disjointness.image_subgroup
+
+        def counted(e, n):
+            powers.append(n)
+            return real(e, n)
+
+        monkeypatch.setattr(disjointness, "image_subgroup", counted)
+        verdict = essential_disjointness_power([SAPIR, SAPIR], cap=6, max_edges=160)
+        assert verdict.kind == "not_disjoint_at_cap"
+        assert verdict.n == 3
+        assert verdict.note == (
+            "search budget exhausted at power 4; verdict covers powers 1..3"
+        )
+        # each endomorphism's image is built once per power, with no rerun
+        assert powers == [1, 1, 2, 2, 3, 3, 4, 4]
+        capped = essential_disjointness_power([SAPIR, SAPIR], cap=3)
+        assert verdict.witness == capped.witness
+        assert _witness_is_valid([SAPIR, SAPIR], verdict)
 
 
 def _brute_preimage(e, s, alpha, bound=6):

@@ -235,6 +235,25 @@ class TestEndomorphism:
         assert e.power(1) == e
         assert e.power(3) == e.compose(e).compose(e)
 
+    def test_power_composes_only_what_it_uses(self, monkeypatch):
+        e = Endomorphism(2, (reduce([1, 2], 2), reduce([1], 2)))  # Fibonacci
+        iterated = [Endomorphism.identity(2)]
+        for _ in range(16):
+            iterated.append(e.compose(iterated[-1]))
+        calls = []
+        real = Endomorphism.compose
+
+        def counted(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(Endomorphism, "compose", counted)
+        for k in range(1, 17):
+            calls.clear()
+            assert e.power(k) == iterated[k]
+            # one squaring per bit below the top, one product per set bit
+            assert len(calls) == k.bit_length() - 1 + bin(k).count("1")
+
     @given(word_st)
     def test_power_matches_iterated_application(self, w):
         e = Endomorphism(2, (reduce([1, 2], 2), reduce([2, 1], 2)))
