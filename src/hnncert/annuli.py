@@ -104,12 +104,12 @@ def classify_word(w: AnnulusWord) -> WordClassification:
 
 @dataclass(frozen=True)
 class Annulus:
-    """A ring sequence over a marked graph together with its word.
+    """A ring sequence over a rose together with its word.
 
     ``rings[t]`` and ``rings[t+1]`` are related through the map named by
     ``word.letters[t]``.  ``thinness`` bounds the connecting paths; ring
-    constructions here yield 1-thin annuli.  Every edge of the graph must
-    have length 1, so ring lengths are edge counts.
+    constructions here yield 1-thin annuli.  Rose edges have length 1, so
+    ring lengths are edge counts.
     """
 
     graph: MarkedGraph
@@ -122,8 +122,6 @@ class Annulus:
             raise ValueError("ring count must be word length + 1")
         if self.thinness < 1:
             raise ValueError("thinness bound must be >= 1")
-        if any(l != 1 for l in self.graph.lengths):
-            raise ValueError("annulus graphs must have unit edge lengths")
 
     def ring_lengths(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rings)
@@ -145,8 +143,6 @@ def _common_graph(maps: Sequence[GraphMap]) -> MarkedGraph:
 
 
 def _as_endomorphism(f: GraphMap) -> Endomorphism:
-    if f.domain.num_vertices != 1:
-        raise ValueError("preimage search needs a single-vertex graph")
     rank = f.domain.num_edges
     return Endomorphism(rank, tuple(Word(p, rank) for p in f.edge_map))
 
@@ -180,8 +176,6 @@ def build_annulus(
     start = tighten_path(g, alpha) if based else tighten_cyclic(g, alpha)
     if not start:
         raise ValueError("the starting loop is trivial")
-    if g.dst(start[-1]) != g.src(start[0]):
-        raise ValueError("alpha is not a closed loop")
 
     neg = [x for x in w.letters if x < 0]
     pos = w.letters[len(neg) :]

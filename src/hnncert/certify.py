@@ -19,6 +19,11 @@ Verdict semantics:
 * ``inconclusive`` — anything else (failed preconditions, exhausted caps,
   audit violations); never a claim of non-hyperbolicity.
 
+No float enters a verdict.  "Expanding" is decided from the edge images: an
+irreducible transition matrix has Perron–Frobenius eigenvalue 1 exactly
+when it is a permutation matrix (every edge maps to a single edge), and
+above 1 otherwise.  The eigenvalue itself is only reported, as ``lambda``.
+
 Power selection: per-check powers transfer to common multiples (images of
 φ^{kN} sit inside images of φ^N, stabilized pullbacks stay stabilized, and
 expansion factors compound), so N is their least common multiple; the
@@ -417,14 +422,13 @@ def certify(config: CertificationConfig) -> Certificate:
         record["irreducible"] = is_irreducible_matrix(a)
         if record["irreducible"]:
             try:
-                lam = pf_eigenvalue(a)
-            except PowerIterationError as exc:
+                record["lambda"] = pf_eigenvalue(a)
+            except PowerIterationError:
                 record["lambda"] = None
-                reasons.append(f"{label}: eigenvalue estimate failed ({exc})")
-            else:
-                record["lambda"] = lam
-                if lam <= 1:
-                    reasons.append(f"{label}: not expanding (lambda = {lam})")
+            if all(len(p) == 1 for p in f.edge_map):  # permutation: lambda = 1
+                reasons.append(
+                    f"{label}: not expanding (lambda = {record['lambda']})"
+                )
         else:
             record["lambda"] = None
             reasons.append(f"{label}: transition matrix is reducible")

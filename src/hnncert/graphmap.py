@@ -1,26 +1,24 @@
-"""Graph self-maps as endomorphism representatives.
+"""Rose self-maps as endomorphism representatives.
 
-A :class:`MarkedGraph` is a finite metric graph (edge lengths are exact
-rationals, default 1).  Edges carry ids ``1..E``; a signed id ``+i`` / ``-i``
-is the edge traversed forwards / backwards, and paths are tuples of signed
-ids.  A :class:`GraphMap` sends vertices to vertices and each edge to a
-nonempty tightened edge-path.
+The graph is the rose: one vertex and ``num_edges`` loops of length 1, edge
+``i`` standing for the generator a_i.  A signed id ``+i`` / ``-i`` is the
+edge traversed forwards / backwards, paths are tuples of signed ids, and a
+path's length is its number of edges.  A :class:`GraphMap` sends each edge
+to a nonempty tightened edge-path.
 
 The module provides tightening, loop images, transition matrices and their
-Perron–Frobenius data, turn legality (train-track verification, immersion
-tests), and bilipschitz change-of-marking constants.  Everything except the
-eigenvalue routine is exact integer/rational arithmetic.
+Perron–Frobenius data, and turn legality (train-track verification,
+immersion tests).  All arithmetic is exact integer arithmetic; only the
+reported eigenvalue is rounded to a float.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .words import Endomorphism, cyclic_core, free_reduce, least_rotation
 
@@ -30,47 +28,9 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class MarkedGraph:
-    """Finite metric graph without valence-one vertices.
+    """The rose with ``num_edges`` unit-length loops at its one vertex."""
 
-    ``edge_endpoints[i]`` is the (source, target) pair of edge ``i+1`` in its
-    positive orientation; ``lengths[i]`` its length.
-    """
-
-    num_vertices: int
-    edge_endpoints: tuple[tuple[int, int], ...]
-    lengths: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.num_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
-        if len(self.lengths) != len(self.edge_endpoints):
-            raise ValueError("one length per edge required")
-        val = [0] * self.num_vertices
-        for u, v in self.edge_endpoints:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError("edge endpoint out of range")
-            val[u] += 1
-            val[v] += 1
-        if any(x == 1 for x in val):
-            raise ValueError("valence-one vertex: not a core graph")
-        for l in self.lengths:
-            if l <= 0:
-                raise ValueError("edge lengths must be positive")
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_endpoints)
-
-    def src(self, s: int) -> int:
-        u, v = self.edge_endpoints[abs(s) - 1]
-        return u if s > 0 else v
-
-    def dst(self, s: int) -> int:
-        u, v = self.edge_endpoints[abs(s) - 1]
-        return v if s > 0 else u
-
-    def edge_length(self, s: int) -> Fraction:
-        return self.lengths[abs(s) - 1]
+    num_edges: int
 
     def directions(self) -> tuple[int, ...]:
         """All signed edge ids."""
@@ -81,40 +41,37 @@ class MarkedGraph:
 
 def rose(rank: int) -> MarkedGraph:
     """The rose with ``rank`` unit-length loops; edge i ↔ generator a_i."""
-    return MarkedGraph(
-        1, tuple((0, 0) for _ in range(rank)), tuple(Fraction(1) for _ in range(rank))
-    )
+    return MarkedGraph(rank)
 
 
-def path_length(g: MarkedGraph, p: Path) -> Fraction:
-    return sum((g.edge_length(s) for s in p), Fraction(0))
+def path_length(g: MarkedGraph, p: Path) -> int:
+    return len(p)
 
 
-def _check_composable(g: MarkedGraph, p: Sequence[int]) -> None:
-    """Raise unless ``p`` is a sequence of signed edge ids of ``g``, each
-    starting where the previous one ends."""
-    prev_end: Optional[int] = None
-    for s in p:
-        if abs(s) < 1 or abs(s) > g.num_edges:
-            raise ValueError(f"no edge {s}")
-        if prev_end is not None and g.src(s) != prev_end:
-            raise ValueError("path is not composable")
-        prev_end = g.dst(s)
+def _check_edges(g: MarkedGraph, p: Sequence[int]) -> None:
+    """Raise unless every entry of ``p`` is a signed edge id of ``g``; on
+    the rose every such sequence is composable."""
+    if p and (max(p) > g.num_edges or min(p) < -g.num_edges or 0 in p):
+        bad = next(s for s in p if not 0 < abs(s) <= g.num_edges)
+        raise ValueError(f"no edge {bad}")
 
 
 def tighten_path(g: MarkedGraph, p: Sequence[int]) -> Path:
     """Cancel adjacent edge–reverse-edge pairs until none remain.
 
-    Raises on a non-composable sequence.  The result is homotopic rel
-    endpoints to ``p`` (an empty result sits at the source of ``p``).
+    Raises on an entry that is not an edge of ``g``.  The result is
+    homotopic rel the vertex to ``p``.
     """
-    _check_composable(g, p)
+    _check_edges(g, p)
     return free_reduce(p)
 
 
 @dataclass(frozen=True)
 class GraphMap:
-    """A map of marked graphs: vertices to vertices, edges to tight nonempty paths."""
+    """A rose map: the vertex to itself, edges to tight nonempty paths.
+
+    ``vertex_map`` must be ``(0,)``, the one vertex's image.
+    """
 
     domain: MarkedGraph
     codomain: MarkedGraph
@@ -122,25 +79,17 @@ class GraphMap:
     edge_map: tuple[Path, ...]
 
     def __post_init__(self) -> None:
-        if len(self.vertex_map) != self.domain.num_vertices:
-            raise ValueError("vertex_map size mismatch")
-        if any(not (0 <= v < self.codomain.num_vertices) for v in self.vertex_map):
-            raise ValueError("vertex_map target out of range")
+        if self.vertex_map != (0,):
+            raise ValueError("vertex_map of a rose map must be (0,)")
         if len(self.edge_map) != self.domain.num_edges:
             raise ValueError("edge_map size mismatch")
         for i, p in enumerate(self.edge_map):
             if not p:
                 raise ValueError(f"edge {i + 1} has an empty image")
+            _check_edges(self.codomain, p)
             for a, b in zip(p, p[1:]):
                 if a == -b:
                     raise ValueError(f"image of edge {i + 1} is not tight")
-                if self.codomain.dst(a) != self.codomain.src(b):
-                    raise ValueError(f"image of edge {i + 1} is not composable")
-            u, v = self.domain.edge_endpoints[i]
-            if self.codomain.src(p[0]) != self.vertex_map[u]:
-                raise ValueError(f"image of edge {i + 1} starts at the wrong vertex")
-            if self.codomain.dst(p[-1]) != self.vertex_map[v]:
-                raise ValueError(f"image of edge {i + 1} ends at the wrong vertex")
 
     def edge_image(self, s: int) -> Path:
         """Image path of the signed edge ``s`` (reversed path for reversed edge)."""
@@ -158,21 +107,17 @@ class GraphMap:
 
 
 def map_path(f: GraphMap, p: Sequence[int]) -> Path:
-    """Image of a composable path in the domain, tightened rel endpoints."""
-    _check_composable(f.domain, p)
+    """Image of a path in the domain, tightened rel the vertex."""
+    _check_edges(f.domain, p)
     return free_reduce(chain.from_iterable(map(f.edge_image, p)))
 
 
-def _check_closed_loop(g: MarkedGraph, loop: Sequence[int], based: bool) -> None:
+def _check_immersed_loop(loop: Sequence[int], based: bool) -> None:
     if not loop:
         raise ValueError("empty loop")
     for a, b in zip(loop, loop[1:]):
-        if g.dst(a) != g.src(b):
-            raise ValueError("loop is not composable")
         if a == -b:
             raise ValueError("loop backtracks (not immersed)")
-    if g.dst(loop[-1]) != g.src(loop[0]):
-        raise ValueError("path is open, not a loop")
     if not based and loop[0] == -loop[-1] and len(loop) > 1:
         raise ValueError("loop backtracks at the wraparound (not immersed)")
 
@@ -183,7 +128,7 @@ def map_loop(f: GraphMap, loop: Sequence[int], based: bool = False) -> Path:
     Free loops (default) are tightened cyclically; based loops are tightened
     rel the basepoint only, and may backtrack there.
     """
-    _check_closed_loop(f.domain, loop, based)
+    _check_immersed_loop(loop, based)
     image = map_path(f, loop)
     return image if based else cyclic_core(image)
 
@@ -218,11 +163,8 @@ def transition_matrix(f: GraphMap) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_power(a: Matrix, k: int) -> Matrix:
@@ -279,45 +221,55 @@ class PowerIterationError(RuntimeError):
     """Raised when the eigenvalue iteration fails to converge; carries the
     last iterate for diagnostics."""
 
-    def __init__(self, message: str, last_iterate: list[float]):
+    def __init__(self, message: str, last_iterate: list[int]):
         super().__init__(message)
         self.last_iterate = last_iterate
 
 
-_PF_SQUARINGS = 6
+# a round advances v by B^64, as eight products with B^8 (three squarings)
+_PF_STEP_SQUARINGS = 3
+_PF_STEP_PRODUCTS = 8
 _PF_MAX_ROUNDS = 5000
+_PF_KEEP_BITS = 128
 
 
 def pf_eigenvalue(a: Matrix, tol: float = 1e-9) -> float:
     """Perron–Frobenius eigenvalue of an irreducible non-negative matrix.
 
-    Power iteration on B = A + I (primitive when A is irreducible), sped up
-    by iterating a normalized B^(2^6); the stopping rule is the enclosure
-    min_i (Bv)_i/v_i ≤ λ(B) ≤ max_i (Bv)_i/v_i, valid for every positive v,
-    so the returned value is within ``tol`` of the true eigenvalue (up to
-    float64 rounding).  Deterministic given ``tol``.
+    Power iteration on the integer matrix B = A + I (primitive when A is
+    irreducible).  The stopping rule is the enclosure
+    min_i (Bv)_i/v_i ≤ λ(B) ≤ max_i (Bv)_i/v_i, valid for every positive
+    integer vector v, so each bound is one correctly rounded division and
+    the returned value is within ``tol`` of the true eigenvalue, up to that
+    rounding.  v starts at 1 and advances by B^64 per round; B^8 is built
+    only when v = 1 does not already decide.  Deterministic given ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not is_irreducible_matrix(a):
         raise ValueError("matrix is reducible; Perron–Frobenius data undefined")
-    n = len(a)
-    b = np.array(a, dtype=np.float64) + np.eye(n)
-    m = b / b.max()
-    for _ in range(_PF_SQUARINGS):
-        m = m @ m
-        m = m / m.max()
-    v = np.ones(n)
+    b = [list(row) for row in a]
+    for i, row in enumerate(b):
+        row[i] += 1
+    step: Optional[Matrix] = None
+    v = [1] * len(b)
     for _ in range(_PF_MAX_ROUNDS):
-        ratios = (b @ v) / v
-        lo, hi = float(ratios.min()), float(ratios.max())
+        ratios = [sum(map(mul, row, v)) / x for row, x in zip(b, v)]
+        lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol:
             return (lo + hi) / 2.0 - 1.0
-        v = m @ v
-        v = v / v.max()
-    raise PowerIterationError(
-        f"eigenvalue enclosure did not reach tol={tol}", v.tolist()
-    )
+        if step is None:
+            step = b
+            for _ in range(_PF_STEP_SQUARINGS):
+                step = mat_mul(step, step)
+        for _ in range(_PF_STEP_PRODUCTS):
+            v = [sum(map(mul, row, v)) for row in step]
+        # the enclosure holds for every positive v, so dropping low bits
+        # bounds the integers without loosening it
+        shift = min(v).bit_length() - _PF_KEEP_BITS
+        if shift > 0:
+            v = [x >> shift for x in v]
+    raise PowerIterationError(f"eigenvalue enclosure did not reach tol={tol}", v)
 
 
 # --- turns, train tracks, immersions ---
@@ -326,19 +278,6 @@ def pf_eigenvalue(a: Matrix, tol: float = 1e-9) -> float:
 def direction_map(f: GraphMap) -> dict[int, int]:
     """df: signed domain edge -> first signed codomain edge of its image."""
     return {s: f.edge_image(s)[0] for i in range(1, f.domain.num_edges + 1) for s in (i, -i)}
-
-
-def turns_at_vertices(g: MarkedGraph) -> list[frozenset[int]]:
-    """All unordered pairs of distinct directions sharing a source vertex."""
-    by_vertex: dict[int, list[int]] = {}
-    for s in g.directions():
-        by_vertex.setdefault(g.src(s), []).append(s)
-    turns = []
-    for dirs in by_vertex.values():
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                turns.append(frozenset((dirs[i], dirs[j])))
-    return turns
 
 
 def crossed_turns(f: GraphMap) -> set[frozenset[int]]:
@@ -380,9 +319,6 @@ def is_legal_turn(f: GraphMap, turn: frozenset[int], depth_cap: Optional[int] = 
     """A turn is legal iff no df-iterate degenerates it (exact orbit check)."""
     if len(turn) != 2:
         raise ValueError("a turn is an unordered pair of distinct directions")
-    a, b = turn
-    if f.domain.src(a) != f.domain.src(b):
-        raise ValueError("turn directions must share a vertex")
     legal, _ = _turn_orbit_legal(f, turn, depth_cap)
     return legal
 
@@ -409,25 +345,18 @@ def verify_train_track(f: GraphMap, depth_cap: Optional[int] = None) -> TrainTra
 
 
 def is_immersion(f: GraphMap) -> bool:
-    """True iff df is injective at every vertex (and images are tight: enforced
-    on construction)."""
+    """True iff df is injective (and images are tight: enforced on
+    construction)."""
     df = direction_map(f)
-    by_vertex: dict[int, set[int]] = {}
-    for s, d in df.items():
-        v = f.domain.src(s)
-        if d in by_vertex.setdefault(v, set()):
-            return False
-        by_vertex[v].add(d)
-    return True
+    return len(set(df.values())) == len(df)
 
 
 def compose_maps(outer: GraphMap, inner: GraphMap) -> GraphMap:
     """outer ∘ inner (apply ``inner`` first); images tightened eagerly."""
     if inner.codomain != outer.domain:
         raise ValueError("maps are not composable")
-    vm = tuple(outer.vertex_map[v] for v in inner.vertex_map)
     em = tuple(map_path(outer, p) for p in inner.edge_map)
-    return GraphMap(inner.domain, outer.codomain, vm, em)
+    return GraphMap(inner.domain, outer.codomain, (0,), em)
 
 
 def iterate_map(f: GraphMap, k: int) -> GraphMap:
@@ -441,47 +370,9 @@ def iterate_map(f: GraphMap, k: int) -> GraphMap:
     return result
 
 
-# --- bilipschitz change-of-marking constants ---
-
-
-def stretch_factor(f: GraphMap) -> Fraction:
-    """max over edges of image length / edge length."""
-    return max(
-        path_length(f.codomain, f.edge_map[i]) / f.domain.lengths[i]
-        for i in range(f.domain.num_edges)
-    )
-
-
-def bilipschitz_constant(h: GraphMap, h_inverse: GraphMap) -> Fraction:
-    """K = max(σ(h), σ(h⁻¹)) with σ the max edge stretch.
-
-    For homotopy-inverse pairs, K⁻¹·l(h(α)) ≤ l(α) ≤ K·l(h(α)) for every
-    immersed loop α.  That h_inverse really is a homotopy inverse is the
-    caller's responsibility; see :func:`check_homotopy_inverse`.
-    """
-    if h.codomain != h_inverse.domain or h.domain != h_inverse.codomain:
-        raise ValueError("maps do not pair up as inverses")
-    return max(stretch_factor(h), stretch_factor(h_inverse))
-
-
-def check_homotopy_inverse(h: GraphMap, h_inverse: GraphMap, loops: Sequence[Path]) -> bool:
-    """Spot-check h_inverse ∘ h ≃ id on sample loops (up to free homotopy)."""
-    for loop in loops:
-        once = map_loop(h, loop)
-        if not once:
-            return False  # an essential loop was crushed
-        back = map_loop(h_inverse, once)
-        if not cyclic_paths_equal(back, loop):
-            return False
-    return True
-
-
 def tighten_cyclic(g: MarkedGraph, loop: Sequence[int]) -> Path:
     """Cyclically tighten a closed path."""
-    p = tighten_path(g, loop)
-    if p and g.dst(p[-1]) != g.src(p[0]):
-        raise ValueError("path is open, not a loop")
-    return cyclic_core(p)
+    return cyclic_core(tighten_path(g, loop))
 
 
 # --- legal-loop sampling ---
@@ -518,15 +409,13 @@ def random_legal_loop(
             candidates = [
                 t
                 for t in dirs
-                if g.src(t) == g.dst(path[-1]) and t != -path[-1] and legal(frozenset((-path[-1], t)))
+                if t != -path[-1] and legal(frozenset((-path[-1], t)))
             ]
             if not candidates:
                 ok = False
                 break
             path.append(rng.choice(candidates))
         if not ok:
-            continue
-        if g.dst(path[-1]) != g.src(path[0]):
             continue
         wrap = frozenset((-path[-1], path[0]))
         if len(wrap) < 2 or not legal(wrap):

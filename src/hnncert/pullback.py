@@ -1,9 +1,10 @@
 """Fiber products of immersions and the pullback filtration of a graph self-map.
 
-The fiber product of two immersions into a common codomain is computed
+The fiber product of two immersions into a common rose is computed
 combinatorially: a map whose edges traverse paths is first subdivided so
-every edge maps onto a single codomain edge, and the product then pairs
-vertices with equal image vertex and edges with equal image edge.
+every edge maps onto a single rose edge, and the product then pairs every
+two vertices (all of them map to the rose's one vertex) and every two
+edges with equal image edge.
 
 Points of a graph are exact values: a vertex ``('v', id)`` or an interior
 edge point ``('e', edge_id, offset)`` with a rational offset in (0, 1).
@@ -30,6 +31,7 @@ from .graphmap import (
     MarkedGraph,
     Path,
     cyclic_paths_equal,
+    is_immersion,
     iterate_map,
     map_loop,
     rose,
@@ -46,15 +48,9 @@ class ProductBudgetError(RuntimeError):
 
 
 def immersion_offender(f: GraphMap) -> Optional[int]:
-    """A vertex at which the direction map fails to be injective, if any."""
-    seen: dict[tuple[int, int], int] = {}
-    for i in range(1, f.domain.num_edges + 1):
-        for s in (i, -i):
-            key = (f.domain.src(s), f.edge_image(s)[0])
-            if key in seen:
-                return key[0]
-            seen[key] = s
-    return None
+    """The vertex at which the direction map fails to be injective, if any:
+    the rose's one vertex 0 unless ``f`` is an immersion."""
+    return None if is_immersion(f) else 0
 
 
 def point_image(f: GraphMap, p: Point) -> Point:
@@ -64,14 +60,14 @@ def point_image(f: GraphMap, p: Point) -> Point:
     convention, iterated, defines the point images of all powers.
     """
     if p[0] == "v":
-        return ("v", f.vertex_map[p[1]])
+        return ("v", 0)
     _, e, t = p
     path = f.edge_map[e - 1]
     pos = t * len(path)
     k = int(pos)
     frac = pos - k
     if frac == 0:
-        return ("v", f.codomain.dst(path[k - 1]))
+        return ("v", 0)
     s = path[k]
     if s > 0:
         return ("e", s, frac)
@@ -90,15 +86,15 @@ class Subdivided:
 
     ``graph`` stores each piece with a positive codomain edge id as label
     (reversed pieces are stored flipped); metadata recovers exact positions:
-    ``vertex_point`` in the original graph, ``vertex_image`` in the codomain,
-    and per stored edge ``edge_meta = (parent_edge, lo, hi, ascending)``
-    giving the covered segment and whether the stored orientation ascends it.
+    ``vertex_point`` in the original graph, and per stored edge
+    ``edge_meta = (parent_edge, lo, hi, ascending)`` giving the covered
+    segment and whether the stored orientation ascends it.  Every vertex
+    maps to the codomain's one vertex.
     """
 
     codomain: MarkedGraph
     graph: LabeledGraph
     vertex_point: tuple[Point, ...]
-    vertex_image: tuple[int, ...]
     edge_meta: tuple[tuple[int, Fraction, Fraction, bool], ...]
 
 
@@ -133,8 +129,7 @@ def subdivide_level(f: GraphMap, level: int) -> Subdivided:
     g = iterate_map(f, level)
     fractions = _subdivision_fractions(f, level)
 
-    vertex_point: list[Point] = [("v", v) for v in range(g.domain.num_vertices)]
-    vertex_image: list[int] = list(g.vertex_map)
+    vertex_point: list[Point] = [("v", 0)]
     edges: list[tuple[int, int, int]] = []
     metas: list[tuple[int, Fraction, Fraction, bool]] = []
     for e in range(1, g.domain.num_edges + 1):
@@ -143,13 +138,11 @@ def subdivide_level(f: GraphMap, level: int) -> Subdivided:
         if len(seq) != len(inner) + 1:
             raise RuntimeError("subdivision points do not match the image path")
         bounds = [Fraction(0)] + inner + [Fraction(1)]
-        u, v = g.domain.edge_endpoints[e - 1]
-        nodes = [u]
+        nodes = [0]
         for k in range(1, len(seq)):
             nodes.append(len(vertex_point))
             vertex_point.append(("e", e, bounds[k]))
-            vertex_image.append(g.codomain.dst(seq[k - 1]))
-        nodes.append(v)
+        nodes.append(0)
         for m, s in enumerate(seq):
             a, b = nodes[m], nodes[m + 1]
             if s > 0:
@@ -159,25 +152,22 @@ def subdivide_level(f: GraphMap, level: int) -> Subdivided:
                 edges.append((b, a, -s))
                 metas.append((e, bounds[m], bounds[m + 1], False))
     graph = LabeledGraph(g.codomain.num_edges, len(vertex_point), tuple(edges))
-    return Subdivided(g.codomain, graph, tuple(vertex_point), tuple(vertex_image), tuple(metas))
+    return Subdivided(g.codomain, graph, tuple(vertex_point), tuple(metas))
 
 
 def subdivide_map(f: GraphMap) -> Subdivided:
     """Subdivide an arbitrary map (not necessarily a self-map) once."""
-    vertex_point: list[Point] = [("v", v) for v in range(f.domain.num_vertices)]
-    vertex_image: list[int] = list(f.vertex_map)
+    vertex_point: list[Point] = [("v", 0)]
     edges: list[tuple[int, int, int]] = []
     metas: list[tuple[int, Fraction, Fraction, bool]] = []
     for e in range(1, f.domain.num_edges + 1):
         seq = f.edge_map[e - 1]
         length = len(seq)
-        u, v = f.domain.edge_endpoints[e - 1]
-        nodes = [u]
+        nodes = [0]
         for k in range(1, length):
             nodes.append(len(vertex_point))
             vertex_point.append(("e", e, Fraction(k, length)))
-            vertex_image.append(f.codomain.dst(seq[k - 1]))
-        nodes.append(v)
+        nodes.append(0)
         for m, s in enumerate(seq):
             a, b = nodes[m], nodes[m + 1]
             lo, hi = Fraction(m, length), Fraction(m + 1, length)
@@ -188,7 +178,7 @@ def subdivide_map(f: GraphMap) -> Subdivided:
                 edges.append((b, a, -s))
                 metas.append((e, lo, hi, False))
     graph = LabeledGraph(f.codomain.num_edges, len(vertex_point), tuple(edges))
-    return Subdivided(f.codomain, graph, tuple(vertex_point), tuple(vertex_image), tuple(metas))
+    return Subdivided(f.codomain, graph, tuple(vertex_point), tuple(metas))
 
 
 def as_product_factor(g: LabeledGraph) -> Subdivided:
@@ -200,7 +190,6 @@ def as_product_factor(g: LabeledGraph) -> Subdivided:
         rose(g.rank),
         g,
         tuple(("v", v) for v in range(g.num_vertices)),
-        tuple(0 for _ in range(g.num_vertices)),
         tuple((i + 1, Fraction(0), Fraction(1), True) for i in range(len(g.edges))),
     )
 
@@ -285,7 +274,6 @@ def fiber_product(
         (x, y)
         for x in range(a.graph.num_vertices)
         for y in range(b.graph.num_vertices)
-        if a.vertex_image[x] == b.vertex_image[y]
     )
     index = {p: i for i, p in enumerate(pairs)}
     edges: list[tuple[int, int, int]] = []
@@ -720,11 +708,10 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
                         seen_classes.add(key)
                         candidates.append(loop)
     for e in range(1, f.domain.num_edges + 1):
-        if f.domain.src(e) == f.domain.dst(e):
-            key = _canonical_loop((e,))
-            if key not in seen_classes:
-                seen_classes.add(key)
-                candidates.append((e,))
+        key = _canonical_loop((e,))
+        if key not in seen_classes:
+            seen_classes.add(key)
+            candidates.append((e,))
 
     length_guard = 200_000
     for gamma in candidates:

@@ -21,7 +21,7 @@ from hnncert.annuli import (
     is_admissible,
 )
 from hnncert.expansion import expansion_power
-from hnncert.graphmap import GraphMap, MarkedGraph, iterate_map, map_loop, rose
+from hnncert.graphmap import GraphMap, iterate_map, map_loop, rose
 
 G2 = rose(2)
 F1 = GraphMap(G2, G2, (0,), ((1, 2), (2, 1)))  # a -> ab, b -> ba
@@ -174,11 +174,6 @@ class TestBuildAnnulus:
     def test_broken_rings_detected(self):
         a = Annulus(G2, ((1,), (2, 2), (1, 1)), W(1, 1))
         assert not check_ring_relations(a, MAPS)
-
-    def test_rejects_non_unit_edge_lengths(self):
-        stretched = MarkedGraph(1, ((0, 0), (0, 0)), (Fraction(1), Fraction(2)))
-        with pytest.raises(ValueError, match="unit edge lengths"):
-            Annulus(stretched, ((1,), (1, 2)), W(1))
 
 
 class TestLambdaHyperbolic:

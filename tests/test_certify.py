@@ -29,7 +29,7 @@ from hnncert.certify import (
 )
 from hnncert.disjointness import DisjointnessVerdict
 from hnncert.expansion import ExpansionVerdict
-from hnncert.graphmap import TrainTrackVerdict
+from hnncert.graphmap import PowerIterationError, TrainTrackVerdict
 from hnncert.pullback import StabilizationVerdict
 from hnncert.words import Endomorphism, Word, word_from_string
 
@@ -426,9 +426,35 @@ class TestSoundnessGating:
         cert = self.run_patched(monkeypatch, "is_irreducible_matrix", lambda a: False)
         assert cert.verdict == "inconclusive"
 
-    def test_eigenvalue_gate(self, monkeypatch):
+    def test_eigenvalue_gate(self):
+        # swapping the petals has lambda = 1 exactly: not expanding
+        capped = certify(
+            parse_config(b'{"rank":2,"endos":[["b","a"]],"caps":{"expansion":1}}')
+        )
+        assert capped.verdict == "inconclusive"
+        assert capped.evidence["reasons"] == [
+            "endomorphism 1: expansion exceeded cap 1 "
+            "(edges [1, 2] below target after 1 iterations)",
+            "endomorphism 1: not expanding (lambda = 1.0)",
+        ]
+        uncapped = certify(parse_config(b'{"rank":2,"endos":[["b","a"]]}'))
+        assert uncapped.verdict == "obstruction_BS"
+
+    def test_reported_lambda_does_not_gate(self, monkeypatch):
+        # "expanding" is decided from the edge images, not from the float
         cert = self.run_patched(monkeypatch, "pf_eigenvalue", lambda a: 1.0)
-        assert cert.verdict == "inconclusive"
+        assert cert.verdict == "certified_hyperbolic"
+        lams = [r["lambda"] for r in cert.evidence["per_endomorphism"]]
+        assert lams == [1.0, 1.0]
+
+    def test_failed_eigenvalue_iteration_reports_null(self, monkeypatch):
+        def fail(a):
+            raise PowerIterationError("forced", [1, 1])
+
+        cert = self.run_patched(monkeypatch, "pf_eigenvalue", fail)
+        assert cert.verdict == "certified_hyperbolic"
+        lams = [r["lambda"] for r in cert.evidence["per_endomorphism"]]
+        assert lams == [None, None]
 
     def test_stabilization_gate(self, monkeypatch):
         cert = self.run_patched(
@@ -533,6 +559,40 @@ print(json.dumps({"verdict": cert.verdict, "counts": dict(tracer.counts)}))
         assert out["counts"]["annuli.build_annulus_calls"] == 40
         assert out["counts"]["annuli.flaring_audit_calls"] == 4 * 40
         assert out["counts"]["gate.disjointness_calls"] == 1
+
+
+class TestStandardLibraryOnly:
+    """The package runs on the standard library alone."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    SCRIPT = """
+import sys
+sys.modules["numpy"] = None  # importing numpy now raises ImportError
+before = set(sys.modules)
+from hnncert import cli
+code = cli.main(["--input", sys.argv[1], "--output", sys.argv[2]])
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+foreign = sorted(
+    name for name in loaded
+    if name not in sys.stdlib_module_names and name != "hnncert"
+)
+print(code, " ".join(foreign))
+"""
+
+    def test_certify_imports_no_third_party_module(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(FAST_GREEN)
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(config), str(tmp_path / "report.json")],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        code, *foreign = result.stdout.decode().split()
+        assert code == "0"
+        assert foreign == []
 
 
 class TestDeterminismAndDigest:

@@ -1,28 +1,17 @@
-"""Tests for invariant forests, collapse, and the expansion power."""
+"""Tests for the expansion power of train track rose maps."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from hnncert.expansion import (
-    ExpansionVerdict,
-    InvariantForest,
-    collapse_forest,
-    expansion_power,
-    maximal_invariant_forest,
-)
+from hnncert.expansion import ExpansionVerdict, expansion_power
 from hnncert.graphmap import (
     GraphMap,
-    MarkedGraph,
-    is_immersion,
-    is_irreducible_matrix,
     iterate_map,
     map_loop,
     path_length,
     random_legal_loop,
     rose,
-    transition_matrix,
 )
 
 
@@ -33,117 +22,10 @@ def rose_map(*paths, rank=2):
 
 FIB = rose_map((1, 2), (1,))  # a -> ab, b -> a
 DOUBLE = rose_map((1, 1), rank=1)  # a -> aa
+SWAP = rose_map((1, 2), (2, 1))  # a -> ab, b -> ba
 PERM = rose_map((2,), (1,))  # swaps the petals
+FIXED_PETAL = rose_map((1, 1), (2,))  # a -> aa, the b petal is never stretched
 ILLEGAL = rose_map((1, 2), (-1, 2))  # the turn {-1, 2} degenerates
-
-THETA_GRAPH = MarkedGraph(2, ((0, 1), (0, 1), (0, 1)), (Fraction(1),) * 3)
-THETA = GraphMap(THETA_GRAPH, THETA_GRAPH, (0, 1), ((1,), (2, -1, 3), (3, -1, 2)))
-
-# bar edge fixed, one petal at each end, the q petal is never stretched
-DUMBBELL_GRAPH = MarkedGraph(2, ((0, 0), (1, 1), (0, 1)), (Fraction(1),) * 3)
-DUMBBELL = GraphMap(DUMBBELL_GRAPH, DUMBBELL_GRAPH, (0, 1), ((1, 1), (2,), (3,)))
-
-# two arcs fixed pointwise: their union spans a cycle, so no unique maximum
-TWO_FIXED_ARCS = GraphMap(
-    THETA_GRAPH, THETA_GRAPH, (0, 1), ((1,), (2,), (3, -1, 2))
-)
-
-
-def _component_sizes(g, edge_ids):
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent.setdefault(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    verts = set()
-    for e in edge_ids:
-        u, v = g.edge_endpoints[e - 1]
-        verts |= {u, v}
-        parent[find(u)] = find(v)
-    comps = {}
-    for e in edge_ids:
-        root = find(g.edge_endpoints[e - 1][0])
-        comps.setdefault(root, [0, set()])
-        comps[root][0] += 1
-        comps[root][1] |= set(g.edge_endpoints[e - 1])
-    return [(n_edges, len(vs)) for n_edges, vs in comps.values()]
-
-
-class TestMaximalInvariantForest:
-    def test_rose_has_no_forest(self):
-        assert maximal_invariant_forest(FIB).is_empty()
-        assert maximal_invariant_forest(PERM).is_empty()
-
-    def test_irreducible_matrix_gives_empty_forest(self):
-        assert is_irreducible_matrix(transition_matrix(FIB))
-        assert maximal_invariant_forest(FIB).edges == ()
-
-    def test_theta_fixed_arc(self):
-        forest = maximal_invariant_forest(THETA)
-        assert forest.edges == (1,)
-        assert forest.image_edges == ((1,),)
-
-    def test_dumbbell_bar(self):
-        forest = maximal_invariant_forest(DUMBBELL)
-        assert forest.edges == (3,)
-
-    def test_components_are_trees(self):
-        for f in (THETA, DUMBBELL):
-            forest = maximal_invariant_forest(f)
-            for n_edges, n_verts in _component_sizes(f.domain, forest.edges):
-                assert n_edges == n_verts - 1
-
-    def test_invariance_witness(self):
-        forest = maximal_invariant_forest(DUMBBELL)
-        edge_set = set(forest.edges)
-        for crossed in forest.image_edges:
-            assert set(crossed) <= edge_set
-
-    def test_non_forest_union_is_reported(self):
-        with pytest.raises(RuntimeError, match="not a forest"):
-            maximal_invariant_forest(TWO_FIXED_ARCS)
-
-    def test_needs_self_map(self):
-        g1, g2 = rose(2), rose(1)
-        f = GraphMap(g1, g2, (0,), ((1,), (1,)))
-        with pytest.raises(ValueError, match="self-map"):
-            maximal_invariant_forest(f)
-
-
-class TestCollapseForest:
-    def test_empty_forest_is_identity(self):
-        forest = maximal_invariant_forest(FIB)
-        assert collapse_forest(FIB, forest) is FIB
-
-    def test_theta_collapses_to_rose(self):
-        coll = collapse_forest(THETA, maximal_invariant_forest(THETA))
-        assert coll.domain.num_vertices == 1
-        assert coll.domain.num_edges == 2
-        assert coll.edge_map == ((1, 2), (2, 1))
-
-    def test_immersion_preserved(self):
-        assert is_immersion(THETA)
-        assert is_immersion(collapse_forest(THETA, maximal_invariant_forest(THETA)))
-
-    def test_lengths_survive(self):
-        weighted = MarkedGraph(
-            2, ((0, 1), (0, 1), (0, 1)), (Fraction(1), Fraction(1, 2), Fraction(3))
-        )
-        f = GraphMap(weighted, weighted, (0, 1), ((1,), (2, -1, 3), (3, -1, 2)))
-        coll = collapse_forest(f, maximal_invariant_forest(f))
-        assert coll.domain.lengths == (Fraction(1, 2), Fraction(3))
-
-    def test_non_invariant_forest_rejected(self):
-        with pytest.raises(ValueError, match="not invariant"):
-            collapse_forest(THETA, InvariantForest((2,), ((1, 2, 3),)))
-
-    def test_non_forest_edge_set_rejected(self):
-        with pytest.raises(ValueError, match="forest"):
-            collapse_forest(FIB, InvariantForest((1,), ((1, 2),)))
 
 
 class TestExpansionPower:
@@ -176,24 +58,10 @@ class TestExpansionPower:
         assert verdict.witness.period == 2
         assert verdict.witness.orbit == ((1,), (2,))
 
-    def test_theta_certified_through_collapse(self):
-        verdict = expansion_power(THETA, cap=8)
-        assert verdict.kind == "power"
-        assert verdict.n == 2
-        assert verdict.forest_size == 1
-        assert verdict.k == 1
-        assert verdict.inner_n == 2
-
-    def test_forest_scaling_uses_target_base(self):
-        # with factor 3/2 the single forest edge needs (3/2)^k > 1: k = 1
-        verdict = expansion_power(THETA, cap=16, target_factor=Fraction(3, 2))
-        assert verdict.k == 1
-        assert verdict.n == verdict.inner_n
-
     def test_fixed_petal_blocks_expansion(self):
-        verdict = expansion_power(DUMBBELL, cap=8)
+        verdict = expansion_power(FIXED_PETAL, cap=8)
         assert verdict.kind == "periodic_loop_obstruction"
-        assert "collapsed" in verdict.note
+        assert verdict.witness.edge == 2
         assert verdict.witness.period == 1
 
     def test_illegal_turn_rejected(self):
@@ -209,16 +77,19 @@ class TestExpansionPower:
         assert expansion_power(FIB, cap=20, target_factor=10).n == 6
         assert expansion_power(DOUBLE, cap=20, target_factor=5).n == 3
 
+    def test_needs_self_map(self):
+        f = GraphMap(rose(2), rose(3), (0,), ((1,), (2, 3)))
+        with pytest.raises(ValueError, match="self-map"):
+            expansion_power(f)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="cap"):
             expansion_power(FIB, cap=0)
         with pytest.raises(ValueError, match="factor"):
             expansion_power(FIB, cap=4, target_factor=1)
-        with pytest.raises(RuntimeError, match="not a forest"):
-            expansion_power(TWO_FIXED_ARCS, cap=4)
 
     @pytest.mark.parametrize(
-        "f,label", [(FIB, "fib"), (DOUBLE, "double"), (THETA, "theta")]
+        "f,label", [(FIB, "fib"), (DOUBLE, "double"), (SWAP, "swap")]
     )
     def test_certificate_soundness_on_random_loops(self, f, label):
         verdict = expansion_power(f, cap=8)

@@ -1,19 +1,18 @@
 """Graph maps: tightening, loop images, transition matrices, PF data, turns."""
 
+import itertools
+import json
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hnncert.certify import ConfigError, MarkingPair, parse_config
 from hnncert.graphmap import (
     GraphMap,
-    MarkedGraph,
     PowerIterationError,
-    bilipschitz_constant,
-    check_homotopy_inverse,
     compose_maps,
     crossed_turns,
     cyclic_paths_equal,
@@ -29,7 +28,6 @@ from hnncert.graphmap import (
     pf_eigenvalue,
     random_legal_loop,
     rose,
-    stretch_factor,
     tighten_path,
     transition_matrix,
     verify_train_track,
@@ -45,11 +43,6 @@ def rose_map(*images, rank=2):
     return GraphMap.from_endomorphism(endo(*images, rank=rank))
 
 
-def theta_graph():
-    # two vertices joined by three edges
-    return MarkedGraph(2, ((0, 1), (0, 1), (0, 1)), (Fraction(1),) * 3)
-
-
 F_AB_A = rose_map("ab", "a")  # a -> ab, b -> a
 F_AB_BA = rose_map("ab", "ba")  # a -> ab, b -> ba
 
@@ -57,17 +50,8 @@ F_AB_BA = rose_map("ab", "ba")  # a -> ab, b -> ba
 class TestMarkedGraph:
     def test_rose(self):
         g = rose(2)
-        assert g.num_vertices == 1
         assert g.num_edges == 2
-        assert g.src(1) == g.dst(-2) == 0
-
-    def test_rejects_valence_one(self):
-        with pytest.raises(ValueError):
-            MarkedGraph(2, ((0, 1),), (Fraction(1),))
-
-    def test_rejects_nonpositive_length(self):
-        with pytest.raises(ValueError):
-            MarkedGraph(1, ((0, 0),), (Fraction(0),))
+        assert g.directions() == (1, -1, 2, -2)
 
 
 class TestTightenPath:
@@ -81,13 +65,12 @@ class TestTightenPath:
         assert tighten_path(rose(3), (1, 2, -2, 3)) == (1, 3)
 
     def test_non_composable_rejected(self):
-        g = theta_graph()
-        with pytest.raises(ValueError):
-            tighten_path(g, (1, 2))  # both run 0 -> 1
-
-    def test_composable_on_theta(self):
-        g = theta_graph()
-        assert tighten_path(g, (1, -2, 3)) == (1, -2, 3)
+        # on the rose every sequence of edges composes; only a missing edge
+        # fails
+        with pytest.raises(ValueError, match="no edge 3"):
+            tighten_path(rose(2), (1, 3))
+        with pytest.raises(ValueError, match="no edge 0"):
+            tighten_path(rose(2), (1, 0))
 
 
 class TestMapLoop:
@@ -102,11 +85,9 @@ class TestMapLoop:
         with pytest.raises(ValueError):
             map_loop(F_AB_A, (2, -2))
 
-    def test_open_path_rejected(self):
-        g = theta_graph()
-        f = GraphMap(g, g, (0, 1), ((1,), (2,), (3,)))
-        with pytest.raises(ValueError):
-            map_loop(f, (1,))  # runs 0 -> 1, not closed
+    def test_missing_edge_rejected(self):
+        with pytest.raises(ValueError, match="no edge 3"):
+            map_loop(F_AB_A, (1, 3))
 
     def test_based_loop_may_backtrack_at_basepoint(self):
         loop = (1, 2, -1)
@@ -218,6 +199,43 @@ class TestPFEigenvalue:
         assert abs(lam2 - lam * lam) <= 2e-9 * max(1.0, lam * lam)
 
 
+    @pytest.mark.parametrize(
+        "a,lam",
+        [
+            (((2, 1), (1, 2)), 3.0),
+            (((1, 1, 1),) * 3, 3.0),
+            (((2, 0, 1), (1, 2, 0), (0, 1, 2)), 3.0),
+            (((1, 1), (1, 1)), 2.0),
+            (((3, 1), (4, 3)), 5.0),
+        ],
+    )
+    def test_integer_eigenvalues_are_exact(self, a, lam):
+        # the lambda values the reference reports record, byte for byte
+        assert repr(pf_eigenvalue(a)) == repr(lam)
+
+    def test_iterate_stays_bounded_when_convergence_is_slow(self):
+        # lambda(A + I) = 100001 ± sqrt(2): the round cap is reached before
+        # the enclosure closes, and the kept iterate has not grown by some
+        # thousand bits a round
+        with pytest.raises(PowerIterationError) as info:
+            pf_eigenvalue(((100000, 2), (1, 100000)))
+        assert min(info.value.last_iterate).bit_length() <= 128
+
+    def test_exceeds_one_exactly_off_permutations(self):
+        # the exact "expanding" gate of certify: an irreducible matrix has
+        # lambda > 1 exactly when some column sum (edge image length) is >= 2
+        checked = 0
+        for n in (1, 2, 3):
+            for flat in itertools.product(range(3), repeat=n * n):
+                a = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+                if not is_irreducible_matrix(a):
+                    continue
+                checked += 1
+                long_image = any(sum(col) >= 2 for col in zip(*a))
+                assert (pf_eigenvalue(a) > 1 + 1e-6) == long_image, a
+        assert checked == 11_270
+
+
 class TestTrainTrack:
     def test_identity(self):
         assert verify_train_track(rose_map("a", "b")).kind == "train_track"
@@ -318,25 +336,31 @@ class TestNoCancellation:
             assert all((a, b) != (-1, 2) and (a, b) != (-2, 1) for a, b in pairs)
 
 
+def marking_config(h, h_inv):
+    spec = {"rank": 2, "endos": [["aab", "bba"]],
+            "marking_maps": [{"map": h, "inverse": h_inv}]}
+    return parse_config(json.dumps(spec).encode())
+
+
 class TestBilipschitz:
+    """Change-of-marking constants of rose maps, as certify computes them."""
+
     def test_identity(self):
-        h = rose_map("a", "b")
-        assert bilipschitz_constant(h, h) == 1
+        identity = endo("a", "b")
+        assert MarkingPair(identity, identity).bilipschitz_constant() == 1
 
     def test_elementary_automorphism(self):
-        h = rose_map("ab", "b")
-        h_inv = rose_map("aB", "b")
-        assert check_homotopy_inverse(h, h_inv, [(1,), (2,), (1, 2), (1, -2, 1, 2)])
-        assert bilipschitz_constant(h, h_inv) == 2
+        marking = marking_config(["ab", "b"], ["aB", "b"]).markings[0]
+        assert marking.bilipschitz_constant() == 2
 
     def test_wrong_inverse_detected(self):
-        h = rose_map("ab", "b")
-        assert not check_homotopy_inverse(h, rose_map("a", "b"), [(1,)])
+        with pytest.raises(ConfigError, match="inverse fails"):
+            marking_config(["ab", "b"], ["a", "b"])
 
     def test_sampled_inequality(self):
         h = rose_map("ab", "b")
-        h_inv = rose_map("aB", "b")
-        k = bilipschitz_constant(h, h_inv)
+        k = MarkingPair(endo("ab", "b"), endo("aB", "b")).bilipschitz_constant()
+        assert k == 2
         rng = random.Random(3)
         for _ in range(100):
             loop = random_cyclic_word(rng, 2, rng.randint(1, 20))
@@ -346,8 +370,9 @@ class TestBilipschitz:
             assert lha <= k * la
 
     def test_stretch_factor(self):
-        assert stretch_factor(rose_map("ab", "b")) == 2
-        assert stretch_factor(rose_map("a", "b")) == 1
+        # the stretch factor of a unit-length rose map is its longest image
+        assert endo("ab", "b").max_image_length() == 2
+        assert endo("a", "b").max_image_length() == 1
 
 
 class TestComposition:
@@ -390,11 +415,16 @@ class TestGraphMapValidation:
         with pytest.raises(ValueError):
             GraphMap(r, r, (0,), ((1, -1, 1), (2,)))
 
-    def test_rejects_endpoint_mismatch(self):
-        g = theta_graph()
-        with pytest.raises(ValueError):
-            GraphMap(g, g, (0, 0), ((1,), (2,), (3,)))  # edge 1 image must end at vm[1]=0
+    def test_rejects_edge_outside_the_codomain(self):
+        with pytest.raises(ValueError, match="no edge 3"):
+            GraphMap(rose(2), rose(2), (0,), ((1, 3), (2,)))
+
+    def test_rejects_vertex_map_other_than_the_rose_vertex(self):
+        r = rose(2)
+        for vertex_map in ((1,), (0, 0)):
+            with pytest.raises(ValueError, match="vertex_map"):
+                GraphMap(r, r, vertex_map, ((1,), (2,)))
 
     def test_path_length(self):
-        g = MarkedGraph(1, ((0, 0), (0, 0)), (Fraction(1, 2), Fraction(3)))
-        assert path_length(g, (1, -2, 1)) == Fraction(4)
+        length = path_length(rose(2), (1, -2, 1))
+        assert length == 3 and type(length) is int
