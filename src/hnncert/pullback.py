@@ -30,14 +30,13 @@ from .graphmap import (
     GraphMap,
     MarkedGraph,
     Path,
-    cyclic_paths_equal,
     is_immersion,
     iterate_map,
     map_loop,
     rose,
 )
 from .stallings import LabeledGraph, component_labels
-from .words import cyclic_core, free_reduce, least_rotation
+from .words import cyclic_core, free_reduce, least_rotation, primitive_root
 
 Point = tuple  # ('v', vertex) | ('e', positive edge id, Fraction offset)
 PointPair = tuple[Point, Point]
@@ -657,15 +656,46 @@ def _strip_backtracks(cycle: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
+def _least_rotated(p: Path) -> Path:
+    k = least_rotation(p)
+    return p[k:] + p[:k]
+
+
 def _canonical_loop(p: Path) -> Path:
     if not p:
         return p
-    k = least_rotation(p)
-    fwd = p[k:] + p[:k]
-    q = tuple(-x for x in reversed(p))
-    k = least_rotation(q)
-    bwd = q[k:] + q[:k]
-    return min(fwd, bwd)
+    return min(_least_rotated(p), _least_rotated(tuple(-x for x in reversed(p))))
+
+
+def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[StabilizationVerdict]:
+    """The first pair k < kp ≤ cap, in (kp, k) order, with f^kp(γ) a
+    rotation of (f^k(γ))^d, as an invariant-loop verdict; see
+    :func:`stabilization_power`."""
+    length_guard = 200_000
+    iterates = [gamma]
+    roots = [primitive_root(gamma)]
+    keys: dict[int, Path] = {}
+    for kp in range(1, cap + 1):
+        nxt = map_loop(f, iterates[-1])
+        if not nxt or len(nxt) > length_guard:
+            return None
+        iterates.append(nxt)
+        period, exponent = primitive_root(nxt)
+        roots.append((period, exponent))
+        for k in range(kp):
+            if roots[k][0] != period or exponent % roots[k][1]:
+                continue
+            for i in (k, kp):
+                if i not in keys:
+                    keys[i] = _least_rotated(iterates[i][:period])
+            if keys[k] == keys[kp]:
+                return StabilizationVerdict(
+                    "invariant_loop",
+                    loop=iterates[k],
+                    degree=exponent // roots[k][1],
+                    power=kp - k,
+                )
+    return None
 
 
 def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) -> StabilizationVerdict:
@@ -678,6 +708,15 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
     witness (γ, d) with [f^k(γ)] = [γ^d] — the Baumslag–Solitar obstruction —
     found by iterating candidate loop classes up to ``cap``, or cap_exceeded
     with the surviving components for diagnostics.
+
+    The search is linear in the letters mapped.  A cyclic word p is a
+    rotation of q^d exactly when their primitive roots have the same length,
+    exp(p) = d·exp(q), and the roots are rotations of each other
+    (Lyndon–Schützenberger).  So each iterate is reduced once to its
+    (period, exponent) as it is built, and only a pair that passes both
+    integer tests compares least-rotated roots, each built once.  Pairs are
+    scanned in (kp, k) order as each iterate is built, and the search maps
+    no further than its first witness.
     """
     offender = immersion_offender(f)
     if offender is not None:
@@ -713,27 +752,10 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
             seen_classes.add(key)
             candidates.append((e,))
 
-    length_guard = 200_000
     for gamma in candidates:
-        iterates = [gamma]
-        for _ in range(cap):
-            nxt = map_loop(f, iterates[-1])
-            if not nxt or len(nxt) > length_guard:
-                break
-            iterates.append(nxt)
-        for kp in range(1, len(iterates)):
-            for k in range(kp):
-                lk, lkp = len(iterates[k]), len(iterates[kp])
-                if lk == 0 or lkp % lk != 0:
-                    continue
-                d = lkp // lk
-                if cyclic_paths_equal(iterates[kp], iterates[k] * d):
-                    return StabilizationVerdict(
-                        "invariant_loop",
-                        loop=iterates[k],
-                        degree=d,
-                        power=kp - k,
-                    )
+        found = _invariant_loop(f, gamma, cap)
+        if found is not None:
+            return found
     surviving = tuple(
         (c.rank, len(c.vertex_ids), len(c.edge_ids)) for c in dirty
     )

@@ -124,6 +124,31 @@ def least_rotation(seq: Sequence[int]) -> int:
     return k
 
 
+def primitive_root(seq: Sequence[int]) -> tuple[int, int]:
+    """``(period, exponent)`` with ``seq == seq[:period] * exponent`` and the
+    least such period (Knuth–Morris–Pratt failure function, O(L)).
+
+    If the least period n − border divides n it is the root's length;
+    otherwise (Fine–Wilf) ``seq`` is its own root.  ``()`` gives ``(0, 0)``.
+    """
+    n = len(seq)
+    if not n:
+        return 0, 0
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        x = seq[i]
+        while k and x != seq[k]:
+            k = fail[k - 1]
+        if x == seq[k]:
+            k += 1
+        fail[i] = k
+    period = n - k
+    if n % period:
+        return n, 1
+    return period, n // period
+
+
 def canonical_cyclic_form(w: Word) -> tuple[int, ...]:
     """Canonical representative of the conjugacy class of ``w``.
 

@@ -1,5 +1,6 @@
 """Tests for the certification pipeline, config parsing, and reports."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -620,6 +621,60 @@ class TestDeterminismAndDigest:
     def test_version_recorded(self, green_cert):
         assert green_cert.version == hnncert.__version__
         assert green_cert.evidence["tool_versions"]["hnncert"] == hnncert.__version__
+
+
+GREEN_ENDOS = [["aab", "bba"], ["abb", "baa"]]
+
+# Full SHA-256 of emit_report(certify(...)) on the reference configs: the
+# four benchmark configs (perfbench/configs), then the default-caps green
+# pair, one endomorphism alone, the rank-3 pair and a marked green pair.
+# A change that keeps behaviour keeps every byte of these reports.
+REFERENCE_REPORTS = {
+    "green_pair": (
+        dict(rank=2, endos=GREEN_ENDOS, caps={"audit_loops": 50}, seed=0),
+        "311620cccb5ba95eba6862a56bacb87a4759a15ca098afc818788b3037b8d511",
+    ),
+    "identical_rank2": (
+        dict(rank=2, endos=[["aab", "bba"], ["aab", "bba"]], seed=0),
+        "43c291a7630e1991038579fb6b018d9c588d1a853fb73cba533f9cf500321939",
+    ),
+    "identical_rank3": (
+        dict(rank=3, endos=[["aab", "bbc", "cca"], ["aab", "bbc", "cca"]], seed=0),
+        "00a7957ec65e25cb2e5b41e31c336fe1a8e69aa86f086b9eeac54ce697b2b907",
+    ),
+    "obstructed_pair": (
+        dict(rank=2, endos=[["ab", "ba"], ["aa", "bb"]], seed=0),
+        "18b92dd590982d11b7bc9f11fb154bf77b051becca6d2c7611b6f8962a43d922",
+    ),
+    "green_default_caps": (
+        dict(rank=2, endos=GREEN_ENDOS),
+        "535621ee18e71a88987771765e56c4d20f2b011676500f2756f631cc40af334b",
+    ),
+    "single": (
+        dict(rank=2, endos=[["aab", "bba"]]),
+        "3ec642e1b40a0900bf9083cefb9fa1497861851c0a3ae8318f3187066cad7a11",
+    ),
+    "rank3_pair": (
+        dict(rank=3, endos=[["aab", "bbc", "cca"], ["abc", "bca", "cab"]]),
+        "fc843e5c28e957477977f949685840cc95a07238b6e524de946f06a6e41ce11c",
+    ),
+    "marked_green": (
+        dict(
+            rank=2,
+            endos=GREEN_ENDOS,
+            marking_maps=[{"map": ["ab", "b"], "inverse": ["aB", "b"]}, None],
+            caps={"audit_loops": 20},
+        ),
+        "8b758c629659c6ef175f2ba10a211253e755e1e4d0dc4f5843d1616619d2f36a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_REPORTS))
+def test_reference_report_digest(name):
+    config, digest = REFERENCE_REPORTS[name]
+    report = emit_report(certify(parse_config(config_bytes(**config))))
+    assert hashlib.sha256(report).hexdigest() == digest
 
 
 class TestReports:

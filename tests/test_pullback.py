@@ -1,14 +1,19 @@
 """Fiber products, the pullback filtration, and stabilization verdicts."""
 
+import collections
+import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnncert import pullback
 from hnncert.graphmap import GraphMap, iterate_map
 from hnncert.pullback import (
     ProductBudgetError,
+    StabilizationVerdict,
     _subdivision_fractions,
     as_product_factor,
     fiber_product,
@@ -30,7 +35,7 @@ from hnncert.stallings import (
     subgraph_on,
     subgroup_graph,
 )
-from hnncert.words import Endomorphism, Word, reduce, word_from_string
+from hnncert.words import Endomorphism, Word, least_rotation, reduce, word_from_string
 
 
 def endo(*images, rank=2):
@@ -367,6 +372,113 @@ class TestStabilization:
         for _ in range(v.power):
             image = map_loop(SQUARES, image)
         assert cyclic_paths_equal(image, v.loop * v.degree)
+
+
+def booth_scan(f, gamma, cap):
+    """Oracle for ``pullback._invariant_loop``: build every iterate up to the
+    cap, then test each pair k < kp in (kp, k) order by Booth-rotating
+    f^kp(γ) and (f^k(γ))^d whole."""
+    from hnncert.graphmap import cyclic_paths_equal, map_loop
+
+    iterates = [gamma]
+    for _ in range(cap):
+        nxt = map_loop(f, iterates[-1])
+        if not nxt or len(nxt) > 200_000:
+            break
+        iterates.append(nxt)
+    for kp in range(1, len(iterates)):
+        for k in range(kp):
+            lk, lkp = len(iterates[k]), len(iterates[kp])
+            if lk == 0 or lkp % lk != 0:
+                continue
+            d = lkp // lk
+            if cyclic_paths_equal(iterates[kp], iterates[k] * d):
+                return StabilizationVerdict(
+                    "invariant_loop", loop=iterates[k], degree=d, power=kp - k
+                )
+    return None
+
+
+def rank_two_immersions(max_len):
+    words = [
+        w
+        for n in range(1, max_len + 1)
+        for w in itertools.product((1, -1, 2, -2), repeat=n)
+        if reduce(w, 2).letters == w
+    ]
+    for a, b in itertools.product(words, repeat=2):
+        f = GraphMap.from_endomorphism(Endomorphism(2, (Word(a, 2), Word(b, 2))))
+        if immersion_offender(f) is None:
+            yield f
+
+
+class TestInvariantLoopSearch:
+    """The primitive-root scan against the pairwise Booth scan it replaced,
+    and the work it does."""
+
+    @staticmethod
+    def fields(v):
+        return (v.kind, v.n, v.loop, v.degree, v.power, v.surviving)
+
+    def both(self, f, cap, monkeypatch):
+        fast = stabilization_power(f, cap=cap)
+        with monkeypatch.context() as m:
+            m.setattr(pullback, "_invariant_loop", booth_scan)
+            slow = stabilization_power(f, cap=cap)
+        return self.fields(fast), self.fields(slow)
+
+    def test_matches_booth_scan_on_small_rank_two_immersions(self, monkeypatch):
+        kinds = collections.Counter()
+        maps = list(rank_two_immersions(3))
+        assert len(maps) == 344
+        for f in maps:
+            fast, slow = self.both(f, 6, monkeypatch)
+            assert fast == slow, f.edge_map
+            kinds[fast[0]] += 1
+        # every verdict kind occurs, so the comparison is not vacuous
+        assert set(kinds) == {"stabilized_at", "invariant_loop", "cap_exceeded"}
+
+    @pytest.mark.parametrize(
+        "f", [IDENT, FLIP, MIXED, DOUBLE, SQUARES, SAPIR],
+        ids=["IDENT", "FLIP", "MIXED", "DOUBLE", "SQUARES", "SAPIR"],
+    )
+    def test_matches_booth_scan_on_fixtures(self, f, monkeypatch):
+        fast, slow = self.both(f, 8, monkeypatch)
+        assert fast == slow
+
+    @staticmethod
+    def count(monkeypatch, module, name, tally, size):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            tally[name] += size(args)
+            tally[name + "_calls"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_rotates_no_more_than_the_candidate_loops(self, monkeypatch):
+        tally = collections.Counter()
+        self.count(monkeypatch, pullback, "_canonical_loop", tally, lambda a: len(a[0]))
+        # wherever a module of the package binds the name
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hnncert" and (
+                getattr(module, "least_rotation", None) is least_rotation
+            ):
+                self.count(monkeypatch, module, "least_rotation", tally, lambda a: len(a[0]))
+        v = stabilization_power(SAPIR)
+        assert v.kind == "cap_exceeded"
+        # each candidate class is keyed in both orientations; the scan
+        # itself rotates no iterate of SAPIR, whose roots all differ in length
+        assert tally["_canonical_loop"] > 0
+        assert tally["least_rotation"] <= 2 * tally["_canonical_loop"]
+
+    def test_stops_mapping_at_the_first_witness(self, monkeypatch):
+        tally = collections.Counter()
+        self.count(monkeypatch, pullback, "map_loop", tally, lambda a: len(a[1]))
+        v = stabilization_power(SQUARES)
+        assert (v.kind, v.power, v.degree) == ("invariant_loop", 1, 2)
+        assert tally["map_loop_calls"] == 1
 
 
 class TestDoubleCosetOracle:

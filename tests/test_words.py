@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnncert.graphmap import cyclic_paths_equal
 from hnncert.words import (
     Endomorphism,
     Word,
@@ -16,6 +17,7 @@ from hnncert.words import (
     free_reduce,
     least_rotation,
     multiply,
+    primitive_root,
     reduce,
     word_from_string,
     word_to_string,
@@ -199,6 +201,55 @@ class TestLeastRotation:
             rotated = letters[r:] + letters[:r]
             forms.add(canonical_cyclic_form(reduce(rotated, 2)))
         assert len(forms) == 1
+
+
+def least_rotated(seq):
+    k = least_rotation(seq)
+    return seq[k:] + seq[:k]
+
+
+# short sequences over two letters, often proper powers
+powers_st = st.builds(
+    lambda root, e: tuple(root) * e,
+    st.lists(st.sampled_from((1, 2)), max_size=4),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+class TestPrimitiveRoot:
+    @given(st.one_of(powers_st, st.lists(st.integers(-2, 2), max_size=16).map(tuple)))
+    def test_against_bruteforce(self, seq):
+        n = len(seq)
+        if not n:
+            assert primitive_root(seq) == (0, 0)
+            return
+        period = min(d for d in range(1, n + 1) if n % d == 0 and seq == seq[:d] * (n // d))
+        assert primitive_root(seq) == (period, n // period)
+
+    def test_examples(self):
+        assert primitive_root((1,)) == (1, 1)
+        assert primitive_root((1, 2, 1, 2, 1, 2)) == (2, 3)
+        assert primitive_root((1, 2, 1, 2, 1)) == (5, 1)  # period 2, not a power
+        assert primitive_root((1, 1, 2, 1, 1, 2)) == (3, 2)
+
+    @given(
+        powers_st,
+        powers_st,
+        st.integers(min_value=0, max_value=11),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_rotation_of_power_iff_roots_match(self, p, q, shift, d, m):
+        if m:  # p a power of q, so that both answers occur
+            p = q * m
+        if p:
+            shift %= len(p)
+            p = p[shift:] + p[:shift]
+        (tp, ep), (tq, eq) = primitive_root(p), primitive_root(q)
+        by_roots = (
+            tp == tq and ep == d * eq and least_rotated(p[:tp]) == least_rotated(q[:tq])
+        )
+        assert cyclic_paths_equal(p, q * d) == by_roots
 
 
 class TestWordBasics:
