@@ -4,7 +4,10 @@ The images φ_i^N(F_n) are represented by based Stallings graphs.  Whether
 H ∩ gKg⁻¹ is trivial for *every* g is decided exactly on the basepoint-free
 core fiber product: its components realize the conjugate intersections double
 coset by double coset, so the universal statement holds iff no component has
-positive rank.
+positive rank.  The product is never built.  Its rank E − V + C is the number
+of its edges that close a cycle, so its edges are streamed through a
+union-find and the first one whose endpoints are already joined decides.  The
+edge budget is checked first, before the union-find is allocated.
 
 Preimages under φ^N are recovered without search when the images of the 2n
 directions start with distinct letters (every immersed rose map qualifies):
@@ -19,12 +22,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .pullback import ProductBudgetError, fiber_product
+from .pullback import ProductBudgetError, product_edges
 from .stallings import (
+    Edge,
     LabeledGraph,
-    component_labels,
+    _UnionFind,
     core,
     graph_rank,
+    is_folded,
     membership,
     subgroup_graph,
 )
@@ -181,15 +186,22 @@ def all_conjugates_trivial_intersection(
     """True iff H ∩ gKg⁻¹ = {e} for every g in the ambient free group.
 
     Decided on the basepoint-free core fiber product, whose components
-    realize exactly the conjugate intersections.
+    realize exactly the conjugate intersections: the answer is True iff the
+    product has rank 0.  Its rank is the number of product edges that close
+    a cycle, so the edges are streamed through a union-find, which stops at
+    the first such edge.  Budget first: ProductBudgetError is raised if the
+    product would exceed ``max_edges`` edges, before the union-find over its
+    vertices is allocated.
     """
     a = _free_core(_as_graph(h))
     b = _free_core(_as_graph(k))
     if a.rank != b.rank:
         raise ValueError("subgroups live in free groups of different ranks")
-    if a.num_vertices == 0 or b.num_vertices == 0:
-        return True
-    return graph_rank(fiber_product(a, b, max_edges=max_edges).graph) == 0
+    if not (is_folded(a) and is_folded(b)):
+        raise ValueError("input is not an immersion: graph is not folded")
+    edges = product_edges(a, b, max_edges)
+    uf = _UnionFind(a.num_vertices * b.num_vertices)
+    return all(uf.union(u, v) for u, v, _, _, _ in edges)
 
 
 @dataclass(frozen=True)
@@ -208,27 +220,32 @@ class DisjointnessVerdict:
     note: str = ""
 
 
-def _component_cycle(g: LabeledGraph, verts: list[int]) -> Optional[tuple[int, tuple[int, ...]]]:
-    """A vertex on a cycle of the component and the cycle's label word."""
-    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in verts}
-    for u, v, l in g.edges:
-        if u in adj:
-            adj[u].append((v, l, 1))
-            adj[v].append((u, -l, -1))
-    root = verts[0]
+def _component_cycle(
+    edges: Sequence[Edge], rank: int
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The least vertex of a component and the label word of a cycle there.
+
+    ``edges`` are the component's edges in product order; the cycle is the
+    first non-tree edge met from a BFS tree rooted at the least vertex.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for u, v, l in edges:
+        adj.setdefault(u, []).append((v, l))
+        adj.setdefault(v, []).append((u, -l))
+    root = min(adj)
     parent_word: dict[int, tuple[int, ...]] = {root: ()}
     order = [root]
     qi = 0
     while qi < len(order):
         v = order[qi]
         qi += 1
-        for w, s, _ in adj[v]:
+        for w, s in adj[v]:
             if w not in parent_word:
                 parent_word[w] = parent_word[v] + (s,)
                 order.append(w)
     seen_pairs = set()
     for v in order:
-        for w, s, _ in adj[v]:
+        for w, s in adj[v]:
             key = (min(v, w), max(v, w), abs(s))
             if parent_word.get(w) == parent_word[v] + (s,) or parent_word.get(v) == parent_word[w] + (-s,):
                 continue
@@ -236,36 +253,52 @@ def _component_cycle(g: LabeledGraph, verts: list[int]) -> Optional[tuple[int, t
                 continue
             seen_pairs.add(key)
             cycle = parent_word[v] + (s,) + tuple(-x for x in reversed(parent_word[w]))
-            letters = reduce(cycle, g.rank).letters
+            letters = reduce(cycle, rank).letters
             if letters:
                 return root, letters
     return None
 
 
 def _intersection_witness(
-    a: LabeledGraph, b: LabeledGraph, pair: tuple[int, int]
+    a: LabeledGraph,
+    b: LabeledGraph,
+    pair: tuple[int, int],
+    max_edges: int = 500_000,
 ) -> Optional[IntersectionWitness]:
-    """A conjugator g and nontrivial w ∈ H ∩ gKg⁻¹ from the based product."""
+    """A conjugator g and nontrivial w ∈ H ∩ gKg⁻¹ from the based product.
+
+    The witness comes from the product component with the least vertex id
+    among those of positive rank.  One union-find pass over the streamed
+    edges finds it: a union-find root is the least id of its class, and a
+    class has positive rank iff one of its edges closed a cycle.  A second
+    pass collects that component's edges in product order.  None if the
+    product would exceed ``max_edges`` edges.
+    """
     ca = core(a, keep_basepoint=True)
     cb = core(b, keep_basepoint=True)
-    fp = fiber_product(ca, cb)
-    labels = component_labels(fp.graph)
-    n_comp = max(labels) + 1 if labels else 0
-    for c in range(n_comp):
-        verts = [v for v in range(fp.graph.num_vertices) if labels[v] == c]
-        edges = [ei for ei, (u, _, _) in enumerate(fp.graph.edges) if labels[u] == c]
-        if len(edges) - len(verts) + 1 < 1:
-            continue
-        found = _component_cycle(fp.graph, verts)
+    try:
+        edges = product_edges(ca, cb, max_edges)
+    except ProductBudgetError:
+        return None
+    uf = _UnionFind(ca.num_vertices * cb.num_vertices)
+    closing = [u for u, v, _, _, _ in edges if not uf.union(u, v)]
+    for root in sorted({uf.find(u) for u in closing}):
+        comp = [
+            (u, v, l)
+            for u, v, l, _, _ in product_edges(ca, cb, max_edges)
+            if uf.find(u) == root
+        ]
+        found = _component_cycle(comp, a.rank)
         if found is None:
             continue
         anchor, cycle_letters = found
-        x, y = fp.vertex_pairs[anchor]
+        x, y = divmod(anchor, cb.num_vertices)
         ua = _access_words(ca, ca.basepoint)[x]
         ub = _access_words(cb, cb.basepoint)[y]
         g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
         w = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
-        return IntersectionWitness(pair, g, w, len(edges) - len(verts) + 1)
+        n_verts = len({z for u, v, _ in comp for z in (u, v)})
+        return IntersectionWitness(pair, g, w, len(comp) - n_verts + 1)
     return None
 
 
@@ -292,7 +325,10 @@ def essential_disjointness_power(
     If the product budget ``max_edges`` is exhausted at a power n > 1, the
     powers 1..n−1 were each fully tested and failed, so the verdict is
     not_disjoint_at_cap for n − 1 with the witness from power n − 1 and a
-    note naming n; exhausting it at power 1 yields cap_exceeded.
+    note naming n; exhausting it at power 1 yields cap_exceeded.  The
+    witness is read off the based cores' product, which is larger than the
+    free cores' one; if that product exceeds ``max_edges`` the witness is
+    None.
     """
     if len(endos) < 2:
         raise ValueError("need at least two endomorphisms")
@@ -317,7 +353,9 @@ def essential_disjointness_power(
             return DisjointnessVerdict("disjoint_at", n=n)
         last_failure = (n, images, bad)
     n, images, (i, j) = last_failure
-    witness = _intersection_witness(images[i].graph, images[j].graph, (i, j))
+    witness = _intersection_witness(
+        images[i].graph, images[j].graph, (i, j), max_edges=max_edges
+    )
     return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 
 

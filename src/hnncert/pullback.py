@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .graphmap import (
     GraphMap,
@@ -239,6 +239,44 @@ class FiberProduct:
         return _product_components(self)
 
 
+def product_edges(
+    a: LabeledGraph, b: LabeledGraph, max_edges: int = 500_000
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The edges of the fiber product of ``a`` and ``b`` over the rose, streamed.
+
+    Vertex (x, y) of the product has id ``x * b.num_vertices + y``.  Each
+    edge comes as ``(u, v, label, i, j)``, pairing edge i of ``a`` with edge
+    j of ``b``, ordered by label, then i, then j.  The budget is checked when
+    this is called, before anything is built: ProductBudgetError if the
+    product would have more than ``max_edges`` edges.
+    """
+    nb = b.num_vertices
+    by_label_a: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (ua, va, l) in enumerate(a.edges):
+        by_label_a.setdefault(l, []).append((i, ua * nb, va * nb))
+    by_label_b: dict[int, list[tuple[int, int, int]]] = {}
+    for j, (ub, vb, l) in enumerate(b.edges):
+        by_label_b.setdefault(l, []).append((j, ub, vb))
+    total = sum(
+        len(by_label_a.get(l, ())) * len(ec) for l, ec in by_label_b.items()
+    )
+    if total > max_edges:
+        raise ProductBudgetError(
+            f"fiber product would have {total} edges (budget {max_edges})"
+        )
+    return _stream_edges(by_label_a, by_label_b)
+
+
+def _stream_edges(
+    by_label_a: dict[int, list[tuple[int, int, int]]],
+    by_label_b: dict[int, list[tuple[int, int, int]]],
+) -> Iterator[tuple[int, int, int, int, int]]:
+    for l in sorted(by_label_b):
+        for i, ua, va in by_label_a.get(l, ()):
+            for j, ub, vb in by_label_b[l]:
+                yield ua + ub, va + vb, l, i, j
+
+
 def fiber_product(
     left: Union[Subdivided, LabeledGraph, GraphMap],
     right: Union[Subdivided, LabeledGraph, GraphMap],
@@ -247,49 +285,30 @@ def fiber_product(
     """Fiber product over the common codomain.
 
     Accepts ready factors, folded labeled graphs over a rose, or graph maps
-    (which are checked to be immersions and subdivided).  If both factors
-    carry basepoints with equal image, the product is based at their pair.
+    (which are checked to be immersions and subdivided).  Product vertex
+    ``x * nb + y`` is the pair (x, y), with nb the right factor's vertex
+    count, so ``vertex_pairs`` lists the pairs with x major; the edges are
+    :func:`product_edges`, in its order.  If both factors carry basepoints,
+    the product is based at their pair.
     """
     a = _coerce_factor(left)
     b = _coerce_factor(right)
     if a.codomain != b.codomain:
         raise ValueError("factors have different codomains")
-
-    by_label_a: dict[int, list[int]] = {}
-    for i, (_, _, l) in enumerate(a.graph.edges):
-        by_label_a.setdefault(l, []).append(i)
-    by_label_b: dict[int, list[int]] = {}
-    for j, (_, _, l) in enumerate(b.graph.edges):
-        by_label_b.setdefault(l, []).append(j)
-    total = sum(
-        len(by_label_a.get(l, ())) * len(ec) for l, ec in by_label_b.items()
-    )
-    if total > max_edges:
-        raise ProductBudgetError(
-            f"fiber product would have {total} edges (budget {max_edges})"
-        )
-
+    stream = product_edges(a.graph, b.graph, max_edges)
+    nb = b.graph.num_vertices
     pairs = tuple(
-        (x, y)
-        for x in range(a.graph.num_vertices)
-        for y in range(b.graph.num_vertices)
+        (x, y) for x in range(a.graph.num_vertices) for y in range(nb)
     )
-    index = {p: i for i, p in enumerate(pairs)}
     edges: list[tuple[int, int, int]] = []
     edge_pairs: list[tuple[int, int]] = []
-    for l in sorted(by_label_b):
-        for i in by_label_a.get(l, ()):
-            ua, va, _ = a.graph.edges[i]
-            for j in by_label_b[l]:
-                ub, vb, _ = b.graph.edges[j]
-                edges.append((index[(ua, ub)], index[(va, vb)], l))
-                edge_pairs.append((i, j))
+    for u, v, l, i, j in stream:
+        edges.append((u, v, l))
+        edge_pairs.append((i, j))
 
     basepoint = None
     if a.graph.basepoint is not None and b.graph.basepoint is not None:
-        key = (a.graph.basepoint, b.graph.basepoint)
-        if key in index:
-            basepoint = index[key]
+        basepoint = a.graph.basepoint * nb + b.graph.basepoint
     graph = LabeledGraph(a.graph.rank, len(pairs), tuple(edges), basepoint)
     return FiberProduct(graph, pairs, tuple(edge_pairs), a, b)
 

@@ -1,5 +1,12 @@
 """Tests for image subgroups, essential disjointness, and preimages."""
 
+import importlib
+import json
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +15,8 @@ from hnncert import disjointness
 from hnncert.disjointness import (
     DisjointnessVerdict,
     ImageSubgroup,
+    IntersectionWitness,
+    _intersection_witness,
     all_conjugates_trivial_intersection,
     block_table,
     decode_in_image,
@@ -16,9 +25,11 @@ from hnncert.disjointness import (
     pairwise_disjoint_at,
     preimage_in_image,
 )
+from hnncert.pullback import ProductBudgetError, fiber_product
 from hnncert.stallings import (
     LabeledGraph,
     canonical_code,
+    component_labels,
     core,
     graph_rank,
     membership,
@@ -185,6 +196,12 @@ class TestAllConjugates:
                 self.A, LabeledGraph(1, 1, ((0, 0, 1),), 0)
             )
 
+    def test_unfolded_graph_rejected(self):
+        # two a-edges leave vertex 0; its core is itself
+        unfolded = LabeledGraph(2, 2, ((0, 1, 1), (0, 1, 2), (0, 1, 1)), 0)
+        with pytest.raises(ValueError, match="immersion"):
+            all_conjugates_trivial_intersection(self.A, unfolded)
+
 
 def _witness_is_valid(endos, verdict):
     """The recorded element lies in H and, conjugated, in K."""
@@ -281,6 +298,181 @@ class TestEssentialDisjointness:
         capped = essential_disjointness_power([SAPIR, SAPIR], cap=3)
         assert verdict.witness == capped.witness
         assert _witness_is_valid([SAPIR, SAPIR], verdict)
+
+
+# --- the streamed gate and witness against the whole product ---
+
+
+def product_rank_is_zero(h, k):
+    """The gate as it was decided before streaming: build the free cores'
+    whole fiber product and compute its rank."""
+    a = core(LabeledGraph(h.rank, h.num_vertices, h.edges, None), keep_basepoint=False)
+    b = core(LabeledGraph(k.rank, k.num_vertices, k.edges, None), keep_basepoint=False)
+    if a.num_vertices == 0 or b.num_vertices == 0:
+        return True
+    return graph_rank(fiber_product(a, b).graph) == 0
+
+
+def _whole_product_cycle(g, verts):
+    adj = {v: [] for v in verts}
+    for u, v, l in g.edges:
+        if u in adj:
+            adj[u].append((v, l, 1))
+            adj[v].append((u, -l, -1))
+    root = verts[0]
+    parent_word = {root: ()}
+    order = [root]
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for x, s, _ in adj[v]:
+            if x not in parent_word:
+                parent_word[x] = parent_word[v] + (s,)
+                order.append(x)
+    seen_pairs = set()
+    for v in order:
+        for x, s, _ in adj[v]:
+            key = (min(v, x), max(v, x), abs(s))
+            if parent_word.get(x) == parent_word[v] + (s,) or parent_word.get(v) == parent_word[x] + (-s,):
+                continue
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            cycle = parent_word[v] + (s,) + tuple(-y for y in reversed(parent_word[x]))
+            letters = reduce(cycle, g.rank).letters
+            if letters:
+                return root, letters
+    return None
+
+
+def whole_product_witness(a, b, pair):
+    """The witness as it was found before streaming: build the based cores'
+    whole fiber product, number its components, and take the first one of
+    positive rank."""
+    ca = core(a, keep_basepoint=True)
+    cb = core(b, keep_basepoint=True)
+    fp = fiber_product(ca, cb)
+    labels = component_labels(fp.graph)
+    n_comp = max(labels) + 1 if labels else 0
+    for c in range(n_comp):
+        verts = [v for v in range(fp.graph.num_vertices) if labels[v] == c]
+        edges = [ei for ei, (u, _, _) in enumerate(fp.graph.edges) if labels[u] == c]
+        if len(edges) - len(verts) + 1 < 1:
+            continue
+        found = _whole_product_cycle(fp.graph, verts)
+        if found is None:
+            continue
+        anchor, cycle_letters = found
+        x, y = fp.vertex_pairs[anchor]
+        ua = disjointness._access_words(ca, ca.basepoint)[x]
+        ub = disjointness._access_words(cb, cb.basepoint)[y]
+        g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
+        elem = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
+        return IntersectionWitness(pair, g, elem, len(edges) - len(verts) + 1)
+    return None
+
+
+@st.composite
+def small_subgroup(draw, rank):
+    # no generators gives the trivial subgroup, whose free core is empty
+    gens = draw(st.lists(reduced_letters(rank, 5).filter(bool), max_size=3))
+    return subgroup_graph([Word(g, rank) for g in gens], rank)
+
+
+RANK3_CYCLE = endo("aab", "bbc", "cca", rank=3)
+LAMINATED = endo("aab", "bba")
+# the basepoint hangs off the core of every image: at power 5 the free core
+# has 33 edges (1,025 product edges) and the based core 48 (1,874)
+HANGING = endo("baaB", "ba")
+
+
+class TestStreamedProduct:
+    @given(st.data(), st.sampled_from([2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_gate_and_witness_match_the_whole_product(self, data, rank):
+        h = data.draw(small_subgroup(rank))
+        k = data.draw(small_subgroup(rank))
+        assert all_conjugates_trivial_intersection(h, k) == product_rank_is_zero(h, k)
+        assert _intersection_witness(h, k, (0, 1)) == whole_product_witness(h, k, (0, 1))
+
+    @pytest.mark.parametrize("e", [LAMINATED, RANK3_CYCLE, HANGING], ids=["rank2", "rank3", "hanging"])
+    def test_witness_matches_the_whole_product_on_identical_pairs(self, e):
+        for n in range(1, 6):
+            g = image_subgroup(e, n).graph
+            got = _intersection_witness(g, g, (0, 1))
+            assert got is not None
+            assert got == whole_product_witness(g, g, (0, 1))
+
+    def test_budget_is_checked_before_the_union_find(self, monkeypatch):
+        built = []
+        real = disjointness._UnionFind
+
+        def counted(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(disjointness, "_UnionFind", counted)
+        g = image_subgroup(RANK3_CYCLE, 3).graph
+        with pytest.raises(ProductBudgetError):
+            all_conjugates_trivial_intersection(g, g, max_edges=10)
+        assert _intersection_witness(g, g, (0, 1), max_edges=10) is None
+        assert built == []
+        assert not all_conjugates_trivial_intersection(g, g)
+        assert len(built) == 1
+
+    def test_witness_respects_the_budget(self):
+        # powers 1..5 fit the free cores' products; the witness's based
+        # product at power 5 does not, so there is no witness
+        verdict = essential_disjointness_power([HANGING, HANGING], cap=5, max_edges=1500)
+        assert verdict == DisjointnessVerdict("not_disjoint_at_cap", n=5)
+        roomy = essential_disjointness_power([HANGING, HANGING], cap=5, max_edges=1874)
+        assert roomy.witness is not None
+        assert _witness_is_valid([HANGING, HANGING], roomy)
+
+    def test_certify_reports_a_missing_witness(self, monkeypatch):
+        certify_module = importlib.import_module("hnncert.certify")
+        monkeypatch.setattr(
+            certify_module,
+            "essential_disjointness_power",
+            partial(essential_disjointness_power, max_edges=1500),
+        )
+        config = json.dumps(
+            {"rank": 2, "endos": [["baaB", "ba"], ["baaB", "ba"]], "caps": {"disjointness": 5}}
+        ).encode()
+        cert = certify_module.certify(certify_module.parse_config(config))
+        assert cert.verdict == "inconclusive"
+        assert cert.evidence["disjointness"] == {"kind": "not_disjoint_at_cap", "n": 5, "note": ""}
+        assert cert.evidence["reasons"][-1] == (
+            "family: conjugate intersections persist at every power up to 5 "
+            "but no witness could be extracted"
+        )
+
+    def test_identical_rank3_certify_peak_memory(self, tmp_path):
+        # the whole products of this pair peaked near 180 MB.  A process
+        # keeps its peak RSS across exec, so the run is launched from a small
+        # interpreter instead of from this one, whose peak it would inherit.
+        config = tmp_path / "identical_rank3.json"
+        config.write_text(json.dumps({"rank": 3, "endos": [["aab", "bbc", "cca"]] * 2}))
+        report = tmp_path / "report.json"
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "run = subprocess.run([sys.executable, '-m', 'hnncert.cli', *sys.argv[1:]])\n"
+            "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = str(Path(disjointness.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", launcher, "--input", str(config), "--output", str(report)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={"PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        exit_code, maxrss_kb = map(int, result.stdout.split())
+        assert exit_code == 3
+        assert json.loads(report.read_text())["verdict"] == "not_disjoint"
+        assert maxrss_kb < 100 * 1024
 
 
 def _brute_preimage(e, s, alpha, bound=6):

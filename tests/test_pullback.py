@@ -21,6 +21,7 @@ from hnncert.pullback import (
     new_components,
     point_image,
     point_image_power,
+    product_edges,
     pullback_filtration,
     stabilization_power,
     subdivide_level,
@@ -223,6 +224,85 @@ class TestFiberProduct:
     def test_offender_is_named(self):
         assert immersion_offender(NON_IMMERSION) == 0
         assert immersion_offender(SAPIR) is None
+
+
+def dict_indexed_product(a, b):
+    """Edges and edge pairs of the product of two labeled graphs, numbered
+    through a dict over all vertex pairs: the construction fiber_product
+    used before it was built on the edge stream."""
+    by_label_a, by_label_b = {}, {}
+    for i, (_, _, l) in enumerate(a.edges):
+        by_label_a.setdefault(l, []).append(i)
+    for j, (_, _, l) in enumerate(b.edges):
+        by_label_b.setdefault(l, []).append(j)
+    pairs = [(x, y) for x in range(a.num_vertices) for y in range(b.num_vertices)]
+    index = {p: n for n, p in enumerate(pairs)}
+    edges, edge_pairs = [], []
+    for l in sorted(by_label_b):
+        for i in by_label_a.get(l, ()):
+            ua, va, _ = a.edges[i]
+            for j in by_label_b[l]:
+                ub, vb, _ = b.edges[j]
+                edges.append((index[(ua, ub)], index[(va, vb)], l))
+                edge_pairs.append((i, j))
+    return tuple(pairs), edges, edge_pairs
+
+
+@st.composite
+def subgroup_graphs(draw, rank):
+    gens = draw(
+        st.lists(
+            st.lists(
+                st.sampled_from([x for x in range(-rank, rank + 1) if x]),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return subgroup_graph([reduce(tuple(g), rank) for g in gens], rank)
+
+
+class TestProductEdgeStream:
+    """product_edges is the one home of the product's edges and their order."""
+
+    def check(self, left, right):
+        fp = fiber_product(left, right)
+        a, b = fp.left.graph, fp.right.graph
+        streamed = list(product_edges(a, b))
+        assert [s[:3] for s in streamed] == list(fp.graph.edges)
+        assert [s[3:] for s in streamed] == list(fp.edge_pairs)
+        pairs, edges, edge_pairs = dict_indexed_product(a, b)
+        assert fp.vertex_pairs == pairs
+        assert list(fp.graph.edges) == edges
+        assert list(fp.edge_pairs) == edge_pairs
+        for v, (x, y) in enumerate(pairs):
+            assert divmod(v, b.num_vertices) == (x, y)
+        if a.basepoint is not None and b.basepoint is not None:
+            assert pairs[fp.graph.basepoint] == (a.basepoint, b.basepoint)
+
+    @given(st.data(), st.sampled_from([2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fiber_product_on_subgroup_graphs(self, data, rank):
+        h = data.draw(subgroup_graphs(rank))
+        k = data.draw(subgroup_graphs(rank))
+        self.check(h, k)
+        self.check(core(h, keep_basepoint=False), core(k, keep_basepoint=False))
+
+    def test_matches_fiber_product_on_filtration_levels(self):
+        for f in (SAPIR, MIXED, SQUARES, IDENT):
+            for level in (1, 2, 3):
+                sub = subdivide_level(f, level)
+                self.check(sub, sub)
+        self.check(DOUBLE, DOUBLE)
+
+    def test_budget_is_checked_on_call(self):
+        a = stallings("ab", "ba")
+        # two edges of each label on each side: 2·2 + 2·2 product edges
+        with pytest.raises(ProductBudgetError, match="8 edges"):
+            product_edges(a, a, max_edges=7)
+        assert len(list(product_edges(a, a, max_edges=8))) == 8
 
 
 def intersection_membership(a, b, letters, rank=2):
