@@ -339,7 +339,9 @@ def essential_disjointness_power(
     note = ""
     for n in range(1, cap + 1):
         try:
-            images = [image_subgroup(e, n) for e in endos]
+            # equal endomorphisms share one image graph
+            built = {e: image_subgroup(e, n) for e in dict.fromkeys(endos)}
+            images = [built[e] for e in endos]
             bad = pairwise_disjoint_at(images, max_edges=max_edges)
         except ProductBudgetError as exc:
             if last_failure is None:

@@ -18,12 +18,17 @@ from subdivision-invariant data only: the component's intrinsic vertices
 (points where at least one side sits on a vertex, plus leaves and branch
 points) and its arcs (maximal runs between intrinsic vertices, each of which
 stays inside a single edge on each side and is recorded as an exact segment).
+Signatures are read from per-factor tables, built once per factor, that key
+each point by integers (its edge and reduced offset numerator and
+denominator), so no rational is built per product vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Optional, Union
 
 from .graphmap import (
@@ -32,14 +37,14 @@ from .graphmap import (
     Path,
     is_immersion,
     iterate_map,
-    map_loop,
     rose,
 )
 from .stallings import LabeledGraph, component_labels
 from .words import cyclic_core, free_reduce, least_rotation, primitive_root
 
 Point = tuple  # ('v', vertex) | ('e', positive edge id, Fraction offset)
-PointPair = tuple[Point, Point]
+PointKey = tuple  # ('v', vertex, 0, 1) | ('e', edge id, numerator, denominator)
+Segment = tuple  # (parent edge, from key, to key), keys (numerator, denominator)
 
 
 class ProductBudgetError(RuntimeError):
@@ -95,6 +100,31 @@ class Subdivided:
     graph: LabeledGraph
     vertex_point: tuple[Point, ...]
     edge_meta: tuple[tuple[int, Fraction, Fraction, bool], ...]
+
+    @cached_property
+    def point_keys(self) -> tuple[PointKey, ...]:
+        """Per vertex, its point as integers: offsets become reduced
+        (numerator, denominator) pairs, so keys agree across subdivisions."""
+        return tuple(
+            ("v", p[1], 0, 1) if p[0] == "v" else ("e", p[1], p[2].numerator, p[2].denominator)
+            for p in self.vertex_point
+        )
+
+    @cached_property
+    def on_vertex(self) -> tuple[bool, ...]:
+        """Per vertex: does it sit on a vertex of the original graph?"""
+        return tuple(p[0] == "v" for p in self.vertex_point)
+
+    @cached_property
+    def segments(self) -> tuple[tuple[Segment, Segment], ...]:
+        """Per stored edge, the segment it covers when traversed along
+        (index 0) and against (index 1) its stored orientation."""
+        out = []
+        for e, lo, hi, ascending in self.edge_meta:
+            a, b = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+            up, down = (e, a, b), (e, b, a)
+            out.append((up, down) if ascending else (down, up))
+        return tuple(out)
 
 
 def _subdivision_fractions(f: GraphMap, level: int) -> list[list[Fraction]]:
@@ -208,7 +238,6 @@ class ProductComponent:
     vertex_ids: tuple[int, ...]
     edge_ids: tuple[int, ...]
     rank: int
-    point_pairs: tuple[PointPair, ...]
     signature: tuple
     contains_diagonal: bool
 
@@ -230,10 +259,6 @@ class FiberProduct:
     edge_pairs: tuple[tuple[int, int], ...]
     left: Subdivided
     right: Subdivided
-
-    def point_pair(self, product_vertex: int) -> PointPair:
-        x, y = self.vertex_pairs[product_vertex]
-        return (self.left.vertex_point[x], self.right.vertex_point[y])
 
     def components(self) -> tuple[ProductComponent, ...]:
         return _product_components(self)
@@ -344,90 +369,67 @@ def _product_components(fp: FiberProduct) -> tuple[ProductComponent, ...]:
         incident[v].append((i, -1))
 
     out = []
-    for c in range(n_comp):
-        verts = comp_vertices[c]
-        edges = comp_edges[c]
-        v_count = len(verts)
-        e_count = len(edges)
-        rank = e_count - v_count + 1
-        pps = tuple(fp.point_pair(v) for v in verts)
+    for verts, edges in zip(comp_vertices, comp_edges):
+        rank = len(edges) - len(verts) + 1
         signature = _component_signature(fp, verts, incident)
         diag = any(x == y for x, y in (fp.vertex_pairs[v] for v in verts))
-        out.append(
-            ProductComponent(
-                tuple(verts), tuple(edges), rank, pps, signature, diag
-            )
-        )
+        out.append(ProductComponent(tuple(verts), tuple(edges), rank, signature, diag))
     return tuple(out)
-
-
-def _is_intrinsic(fp: FiberProduct, v: int, valence: int) -> bool:
-    p, q = fp.point_pair(v)
-    return p[0] == "v" or q[0] == "v" or valence != 2
-
-
-def _edge_segments(
-    fp: FiberProduct, edge_id: int, direction: int
-) -> tuple[tuple[int, Fraction, Fraction], tuple[int, Fraction, Fraction]]:
-    """Per-side (parent edge, from, to) covered when traversing the product
-    edge in the given direction (+1 = stored orientation)."""
-    i, j = fp.edge_pairs[edge_id]
-    out = []
-    for sub, k in ((fp.left, i), (fp.right, j)):
-        e, lo, hi, ascending = sub.edge_meta[k]
-        forward = ascending if direction == 1 else not ascending
-        out.append((e, lo, hi) if forward else (e, hi, lo))
-    return out[0], out[1]
 
 
 def _component_signature(
     fp: FiberProduct, verts: list[int], incident: list[list[tuple[int, int]]]
 ) -> tuple:
     g = fp.graph
-    valence = {v: len(incident[v]) for v in verts}
-    intrinsic = [v for v in verts if _is_intrinsic(fp, v, valence[v])]
+    pairs = fp.vertex_pairs
+    left, right = fp.left, fp.right
+    key_l, key_r = left.point_keys, right.point_keys
+    on_l, on_r = left.on_vertex, right.on_vertex
+    seg_l_of, seg_r_of = left.segments, right.segments
+    intrinsic = {}  # product vertex -> its point pair key
+    for v in verts:
+        x, y = pairs[v]
+        if on_l[x] or on_r[y] or len(incident[v]) != 2:
+            intrinsic[v] = (key_l[x], key_r[y])
     if not intrinsic:
         raise RuntimeError("component without intrinsic vertices; product structure violated")
-    intrinsic_set = set(intrinsic)
-
-    def other_end(edge_id: int, direction: int) -> int:
-        u, v, _ = g.edges[edge_id]
-        return v if direction == 1 else u
 
     arcs = []
     walked: set[tuple[int, int]] = set()  # (edge, direction) half-edges
-    for v0 in intrinsic:
+    for v0, key0 in intrinsic.items():
         for edge_id, direction in incident[v0]:
             # incident stores (edge, +1) at the source and (edge, -1) at the
             # target; walking away from v0 uses that direction
             if (edge_id, direction) in walked:
                 continue
             seg_l = seg_r = None
-            walk: list[tuple[int, int]] = []
-            pos = v0
             eid, d = edge_id, direction
             while True:
-                walk.append((eid, d))
-                sl, sr = _edge_segments(fp, eid, d)
-                seg_l = _chain(seg_l, sl)
-                seg_r = _chain(seg_r, sr)
-                pos = other_end(eid, d)
-                if pos in intrinsic_set:
+                walked.add((eid, d))
+                walked.add((eid, -d))
+                i, j = fp.edge_pairs[eid]
+                side = 0 if d == 1 else 1
+                seg_l = _chain(seg_l, seg_l_of[i][side])
+                seg_r = _chain(seg_r, seg_r_of[j][side])
+                u, w, _ = g.edges[eid]
+                pos = w if d == 1 else u
+                if pos in intrinsic:
                     break
                 # a non-intrinsic vertex has valence two: continue through
                 # the incidence we did not arrive by
                 first, second = incident[pos]
                 eid, d = second if first == (eid, -d) else first
-            for e, dd in walk:
-                walked.add((e, dd))
-                walked.add((e, -dd))
-            arc = _canonical_arc(fp.point_pair(v0), fp.point_pair(pos), seg_l, seg_r)
-            arcs.append(arc)
-    points = tuple(sorted(_pp_key(fp.point_pair(v)) for v in intrinsic))
-    return (points, tuple(sorted(arcs)))
+            key1 = intrinsic[pos]
+            arcs.append(
+                min(
+                    (key0, key1, seg_l, seg_r),
+                    (key1, key0, _flip(seg_l), _flip(seg_r)),
+                )
+            )
+    return (tuple(sorted(intrinsic.values())), tuple(sorted(arcs)))
 
 
-def _chain(acc, seg):
+def _chain(acc: Optional[Segment], seg: Segment) -> Segment:
     if acc is None:
         return seg
     e, a, b = acc
@@ -437,21 +439,8 @@ def _chain(acc, seg):
     return (e, a, b2)
 
 
-def _pp_key(pp: PointPair):
-    return tuple(
-        (p[0], p[1], p[2] if len(p) > 2 else Fraction(0)) for p in pp
-    )
-
-
-def _canonical_arc(pp_a, pp_b, seg_l, seg_r):
-    fwd = (_pp_key((pp_a[0], pp_a[1])), _pp_key((pp_b[0], pp_b[1])), seg_l, seg_r)
-    rev = (
-        _pp_key((pp_b[0], pp_b[1])),
-        _pp_key((pp_a[0], pp_a[1])),
-        (seg_l[0], seg_l[2], seg_l[1]),
-        (seg_r[0], seg_r[2], seg_r[1]),
-    )
-    return min(fwd, rev)
+def _flip(seg: Segment) -> Segment:
+    return (seg[0], seg[2], seg[1])
 
 
 # --- the filtration and stabilization ---
@@ -476,18 +465,34 @@ class PullbackFiltration:
         return self.levels[i - 1]
 
 
-def _level_flags(f: GraphMap, fp: FiberProduct, comps, i: int) -> tuple[bool, ...]:
-    """Per component: does it lie in the previous level (exact point test)?
+def _previous_images(
+    f: GraphMap, sub: Subdivided, previous: Optional[tuple[Subdivided, list[int]]]
+) -> list[int]:
+    """Per vertex of the level-i subdivision, an id of its f^(i−1) image.
+
+    Level 1 maps by the identity, so each vertex is its own id.  A level-i
+    vertex maps under f onto a vertex of level i − 1, whose ids are
+    ``previous``; so each level takes one :func:`point_image` per vertex.
+    """
+    if previous is None:
+        return list(range(sub.graph.num_vertices))
+    prev_sub, prev_images = previous
+    index = {p: k for k, p in enumerate(prev_sub.vertex_point)}
+    return [prev_images[index[point_image(f, p)]] for p in sub.vertex_point]
+
+
+def _level_flags(fp: FiberProduct, comps, images: list[int]) -> tuple[bool, ...]:
+    """Per component: does it lie in the previous level?  A product vertex
+    (x, y) does iff f^(i−1) identifies x and y, i.e. ``images[x] ==
+    images[y]``.
 
     Containment must be all-or-nothing per component; a mixed component
     violates the inclusion structure and raises.
     """
+    pairs = fp.vertex_pairs
     flags = []
     for comp in comps:
-        votes = {
-            point_image_power(f, p, i - 1) == point_image_power(f, q, i - 1)
-            for p, q in comp.point_pairs
-        }
+        votes = {images[x] == images[y] for x, y in (pairs[v] for v in comp.vertex_ids)}
         if len(votes) != 1:
             raise RuntimeError(
                 "component mixes points inside and outside the previous level"
@@ -512,11 +517,14 @@ def pullback_filtration(
         raise ValueError("i_max must be >= 1")
     levels = []
     prev_signatures: Optional[list] = None
+    previous: Optional[tuple[Subdivided, list[int]]] = None
     for i in range(1, i_max + 1):
         sub = subdivide_level(f, i)
+        images = _previous_images(f, sub, previous)
+        previous = (sub, images)
         fp = fiber_product(sub, sub, max_edges=max_edges)
         comps = fp.components()
-        flags = _level_flags(f, fp, comps, i)
+        flags = _level_flags(fp, comps, images)
         for comp, flag in zip(comps, flags):
             if comp.contains_diagonal and not flag:
                 raise RuntimeError("diagonal component escaped the previous level")
@@ -686,6 +694,14 @@ def _canonical_loop(p: Path) -> Path:
     return min(_least_rotated(p), _least_rotated(tuple(-x for x in reversed(p))))
 
 
+def _immersed_loop_image(f: GraphMap, loop: Path) -> Path:
+    """Image of a cyclically reduced loop under an immersion: no two
+    (cyclically) consecutive letters cancel, since cancelling at a turn needs
+    two directions with one image, so the image is the concatenation of the
+    edge images, already cyclically reduced."""
+    return tuple(chain.from_iterable(map(f.edge_image, loop)))
+
+
 def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[StabilizationVerdict]:
     """The first pair k < kp ≤ cap, in (kp, k) order, with f^kp(γ) a
     rotation of (f^k(γ))^d, as an invariant-loop verdict; see
@@ -695,7 +711,7 @@ def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[Stabilizatio
     roots = [primitive_root(gamma)]
     keys: dict[int, Path] = {}
     for kp in range(1, cap + 1):
-        nxt = map_loop(f, iterates[-1])
+        nxt = _immersed_loop_image(f, iterates[-1])
         if not nxt or len(nxt) > length_guard:
             return None
         iterates.append(nxt)

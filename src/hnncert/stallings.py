@@ -95,41 +95,95 @@ class _UnionFind:
         return True
 
 
+class _Folder:
+    """Worklist Stallings folding over a growing vertex set.
+
+    Vertex classes live in a union-find; each class root keeps one table
+    signed label -> neighbour (any vertex of the neighbour's class).  An edge
+    whose label a table already holds is a clash, and the two neighbours go
+    on the worklist.  Merging two classes moves the smaller table into the
+    larger and queues every clash this makes, so each table entry moves
+    O(log V) times (Touikan, IJAC 2006).  The folded quotient is unique, so
+    the result does not depend on the order of the merges.
+    """
+
+    def __init__(self, num_vertices: int) -> None:
+        self.uf = _UnionFind(num_vertices)
+        self.out: list[Optional[dict[int, int]]] = [{} for _ in range(num_vertices)]
+        self.pending: list[tuple[int, int]] = []
+
+    def add_vertex(self) -> int:
+        self.uf.parent.append(len(self.out))
+        self.out.append({})
+        return len(self.out) - 1
+
+    def add_edge(self, u: int, v: int, l: int) -> None:
+        """Add the edge u --l--> v (``l`` signed, so u --(-l)--> v is the edge
+        v --l--> u); call :meth:`fold` before reading again."""
+        for src, s, dst in ((u, l, v), (v, -l, u)):
+            table = self.out[self.uf.find(src)]
+            if s in table:
+                self.pending.append((table[s], dst))
+            else:
+                table[s] = dst
+
+    def fold(self) -> None:
+        find, parent, out, pending = self.uf.find, self.uf.parent, self.out, self.pending
+        while pending:
+            a, b = pending.pop()
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                continue
+            if len(out[ra]) < len(out[rb]):
+                ra, rb = rb, ra
+            parent[rb] = ra
+            big, small = out[ra], out[rb]
+            out[rb] = None
+            for s, t in small.items():
+                if s in big:
+                    pending.append((big[s], t))
+                else:
+                    big[s] = t
+
+    def step(self, v: int, s: int) -> Optional[int]:
+        """The class root reached from ``v`` along ``s``, on a folded state."""
+        t = self.out[self.uf.find(v)].get(s)
+        return None if t is None else self.uf.find(t)
+
+    def graph(self, rank: int, basepoint: Optional[int]) -> tuple[LabeledGraph, list[int]]:
+        """The folded graph, with classes numbered in order of their least
+        vertex, and the vertex map."""
+        find = self.uf.find
+        index: dict[int, int] = {}
+        vertex_map = []
+        for v in range(len(self.out)):
+            c = find(v)
+            if c not in index:
+                index[c] = len(index)
+            vertex_map.append(index[c])
+        edges = tuple(
+            sorted(
+                (i, vertex_map[t], s)
+                for r, i in index.items()
+                for s, t in self.out[r].items()
+                if s > 0
+            )
+        )
+        base = vertex_map[basepoint] if basepoint is not None else None
+        return LabeledGraph(rank, len(index), edges, base), vertex_map
+
+
 def fold_with_map(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
     """Fold ``g``; also return the vertex map (old id -> new id).
 
-    Repeated passes: identify targets of same-labeled outgoing edges
-    (union-find on vertices), deduplicate coincident edges, until stable.
+    Folded vertices are numbered in order of their least original vertex.
     The basepoint-respecting subgroup recognized by the graph is unchanged.
     """
-    uf = _UnionFind(g.num_vertices)
-    edges: set[Edge] = set(g.edges)
-    while True:
-        edges = {(uf.find(u), uf.find(v), l) for u, v, l in edges}
-        merged_any = False
-        target: dict[tuple[int, int], int] = {}
-        for u, v, l in sorted(edges):
-            for src, s, dst in ((u, l, v), (v, -l, u)):
-                key = (src, s)
-                if key in target:
-                    if uf.union(uf.find(target[key]), uf.find(dst)):
-                        merged_any = True
-                else:
-                    target[key] = dst
-        if not merged_any:
-            break
-    # compact surviving classes in first-occurrence order
-    index: dict[int, int] = {}
-    vertex_map = []
-    for v in range(g.num_vertices):
-        c = uf.find(v)
-        if c not in index:
-            index[c] = len(index)
-        vertex_map.append(index[c])
-    new_edges = tuple(sorted({(vertex_map[u], vertex_map[v], l) for u, v, l in edges}))
-    base = vertex_map[g.basepoint] if g.basepoint is not None else None
-    folded = LabeledGraph(g.rank, max(len(index), 0), new_edges, base)
-    return folded, vertex_map
+    folder = _Folder(g.num_vertices)
+    for u, v, l in g.edges:
+        folder.add_edge(u, v, l)
+    folder.fold()
+    return folder.graph(g.rank, g.basepoint)
 
 
 def fold(g: LabeledGraph) -> LabeledGraph:
@@ -137,26 +191,41 @@ def fold(g: LabeledGraph) -> LabeledGraph:
 
 
 def subgroup_graph(generators: Sequence[Word], rank: int) -> LabeledGraph:
-    """Folded wedge of loops at a basepoint recognizing ⟨generators⟩ ≤ F_rank."""
-    edges: list[Edge] = []
-    num_vertices = 1  # basepoint is 0
+    """Folded wedge of loops at a basepoint recognizing ⟨generators⟩ ≤ F_rank.
+
+    Each generator is folded in as it is added: its longest prefix readable
+    from the basepoint and its longest suffix readable back into it follow
+    existing edges, and only the letters between them get new vertices (at
+    least one letter is left between, to close the loop).  Reading along an
+    edge is a fold, and new vertices keep the order of the wedge vertices
+    they stand for, so the result equals folding the whole wedge.
+    """
+    folder = _Folder(1)  # basepoint is 0
     for w in generators:
         if w.rank != rank:
             raise ValueError("generator rank mismatch")
-        if not w.letters:
+        letters = w.letters
+        if not letters:
             continue
-        prev = 0
-        for i, x in enumerate(w.letters):
-            last = i == len(w.letters) - 1
-            nxt = 0 if last else num_vertices
-            if not last:
-                num_vertices += 1
-            if x > 0:
-                edges.append((prev, nxt, x))
-            else:
-                edges.append((nxt, prev, -x))
-            prev = nxt
-    return fold(LabeledGraph(rank, num_vertices, tuple(edges), basepoint=0))
+        head, p = 0, 0
+        while p < len(letters) - 1:
+            nxt = folder.step(head, letters[p])
+            if nxt is None:
+                break
+            head, p = nxt, p + 1
+        tail, q = 0, len(letters)
+        while q > p + 1:
+            nxt = folder.step(tail, -letters[q - 1])
+            if nxt is None:
+                break
+            tail, q = nxt, q - 1
+        for x in letters[p : q - 1]:
+            nxt = folder.add_vertex()
+            folder.add_edge(head, nxt, x)
+            head = nxt
+        folder.add_edge(head, tail, letters[q - 1])
+        folder.fold()
+    return folder.graph(rank, 0)[0]
 
 
 def membership(g: LabeledGraph, w: Word) -> bool:

@@ -293,11 +293,25 @@ class TestEssentialDisjointness:
         assert verdict.note == (
             "search budget exhausted at power 4; verdict covers powers 1..3"
         )
-        # each endomorphism's image is built once per power, with no rerun
-        assert powers == [1, 1, 2, 2, 3, 3, 4, 4]
+        # the two equal endomorphisms share one image per power, with no rerun
+        assert powers == [1, 2, 3, 4]
         capped = essential_disjointness_power([SAPIR, SAPIR], cap=3)
         assert verdict.witness == capped.witness
         assert _witness_is_valid([SAPIR, SAPIR], verdict)
+
+    def test_images_are_built_once_per_distinct_endomorphism(self, monkeypatch):
+        built = []
+        real = disjointness.image_subgroup
+
+        def counted(e, n):
+            built.append((e, n))
+            return real(e, n)
+
+        monkeypatch.setattr(disjointness, "image_subgroup", counted)
+        verdict = essential_disjointness_power([SAPIR, SQUARES, SAPIR], cap=2)
+        # SAPIR meets itself, so both powers fail and are both built
+        assert (verdict.kind, verdict.n, verdict.witness.pair) == ("not_disjoint_at_cap", 2, (0, 2))
+        assert built == [(SAPIR, 1), (SQUARES, 1), (SAPIR, 2), (SQUARES, 2)]
 
 
 # --- the streamed gate and witness against the whole product ---

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hnncert import pullback
@@ -36,7 +36,15 @@ from hnncert.stallings import (
     subgraph_on,
     subgroup_graph,
 )
-from hnncert.words import Endomorphism, Word, least_rotation, reduce, word_from_string
+from hnncert.words import (
+    Endomorphism,
+    Word,
+    cyclic_core,
+    free_reduce,
+    least_rotation,
+    reduce,
+    word_from_string,
+)
 
 
 def endo(*images, rank=2):
@@ -387,6 +395,112 @@ class TestFiltration:
             pullback_filtration(NON_IMMERSION, 2)
 
 
+def fraction_signature(fp, comp):
+    """A component's signature keyed by exact ``Fraction`` points, as the
+    filtration computed it before its per-factor integer tables: intrinsic
+    point pairs, and arcs between them as segments with rational ends."""
+    g = fp.graph
+
+    def point_pair(v):
+        x, y = fp.vertex_pairs[v]
+        return (fp.left.vertex_point[x], fp.right.vertex_point[y])
+
+    def key(pp):
+        return tuple((p[0], p[1], p[2] if len(p) > 2 else Fraction(0)) for p in pp)
+
+    def flip(seg):
+        return (seg[0], seg[2], seg[1])
+
+    def segment(edge_id, direction, side):
+        sub, k = (fp.left, fp.edge_pairs[edge_id][0]) if side == 0 else (fp.right, fp.edge_pairs[edge_id][1])
+        e, lo, hi, ascending = sub.edge_meta[k]
+        return (e, lo, hi) if ascending == (direction == 1) else (e, hi, lo)
+
+    incident = collections.defaultdict(list)
+    for i in comp.edge_ids:
+        u, v, _ = g.edges[i]
+        incident[u].append((i, 1))
+        incident[v].append((i, -1))
+    intrinsic = [
+        v
+        for v in comp.vertex_ids
+        if "v" in (point_pair(v)[0][0], point_pair(v)[1][0]) or len(incident[v]) != 2
+    ]
+    arcs, walked = [], set()
+    for v0 in intrinsic:
+        for edge_id, direction in incident[v0]:
+            if (edge_id, direction) in walked:
+                continue
+            eid, d, segs = edge_id, direction, []
+            while True:
+                walked.update({(eid, d), (eid, -d)})
+                segs.append((segment(eid, d, 0), segment(eid, d, 1)))
+                u, v, _ = g.edges[eid]
+                pos = v if d == 1 else u
+                if pos in intrinsic:
+                    break
+                first, second = incident[pos]
+                eid, d = second if first == (eid, -d) else first
+            seg_l = (segs[0][0][0], segs[0][0][1], segs[-1][0][2])
+            seg_r = (segs[0][1][0], segs[0][1][1], segs[-1][1][2])
+            a, b = key(point_pair(v0)), key(point_pair(pos))
+            arcs.append(min((a, b, seg_l, seg_r), (b, a, flip(seg_l), flip(seg_r))))
+    return (tuple(sorted(key(point_pair(v)) for v in intrinsic)), tuple(sorted(arcs)))
+
+
+def partition(keys):
+    """The partition of positions that ``keys`` induces, as sorted blocks."""
+    blocks = collections.defaultdict(list)
+    for n, k in enumerate(keys):
+        blocks[k].append(n)
+    return sorted(blocks.values())
+
+
+class TestFiltrationOracle:
+    """The per-factor tables against the per-pair Fraction arithmetic they
+    replaced."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [SAPIR, DOUBLE, MIXED, rose_map("aab", "bba")],
+        ids=["SAPIR", "DOUBLE", "MIXED", "aab_bba"],
+    )
+    def test_flags_and_signature_classes_match(self, f):
+        filt = pullback_filtration(f, 3)
+        new_keys, old_keys = [], []
+        for level in filt.levels:
+            i = level.index
+            fp = level.product
+            for comp, flag in zip(level.components, level.in_previous):
+                votes = set()
+                for v in comp.vertex_ids:
+                    x, y = fp.vertex_pairs[v]
+                    p, q = fp.left.vertex_point[x], fp.right.vertex_point[y]
+                    votes.add(point_image_power(f, p, i - 1) == point_image_power(f, q, i - 1))
+                assert votes == {flag}, (i, comp.vertex_ids)
+                new_keys.append(comp.signature)
+                old_keys.append(fraction_signature(fp, comp))
+        # components share a signature, within a level and across levels,
+        # exactly when they shared one under the Fraction keys
+        assert partition(new_keys) == partition(old_keys)
+        assert len(partition(new_keys)) < len(new_keys)  # some classes repeat
+
+    def test_no_point_image_power_per_product_vertex(self, monkeypatch):
+        calls = collections.Counter()
+        real = pullback.point_image
+
+        def counted(f, p):
+            calls["point_image"] += 1
+            return real(f, p)
+
+        monkeypatch.setattr(pullback, "point_image", counted)
+        monkeypatch.setattr(pullback, "point_image_power", None)
+        filt = pullback_filtration(MIXED, 3)
+        # one one-step image per subdivided vertex of levels 2 and 3
+        sizes = [lv.product.left.graph.num_vertices for lv in filt.levels]
+        assert calls["point_image"] == sizes[1] + sizes[2]
+
+
 class TestSubdivisionInvariance:
     def test_refolding_subdivision_is_idempotent(self):
         # subdividing an already-subdivided factor changes nothing
@@ -553,12 +667,24 @@ class TestInvariantLoopSearch:
         assert tally["_canonical_loop"] > 0
         assert tally["least_rotation"] <= 2 * tally["_canonical_loop"]
 
+    @given(
+        st.sampled_from(list(rank_two_immersions(3))),
+        st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_immersed_loop_images_need_no_reduction(self, f, raw):
+        from hnncert.graphmap import map_loop
+
+        loop = cyclic_core(free_reduce(raw))
+        assume(loop)
+        assert pullback._immersed_loop_image(f, loop) == map_loop(f, loop)
+
     def test_stops_mapping_at_the_first_witness(self, monkeypatch):
         tally = collections.Counter()
-        self.count(monkeypatch, pullback, "map_loop", tally, lambda a: len(a[1]))
+        self.count(monkeypatch, pullback, "_immersed_loop_image", tally, lambda a: len(a[1]))
         v = stabilization_power(SQUARES)
         assert (v.kind, v.power, v.degree) == ("invariant_loop", 1, 2)
-        assert tally["map_loop_calls"] == 1
+        assert tally["_immersed_loop_image_calls"] == 1
 
 
 class TestDoubleCosetOracle:

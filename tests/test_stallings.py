@@ -89,6 +89,43 @@ def reference_fold(rank, num_vertices, edges, basepoint):
     )
 
 
+def multi_pass_fold(g):
+    """The multi-pass fold that ``fold_with_map`` replaced: each pass
+    rebuilds the edge set on class representatives, scans it in sorted order
+    and merges the targets of equal (vertex, signed label) keys, until a pass
+    merges nothing.  Classes are numbered in order of their least vertex."""
+    parent = list(range(g.num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = set(g.edges)
+    while True:
+        edges = {(find(u), find(v), l) for u, v, l in edges}
+        merged_any = False
+        target = {}
+        for u, v, l in sorted(edges):
+            for src, s, dst in ((u, l, v), (v, -l, u)):
+                if (src, s) not in target:
+                    target[(src, s)] = dst
+                    continue
+                a, b = sorted((find(target[(src, s)]), find(dst)))
+                if a != b:
+                    parent[b] = a
+                    merged_any = True
+        if not merged_any:
+            break
+    index = {}
+    vertex_map = []
+    for v in range(g.num_vertices):
+        vertex_map.append(index.setdefault(find(v), len(index)))
+    new_edges = tuple(sorted({(vertex_map[u], vertex_map[v], l) for u, v, l in edges}))
+    base = vertex_map[g.basepoint] if g.basepoint is not None else None
+    return LabeledGraph(g.rank, len(index), new_edges, base), vertex_map
+
+
 def subgroup_products(gens, max_factors):
     """All reduced products of ≤ max_factors factors from gens ∪ gens⁻¹."""
     basis = []
@@ -179,6 +216,76 @@ class TestFold:
         assert g.num_vertices - folded.num_vertices <= len(g.edges)
         assert vmap[0] == folded.basepoint
         assert len(vmap) == g.num_vertices
+
+
+@st.composite
+def wedge_generators(draw):
+    """Rank 2 or 3 generators, plus reduced products of them, as test_03's
+    conjugated generators and common loops are."""
+    rank = draw(st.sampled_from([2, 3]))
+    letter = st.sampled_from([x for x in range(-rank, rank + 1) if x])
+    gens = draw(
+        st.lists(
+            st.lists(letter, min_size=1, max_size=6).map(lambda w: reduce(w, rank)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    picks = st.tuples(st.integers(0, len(gens) - 1), st.booleans())
+    products = draw(st.lists(st.lists(picks, min_size=2, max_size=6), max_size=4))
+    for factors in products:
+        letters = []
+        for i, inverted in factors:
+            w = gens[i].inverse() if inverted else gens[i]
+            letters.extend(w.letters)
+        gens.append(reduce(letters, rank))
+    return rank, gens
+
+
+class TestWorklistFold:
+    """The worklist fold against the multi-pass fold it replaced."""
+
+    @given(wedge_generators())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_multi_pass_fold_on_wedges(self, drawn):
+        rank, gens = drawn
+        nv, edges = wedge_edges(gens)
+        wedge = LabeledGraph(rank, nv, tuple(edges), 0)
+        expected = multi_pass_fold(wedge)
+        assert fold_with_map(wedge) == expected
+        # the builder reads along existing edges, yet lands on the same bytes
+        assert subgroup_graph(gens, rank) == expected[0]
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 3)), max_size=12),
+        st.one_of(st.none(), st.integers(0, 7)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_multi_pass_fold_on_arbitrary_graphs(self, rank, nv, raw, base):
+        edges = tuple((u % nv, v % nv, (l - 1) % rank + 1) for u, v, l in raw)
+        g = LabeledGraph(rank, nv, edges, None if base is None else base % nv)
+        assert fold_with_map(g) == multi_pass_fold(g)
+
+    def test_merge_cascades_through_several_classes(self):
+        # a^6 and a^4 at one basepoint: merging the first a-edges' ends
+        # forces the next pair, and so on round both loops, until the
+        # wedge collapses onto the loop of a^2
+        g = LabeledGraph(
+            1,
+            9,
+            (
+                (0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 0, 1),
+                (0, 6, 1), (6, 7, 1), (7, 8, 1), (8, 0, 1),
+            ),
+            0,
+        )
+        folded, vertex_map = fold_with_map(g)
+        assert folded == LabeledGraph(1, 2, ((0, 1, 1), (1, 0, 1)), 0)
+        assert vertex_map == [0, 1, 0, 1, 0, 1, 1, 0, 1]
+        assert (folded, vertex_map) == multi_pass_fold(g)
+        assert subgroup_graph([W("aaaaaa", 1), W("aaaa", 1)], 1) == folded
 
 
 class TestMembership:
