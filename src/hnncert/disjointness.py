@@ -4,10 +4,11 @@ The images φ_i^N(F_n) are represented by based Stallings graphs.  Whether
 H ∩ gKg⁻¹ is trivial for *every* g is decided exactly on the basepoint-free
 core fiber product: its components realize the conjugate intersections double
 coset by double coset, so the universal statement holds iff no component has
-positive rank.  The product is never built.  Its rank E − V + C is the number
-of its edges that close a cycle, so its edges are streamed through a
-union-find and the first one whose endpoints are already joined decides.  The
-edge budget is checked first, before the union-find is allocated.
+positive rank.  The product is never built: its components are walked one at
+a time from a step table per factor, least vertex first and only where the
+factors' labels meet, and the first component with as many edges as vertices
+decides.  On an identical pair that is the diagonal, walked first from vertex
+0.  The edge budget is checked first, before any table is built.
 
 Preimages under φ^N are recovered without search when the images of the 2n
 directions start with distinct letters (every immersed rose map qualifies):
@@ -22,11 +23,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .pullback import ProductBudgetError, product_edges
+from .pullback import ProductBudgetError, product_components
 from .stallings import (
     Edge,
     LabeledGraph,
-    _UnionFind,
     core,
     graph_rank,
     is_folded,
@@ -186,12 +186,13 @@ def all_conjugates_trivial_intersection(
     """True iff H ∩ gKg⁻¹ = {e} for every g in the ambient free group.
 
     Decided on the basepoint-free core fiber product, whose components
-    realize exactly the conjugate intersections: the answer is True iff the
-    product has rank 0.  Its rank is the number of product edges that close
-    a cycle, so the edges are streamed through a union-find, which stops at
-    the first such edge.  Budget first: ProductBudgetError is raised if the
-    product would exceed ``max_edges`` edges, before the union-find over its
-    vertices is allocated.
+    realize exactly the conjugate intersections: the answer is True iff no
+    component has positive rank, that is, as many edges as vertices.  The
+    components are walked one at a time (:func:`pullback.product_components`)
+    and the first such one answers False, so a product of positive rank is
+    walked only up to it, and one of rank 0 is walked whole.  Budget first:
+    ProductBudgetError is raised if the product would exceed ``max_edges``
+    edges, before any step table is built.
     """
     a = _free_core(_as_graph(h))
     b = _free_core(_as_graph(k))
@@ -199,9 +200,8 @@ def all_conjugates_trivial_intersection(
         raise ValueError("subgroups live in free groups of different ranks")
     if not (is_folded(a) and is_folded(b)):
         raise ValueError("input is not an immersion: graph is not folded")
-    edges = product_edges(a, b, max_edges)
-    uf = _UnionFind(a.num_vertices * b.num_vertices)
-    return all(uf.union(u, v) for u, v, _, _, _ in edges)
+    components = product_components(a, b, max_edges)
+    return all(len(edges) < vertices for vertices, edges in components)
 
 
 @dataclass(frozen=True)
@@ -268,26 +268,22 @@ def _intersection_witness(
     """A conjugator g and nontrivial w ∈ H ∩ gKg⁻¹ from the based product.
 
     The witness comes from the product component with the least vertex id
-    among those of positive rank.  One union-find pass over the streamed
-    edges finds it: a union-find root is the least id of its class, and a
-    class has positive rank iff one of its edges closed a cycle.  A second
-    pass collects that component's edges in product order.  None if the
-    product would exceed ``max_edges`` edges.
+    among those of positive rank.  The components are walked least vertex
+    first (:func:`pullback.product_components`), so the walk ends at that
+    component; its edges, sorted, are in product order.  On an identical
+    pair it is the diagonal, walked first.  None if the product would
+    exceed ``max_edges`` edges.
     """
     ca = core(a, keep_basepoint=True)
     cb = core(b, keep_basepoint=True)
     try:
-        edges = product_edges(ca, cb, max_edges)
+        components = product_components(ca, cb, max_edges)
     except ProductBudgetError:
         return None
-    uf = _UnionFind(ca.num_vertices * cb.num_vertices)
-    closing = [u for u, v, _, _, _ in edges if not uf.union(u, v)]
-    for root in sorted({uf.find(u) for u in closing}):
-        comp = [
-            (u, v, l)
-            for u, v, l, _, _ in product_edges(ca, cb, max_edges)
-            if uf.find(u) == root
-        ]
+    for vertices, edges in components:
+        if len(edges) < vertices:
+            continue
+        comp = [(u, v, l) for l, _, _, u, v in sorted(edges)]
         found = _component_cycle(comp, a.rank)
         if found is None:
             continue
@@ -297,8 +293,7 @@ def _intersection_witness(
         ub = _access_words(cb, cb.basepoint)[y]
         g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
         w = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
-        n_verts = len({z for u, v, _ in comp for z in (u, v)})
-        return IntersectionWitness(pair, g, w, len(comp) - n_verts + 1)
+        return IntersectionWitness(pair, g, w, len(comp) - vertices + 1)
     return None
 
 
@@ -330,6 +325,8 @@ def essential_disjointness_power(
     free cores' one; if that product exceeds ``max_edges`` the witness is
     None.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     if len(endos) < 2:
         raise ValueError("need at least two endomorphisms")
     ranks = {e.rank for e in endos}

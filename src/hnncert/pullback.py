@@ -264,6 +264,19 @@ class FiberProduct:
         return _product_components(self)
 
 
+def _check_budget(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> None:
+    """ProductBudgetError if the product of ``a`` and ``b`` would have more
+    than ``max_edges`` edges: one for each two edges with equal labels."""
+    per_label: dict[int, int] = {}
+    for _, _, l in a.edges:
+        per_label[l] = per_label.get(l, 0) + 1
+    total = sum(per_label.get(l, 0) for _, _, l in b.edges)
+    if total > max_edges:
+        raise ProductBudgetError(
+            f"fiber product would have {total} edges (budget {max_edges})"
+        )
+
+
 def product_edges(
     a: LabeledGraph, b: LabeledGraph, max_edges: int = 500_000
 ) -> Iterator[tuple[int, int, int, int, int]]:
@@ -275,6 +288,7 @@ def product_edges(
     this is called, before anything is built: ProductBudgetError if the
     product would have more than ``max_edges`` edges.
     """
+    _check_budget(a, b, max_edges)
     nb = b.num_vertices
     by_label_a: dict[int, list[tuple[int, int, int]]] = {}
     for i, (ua, va, l) in enumerate(a.edges):
@@ -282,13 +296,6 @@ def product_edges(
     by_label_b: dict[int, list[tuple[int, int, int]]] = {}
     for j, (ub, vb, l) in enumerate(b.edges):
         by_label_b.setdefault(l, []).append((j, ub, vb))
-    total = sum(
-        len(by_label_a.get(l, ())) * len(ec) for l, ec in by_label_b.items()
-    )
-    if total > max_edges:
-        raise ProductBudgetError(
-            f"fiber product would have {total} edges (budget {max_edges})"
-        )
     return _stream_edges(by_label_a, by_label_b)
 
 
@@ -300,6 +307,72 @@ def _stream_edges(
         for i, ua, va in by_label_a.get(l, ()):
             for j, ub, vb in by_label_b[l]:
                 yield ua + ub, va + vb, l, i, j
+
+
+def product_components(
+    a: LabeledGraph, b: LabeledGraph, max_edges: int = 500_000
+) -> Iterator[tuple[int, list[tuple[int, int, int, int, int]]]]:
+    """The components with edges of the fiber product of ``a`` and ``b``,
+    walked one at a time, least vertex first.
+
+    Both factors must be folded, so each has a step table (vertex, signed
+    label) -> (neighbour, edge index) with one entry per key, and product
+    vertex (x, y) steps along each signed label that x and y share.  Walks
+    are seeded in increasing product-vertex id, as in :func:`product_edges`,
+    and only at pairs whose signed labels meet, so each seed is the least
+    vertex of its component and isolated product vertices are never visited.
+    A component comes as ``(vertices, edges)``: its vertex count, and its
+    edges as ``(label, i, j, u, v)``, each recorded once, from its source u;
+    sorted, they are in :func:`product_edges`' order.  The budget is checked
+    when this is called, as there, before any table is built.
+    """
+    _check_budget(a, b, max_edges)
+    return _walk_components(a, b)
+
+
+def _step_table(g: LabeledGraph) -> list[dict[int, tuple[int, int]]]:
+    """Per vertex of a folded graph: signed label -> (neighbour, edge index)."""
+    steps: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.num_vertices)]
+    for i, (u, v, l) in enumerate(g.edges):
+        steps[u][l] = (v, i)
+        steps[v][-l] = (u, i)
+    return steps
+
+
+def _walk_components(
+    a: LabeledGraph, b: LabeledGraph
+) -> Iterator[tuple[int, list[tuple[int, int, int, int, int]]]]:
+    steps_a, steps_b = _step_table(a), _step_table(b)
+    nb = b.num_vertices
+    having: dict[int, list[int]] = {}  # signed label -> vertices of b with it
+    for y, out in enumerate(steps_b):
+        for s in out:
+            having.setdefault(s, []).append(y)
+    seen: set[int] = set()
+    for x, out in enumerate(steps_a):
+        for y in sorted({y for s in out for y in having.get(s, ())}):
+            seed = x * nb + y
+            if seed in seen:
+                continue
+            before = len(seen)
+            seen.add(seed)
+            stack = [(x, y)]
+            edges: list[tuple[int, int, int, int, int]] = []
+            while stack:
+                x0, y0 = stack.pop()
+                out_b = steps_b[y0]
+                for s, (x1, i) in steps_a[x0].items():
+                    hit = out_b.get(s)
+                    if hit is None:
+                        continue
+                    y1, j = hit
+                    v = x1 * nb + y1
+                    if s > 0:
+                        edges.append((s, i, j, x0 * nb + y0, v))
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append((x1, y1))
+            yield len(seen) - before, edges
 
 
 def fiber_product(

@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnncert import disjointness
+from hnncert import disjointness, pullback
 from hnncert.disjointness import (
     DisjointnessVerdict,
     ImageSubgroup,
@@ -272,6 +273,17 @@ class TestEssentialDisjointness:
         with pytest.raises(ValueError, match="ranks"):
             essential_disjointness_power([SAPIR, DOUBLE], cap=2)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected_before_any_image(self, monkeypatch, cap):
+        built = []
+        real = disjointness.image_subgroup
+        monkeypatch.setattr(
+            disjointness, "image_subgroup", lambda e, n: built.append(n) or real(e, n)
+        )
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            essential_disjointness_power([SAPIR, SQUARES], cap=cap)
+        assert built == []
+
     def test_tiny_budget_gives_cap_exceeded(self):
         verdict = essential_disjointness_power([SAPIR, SQUARES], cap=4, max_edges=2)
         assert verdict.kind == "cap_exceeded"
@@ -401,6 +413,27 @@ LAMINATED = endo("aab", "bba")
 HANGING = endo("baaB", "ba")
 
 
+def count_walks(monkeypatch):
+    """Record each call of the component walk the gate and the witness make,
+    and (vertices, edges) of each component it yields."""
+    calls, walked = [], []
+    real = disjointness.product_components
+
+    def counted(a, b, max_edges=500_000):
+        calls.append(max_edges)
+        components = real(a, b, max_edges)
+
+        def recorded():
+            for vertices, edges in components:
+                walked.append((vertices, len(edges)))
+                yield vertices, edges
+
+        return recorded()
+
+    monkeypatch.setattr(disjointness, "product_components", counted)
+    return calls, walked
+
+
 class TestStreamedProduct:
     @given(st.data(), st.sampled_from([2, 3]))
     @settings(max_examples=200, deadline=None)
@@ -418,22 +451,51 @@ class TestStreamedProduct:
             assert got is not None
             assert got == whole_product_witness(g, g, (0, 1))
 
-    def test_budget_is_checked_before_the_union_find(self, monkeypatch):
-        built = []
-        real = disjointness._UnionFind
-
-        def counted(n):
-            built.append(n)
-            return real(n)
-
-        monkeypatch.setattr(disjointness, "_UnionFind", counted)
+    def test_budget_is_checked_before_any_walk(self, monkeypatch):
+        tables = []
+        real_table = pullback._step_table
+        monkeypatch.setattr(
+            pullback, "_step_table", lambda g: tables.append(g.num_vertices) or real_table(g)
+        )
+        calls, walked = count_walks(monkeypatch)
         g = image_subgroup(RANK3_CYCLE, 3).graph
         with pytest.raises(ProductBudgetError):
             all_conjugates_trivial_intersection(g, g, max_edges=10)
         assert _intersection_witness(g, g, (0, 1), max_edges=10) is None
-        assert built == []
+        assert (calls, tables, walked) == ([10, 10], [], [])
         assert not all_conjugates_trivial_intersection(g, g)
-        assert len(built) == 1
+        assert len(tables) == 2
+        assert len(walked) == 1
+
+    @pytest.mark.parametrize(
+        "e, core_vertices", [(RANK3_CYCLE, 727), (LAMINATED, 485)], ids=["rank3", "rank2"]
+    )
+    def test_identical_pair_walks_only_the_diagonal(self, monkeypatch, e, core_vertices):
+        # the whole products have 285,151 (rank 3) and 176,661 (rank 2)
+        # vertices with edges; the diagonal is a copy of the core, walked first
+        calls, walked = count_walks(monkeypatch)
+        g = image_subgroup(e, 5).graph
+        assert not all_conjugates_trivial_intersection(g, g)
+        assert _intersection_witness(g, g, (0, 1)) is not None
+        diagonal = (core_vertices, core_vertices + e.rank - 1)
+        assert walked == [diagonal, diagonal]
+
+    def test_product_without_edges_walks_nothing(self, monkeypatch):
+        # 4,000,000 product vertices and no edge: memory must follow the
+        # edges (bounded by the budget), not the vertices (one list slot per
+        # product vertex alone takes 32 MB)
+        h = subgroup_graph([Word((1,) * 2000, 2)], 2)
+        k = subgroup_graph([Word((2,) * 2000, 2)], 2)
+        calls, walked = count_walks(monkeypatch)
+        tracemalloc.start()
+        try:
+            disjoint = all_conjugates_trivial_intersection(h, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert disjoint
+        assert (len(calls), walked) == (1, [])
+        assert peak < 8 * 2**20
 
     def test_witness_respects_the_budget(self):
         # powers 1..5 fit the free cores' products; the witness's based

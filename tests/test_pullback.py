@@ -21,6 +21,7 @@ from hnncert.pullback import (
     new_components,
     point_image,
     point_image_power,
+    product_components,
     product_edges,
     pullback_filtration,
     stabilization_power,
@@ -30,6 +31,7 @@ from hnncert.pullback import (
 from hnncert.stallings import (
     LabeledGraph,
     canonical_code,
+    component_labels,
     core,
     is_folded,
     membership,
@@ -311,6 +313,37 @@ class TestProductEdgeStream:
         with pytest.raises(ProductBudgetError, match="8 edges"):
             product_edges(a, a, max_edges=7)
         assert len(list(product_edges(a, a, max_edges=8))) == 8
+        with pytest.raises(ProductBudgetError, match="8 edges"):
+            product_components(a, a, max_edges=7)
+        assert sum(len(edges) for _, edges in product_components(a, a, max_edges=8)) == 8
+
+
+class TestProductComponents:
+    """product_components walks the components with edges of product_edges'
+    product, least vertex first."""
+
+    def check(self, a, b):
+        fp = fiber_product(a, b)
+        labels = component_labels(fp.graph)
+        walked = list(product_components(a, b))
+        assert len(walked) == len({labels[u] for u, _, _ in fp.graph.edges})
+        edges = sorted(e for _, comp in walked for e in comp)
+        assert edges == [(l, i, j, u, v) for u, v, l, i, j in product_edges(a, b)]
+        least = []
+        for vertices, comp in walked:
+            (c,) = {labels[u] for _, _, _, u, _ in comp}
+            members = [v for v, lab in enumerate(labels) if lab == c]
+            assert vertices == len(members)
+            least.append(members[0])
+        assert least == sorted(least)
+
+    @given(st.data(), st.sampled_from([2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fiber_product_on_subgroup_graphs(self, data, rank):
+        h = data.draw(subgroup_graphs(rank))
+        k = data.draw(subgroup_graphs(rank))
+        self.check(h, k)
+        self.check(core(h, keep_basepoint=False), core(k, keep_basepoint=False))
 
 
 def intersection_membership(a, b, letters, rank=2):
