@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .pullback import ProductBudgetError, product_components
@@ -33,7 +34,7 @@ from .stallings import (
     membership,
     subgroup_graph,
 )
-from .words import Endomorphism, Word, apply_endo, reduce
+from .words import Endomorphism, Word, apply_endo, cyclic_reduce, reduce
 
 
 def block_table(e: Endomorphism) -> Optional[dict[int, tuple[int, tuple[int, ...]]]]:
@@ -60,6 +61,13 @@ def decode_in_image(e: Endomorphism, w: Word) -> Optional[Word]:
     table = block_table(e)
     if table is None:
         raise ValueError("images do not start with distinct letters")
+    return _decode_blocks(table, w)
+
+
+def _decode_blocks(
+    table: dict[int, tuple[int, tuple[int, ...]]], w: Word
+) -> Optional[Word]:
+    """Greedy block decoding of ``w`` against a :func:`block_table`."""
     letters = w.letters
     out = []
     i = 0
@@ -72,7 +80,7 @@ def decode_in_image(e: Endomorphism, w: Word) -> Optional[Word]:
             return None
         out.append(s)
         i += len(block)
-    return Word(tuple(out), e.rank)
+    return Word(tuple(out), w.rank)
 
 
 def _enumerate_preimage(e: Endomorphism, w: Word, bound: int) -> Optional[Word]:
@@ -358,6 +366,18 @@ def essential_disjointness_power(
     return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 
 
+@lru_cache(maxsize=32)
+def _preimage_tables(e: Endomorphism, s: int):
+    """φ^s, the based core of its folded image graph (whose step map is
+    cached on it), the core's BFS access words, and φ^s's block table (None
+    when it is not block-decodable): everything :func:`preimage_in_image`
+    needs that depends on ``(e, s)`` alone."""
+    powered = e.power(s)
+    based_core = core(subgroup_graph(list(powered.images), e.rank), keep_basepoint=True)
+    access = _access_words(based_core, based_core.basepoint)
+    return powered, based_core, access, block_table(powered)
+
+
 def preimage_in_image(
     e: Endomorphism, s: int, alpha: Word, search_bound: int = 6
 ) -> Optional[Word]:
@@ -367,25 +387,26 @@ def preimage_in_image(
     alpha must be cyclically reduced.  A conjugate of alpha lies in the image
     iff some rotation of alpha is a closed circuit in the core of the image
     graph; the based element is then decoded into generator blocks.
+
+    The tables that depend on ``(e, s)`` alone (φ^s, the core of its image
+    graph, the core's step map and access words, the block table) are built
+    once per pair and kept in a bounded LRU cache, since an annulus audit
+    asks for thousands of rings under a handful of pairs.  Sharing them is
+    safe: ``e`` is a frozen, hashable value, each table is a pure function
+    of ``(e, s)``, and callers only read them.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
     if alpha.rank != e.rank:
         raise ValueError("word and endomorphism ranks differ")
-    from .words import cyclic_reduce
-
     _, conj = cyclic_reduce(alpha)
     if conj.letters:
         raise ValueError("alpha must be cyclically reduced")
-    powered = e.power(s)
     if not alpha.letters:
         return Word((), e.rank)
-    graph = subgroup_graph(list(powered.images), e.rank)
-    based_core = core(graph, keep_basepoint=True)
+    powered, based_core, access, table = _preimage_tables(e, s)
     steps = based_core.step_map
-    access = _access_words(based_core, based_core.basepoint)
     letters = alpha.letters
-    decodable = block_table(powered) is not None
     for r in range(len(letters)):
         rot = letters[r:] + letters[:r]
         for v in range(based_core.num_vertices):
@@ -398,8 +419,8 @@ def preimage_in_image(
                 continue
             u = access[v]
             h = reduce(u + rot + tuple(-x for x in reversed(u)), e.rank)
-            if decodable:
-                beta = decode_in_image(powered, h)
+            if table is not None:
+                beta = _decode_blocks(table, h)
             else:
                 beta = _enumerate_preimage(powered, h, bound=search_bound)
             if beta is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
@@ -122,13 +123,30 @@ def _check_immersed_loop(loop: Sequence[int], based: bool) -> None:
         raise ValueError("loop backtracks at the wraparound (not immersed)")
 
 
+def immersed_loop_image(f: GraphMap, loop: Sequence[int]) -> Path:
+    """Image of an immersed loop under an immersion: the concatenation of
+    the edge images.  No two (cyclically) consecutive letters cancel, since
+    cancelling at a turn needs two directions with one image, so it is
+    already tight, and cyclically so when the loop does not backtrack at
+    the wraparound.  Nothing is checked."""
+    return tuple(chain.from_iterable(map(f.edge_image, loop)))
+
+
 def map_loop(f: GraphMap, loop: Sequence[int], based: bool = False) -> Path:
     """Tightened image of a closed immersed loop.
 
     Free loops (default) are tightened cyclically; based loops are tightened
-    rel the basepoint only, and may backtrack there.
+    rel the basepoint only, and may backtrack there.  When ``f`` is an
+    immersion (read from the map's cached turn table) the loop and its edge
+    ids are checked and the image is :func:`immersed_loop_image`, which is
+    already tight; other maps free-reduce the image (and cyclically reduce
+    it for a free loop).
     """
     _check_immersed_loop(loop, based)
+    _, _, immersion = _turn_table(f)
+    if immersion:
+        _check_edges(f.domain, loop)
+        return immersed_loop_image(f, loop)
     image = map_path(f, loop)
     return image if based else cyclic_core(image)
 
@@ -230,7 +248,15 @@ class PowerIterationError(RuntimeError):
 _PF_STEP_SQUARINGS = 3
 _PF_STEP_PRODUCTS = 8
 _PF_MAX_ROUNDS = 5000
+# then each round squares the step once, so v advances by B^(8·2^k)
+_PF_MAX_SQUARINGS = 64
 _PF_KEEP_BITS = 128
+
+
+def _drop_low_bits(xs: Sequence[int], smallest: int) -> Sequence[int]:
+    """``xs`` shifted right so that ``smallest`` keeps _PF_KEEP_BITS bits."""
+    shift = smallest.bit_length() - _PF_KEEP_BITS
+    return [x >> shift for x in xs] if shift > 0 else xs
 
 
 def pf_eigenvalue(a: Matrix, tol: float = 1e-9) -> float:
@@ -242,7 +268,11 @@ def pf_eigenvalue(a: Matrix, tol: float = 1e-9) -> float:
     integer vector v, so each bound is one correctly rounded division and
     the returned value is within ``tol`` of the true eigenvalue, up to that
     rounding.  v starts at 1 and advances by B^64 per round; B^8 is built
-    only when v = 1 does not already decide.  Deterministic given ``tol``.
+    only when v = 1 does not already decide.  When B's second eigenvalue is
+    so close to λ(B) that _PF_MAX_ROUNDS rounds do not decide, each further
+    round squares the step (its low bits dropped, so it stays a positive
+    near-multiple of a power of B), which closes a gap of relative size ε
+    within about log2(1/ε) rounds.  Deterministic given ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -251,11 +281,15 @@ def pf_eigenvalue(a: Matrix, tol: float = 1e-9) -> float:
     b = [list(row) for row in a]
     for i, row in enumerate(b):
         row[i] += 1
+
+    def enclosure(v: list[int]) -> tuple[float, float]:
+        ratios = [sum(map(mul, row, v)) / x for row, x in zip(b, v)]
+        return min(ratios), max(ratios)
+
     step: Optional[Matrix] = None
     v = [1] * len(b)
     for _ in range(_PF_MAX_ROUNDS):
-        ratios = [sum(map(mul, row, v)) / x for row, x in zip(b, v)]
-        lo, hi = min(ratios), max(ratios)
+        lo, hi = enclosure(v)
         if hi - lo <= tol:
             return (lo + hi) / 2.0 - 1.0
         if step is None:
@@ -266,9 +300,18 @@ def pf_eigenvalue(a: Matrix, tol: float = 1e-9) -> float:
             v = [sum(map(mul, row, v)) for row in step]
         # the enclosure holds for every positive v, so dropping low bits
         # bounds the integers without loosening it
-        shift = min(v).bit_length() - _PF_KEEP_BITS
-        if shift > 0:
-            v = [x >> shift for x in v]
+        v = _drop_low_bits(v, min(v))
+    for _ in range(_PF_MAX_SQUARINGS):
+        # entries of a power of a primitive B are positive once the power
+        # is large; a zero entry stays zero and is not shifted against
+        square = mat_mul(step, step)
+        smallest = min(x for row in square for x in row if x)
+        step = [_drop_low_bits(row, smallest) for row in square]
+        v = [sum(map(mul, row, v)) for row in step]
+        v = _drop_low_bits(v, min(v))
+        lo, hi = enclosure(v)
+        if hi - lo <= tol:
+            return (lo + hi) / 2.0 - 1.0
     raise PowerIterationError(f"eigenvalue enclosure did not reach tol={tol}", v)
 
 
@@ -378,6 +421,30 @@ def tighten_cyclic(g: MarkedGraph, loop: Sequence[int]) -> Path:
 # --- legal-loop sampling ---
 
 
+@lru_cache(maxsize=32)
+def _turn_table(
+    f: GraphMap,
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], bool]:
+    """The domain's directions; for each direction s, the directions t that
+    may follow it on a legal loop (t ≠ −s and the turn {−s, t} legal), in
+    direction order, or no entries when ``f`` is not a self-map and turn
+    orbits are undefined; and whether ``f`` is an immersion (then every
+    turn is legal).  A pure function of the frozen map, cached per map."""
+    dirs = f.domain.directions()
+    immersion = is_immersion(f)
+    successors = {
+        s: tuple(
+            t
+            for t in dirs
+            if t != -s
+            and (immersion or _turn_orbit_legal(f, frozenset((-s, t)), None)[0])
+        )
+        for s in dirs
+        if f.is_self_map()
+    }
+    return dirs, successors, immersion
+
+
 def random_legal_loop(
     f: GraphMap, length: int, rng: random.Random, max_attempts: int = 400
 ) -> Path:
@@ -386,39 +453,24 @@ def random_legal_loop(
 
     For immersions every immersed loop is legal, so this samples immersed
     loops; for train track maps the image lengths of legal loops add without
-    cancellation.
+    cancellation.  Each attempt draws its first direction from all
+    directions and each next one from the legal successors of the last, in
+    a fixed order read from the map's cached turn table, so the loops drawn
+    depend only on ``f``, ``length`` and the state of ``rng``.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    g = f.domain
-    dirs = list(g.directions())
-    legal_cache: dict[frozenset[int], bool] = {}
-
-    def legal(turn: frozenset[int]) -> bool:
-        if len(turn) < 2:
-            return False
-        if turn not in legal_cache:
-            legal_cache[turn] = _turn_orbit_legal(f, turn, None)[0]
-        return legal_cache[turn]
-
+    if not f.is_self_map():
+        raise ValueError("legal loops need a self-map")
+    dirs, successors, _ = _turn_table(f)
     for _ in range(max_attempts):
-        s = rng.choice(dirs)
-        path = [s]
-        ok = True
+        path = [rng.choice(dirs)]
         for _ in range(length - 1):
-            candidates = [
-                t
-                for t in dirs
-                if t != -path[-1] and legal(frozenset((-path[-1], t)))
-            ]
+            candidates = successors[path[-1]]
             if not candidates:
-                ok = False
                 break
             path.append(rng.choice(candidates))
-        if not ok:
-            continue
-        wrap = frozenset((-path[-1], path[0]))
-        if len(wrap) < 2 or not legal(wrap):
-            continue
-        return tuple(path)
+        else:
+            if path[0] in successors[path[-1]]:
+                return tuple(path)
     raise RuntimeError(f"no legal loop of length {length} found")

@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, Optional, Union
 
 from .graphmap import (
     GraphMap,
     MarkedGraph,
     Path,
+    immersed_loop_image,
     is_immersion,
     iterate_map,
     rose,
@@ -767,14 +767,6 @@ def _canonical_loop(p: Path) -> Path:
     return min(_least_rotated(p), _least_rotated(tuple(-x for x in reversed(p))))
 
 
-def _immersed_loop_image(f: GraphMap, loop: Path) -> Path:
-    """Image of a cyclically reduced loop under an immersion: no two
-    (cyclically) consecutive letters cancel, since cancelling at a turn needs
-    two directions with one image, so the image is the concatenation of the
-    edge images, already cyclically reduced."""
-    return tuple(chain.from_iterable(map(f.edge_image, loop)))
-
-
 def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[StabilizationVerdict]:
     """The first pair k < kp ≤ cap, in (kp, k) order, with f^kp(γ) a
     rotation of (f^k(γ))^d, as an invariant-loop verdict; see
@@ -784,7 +776,7 @@ def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[Stabilizatio
     roots = [primitive_root(gamma)]
     keys: dict[int, Path] = {}
     for kp in range(1, cap + 1):
-        nxt = _immersed_loop_image(f, iterates[-1])
+        nxt = immersed_loop_image(f, iterates[-1])
         if not nxt or len(nxt) > length_guard:
             return None
         iterates.append(nxt)

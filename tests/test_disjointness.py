@@ -1,6 +1,7 @@
 """Tests for image subgroups, essential disjointness, and preimages."""
 
 import importlib
+import itertools
 import json
 import subprocess
 import sys
@@ -644,3 +645,85 @@ class TestPreimageInImage:
         beta = preimage_in_image(SAPIR, s, target)
         assert beta is not None
         assert conjugate_in_free_group(apply_endo(SAPIR.power(s), beta), target)
+
+
+def _uncached_preimage(e, s, alpha, search_bound=6):
+    """Oracle for ``preimage_in_image``: the search with φ^s, its image graph
+    and the block table rebuilt on every call (inputs assumed valid)."""
+    powered = e.power(s)
+    if not alpha.letters:
+        return Word((), e.rank)
+    graph = subgroup_graph(list(powered.images), e.rank)
+    based_core = core(graph, keep_basepoint=True)
+    steps = based_core.step_map
+    access = disjointness._access_words(based_core, based_core.basepoint)
+    letters = alpha.letters
+    decodable = block_table(powered) is not None
+    for r in range(len(letters)):
+        rot = letters[r:] + letters[:r]
+        for v in range(based_core.num_vertices):
+            pos = v
+            for sgn in rot:
+                pos = steps.get((pos, sgn))
+                if pos is None:
+                    break
+            if pos != v or v not in access:
+                continue
+            u = access[v]
+            h = reduce(u + rot + tuple(-x for x in reversed(u)), e.rank)
+            if decodable:
+                beta = decode_in_image(powered, h)
+            else:
+                beta = disjointness._enumerate_preimage(powered, h, bound=search_bound)
+            if beta is not None:
+                return beta
+    return None
+
+
+class TestCachedPreimageTables:
+    """The tables preimage_in_image reads are built once per (map, power)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        disjointness._preimage_tables.cache_clear()
+
+    @staticmethod
+    def cyclically_reduced_words(rank, max_len):
+        for n in range(max_len + 1):
+            for u in itertools.product(
+                [x for x in range(-rank, rank + 1) if x], repeat=n
+            ):
+                word = Word(reduce(u, rank).letters, rank)
+                if word.letters == u and not cyclic_reduce(word)[1].letters:
+                    yield word
+
+    @pytest.mark.parametrize(
+        "e", [SAPIR, SQUARES, IDENT, COLLAPSE], ids=["SAPIR", "SQUARES", "IDENT", "COLLAPSE"]
+    )
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_the_uncached_search(self, e, s):
+        found = 0
+        for alpha in self.cyclically_reduced_words(2, 4):
+            got = preimage_in_image(e, s, alpha)
+            assert got == _uncached_preimage(e, s, alpha), alpha
+            found += got is not None
+        # some preimage is found, so the comparison is not vacuous
+        assert found
+
+    def test_repeated_calls_build_one_image_graph(self, monkeypatch):
+        built = []
+        real = disjointness.subgroup_graph
+
+        def counted(generators, rank):
+            built.append(rank)
+            return real(generators, rank)
+
+        monkeypatch.setattr(disjointness, "subgroup_graph", counted)
+        for alpha in ("abba", "baab", "a", "abab", "abba"):
+            preimage_in_image(SAPIR, 2, w(alpha))
+        assert len(built) == 1
+        # an equal endomorphism built anew shares the entry
+        preimage_in_image(endo("ab", "ba"), 2, w("ab"))
+        assert len(built) == 1
+        preimage_in_image(SAPIR, 3, w("abba"))
+        assert len(built) == 2

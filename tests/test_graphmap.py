@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hnncert import graphmap
 from hnncert.certify import ConfigError, MarkingPair, parse_config
 from hnncert.graphmap import (
     GraphMap,
@@ -32,7 +33,7 @@ from hnncert.graphmap import (
     transition_matrix,
     verify_train_track,
 )
-from hnncert.words import Endomorphism, word_from_string
+from hnncert.words import Endomorphism, cyclic_core, word_from_string
 
 
 def endo(*images, rank=2):
@@ -213,13 +214,21 @@ class TestPFEigenvalue:
         # the lambda values the reference reports record, byte for byte
         assert repr(pf_eigenvalue(a)) == repr(lam)
 
-    def test_iterate_stays_bounded_when_convergence_is_slow(self):
+    def test_iterate_stays_bounded_when_convergence_is_slow(self, monkeypatch):
         # lambda(A + I) = 100001 ± sqrt(2): the round cap is reached before
         # the enclosure closes, and the kept iterate has not grown by some
-        # thousand bits a round
+        # thousand bits a round; with no squaring rounds after the cap the
+        # iteration gives up there
+        monkeypatch.setattr(graphmap, "_PF_MAX_SQUARINGS", 0)
         with pytest.raises(PowerIterationError) as info:
             pf_eigenvalue(((100000, 2), (1, 100000)))
         assert min(info.value.last_iterate).bit_length() <= 128
+
+    def test_squaring_rounds_close_a_small_gap(self):
+        # the same matrix, past the round cap: lambda(A) = 100000 + sqrt(2)
+        tol = 1e-9
+        lam = pf_eigenvalue(((100000, 2), (1, 100000)), tol)
+        assert abs(lam - (100000 + math.sqrt(2))) <= tol
 
     def test_exceeds_one_exactly_off_permutations(self):
         # the exact "expanding" gate of certify: an irreducible matrix has
@@ -334,6 +343,134 @@ class TestNoCancellation:
             loop = random_legal_loop(F_AB_A, rng.randint(1, 6), rng)
             pairs = list(zip(loop, loop[1:] + loop[:1]))
             assert all((a, b) != (-1, 2) and (a, b) != (-2, 1) for a, b in pairs)
+
+
+def lazy_random_legal_loop(f, length, rng, max_attempts=400):
+    """Oracle for ``random_legal_loop``: the sampler with turn legality
+    decided lazily on each call, one turn at a time."""
+    dirs = list(f.domain.directions())
+    legal_cache = {}
+
+    def legal(turn):
+        if len(turn) < 2:
+            return False
+        if turn not in legal_cache:
+            legal_cache[turn] = is_legal_turn(f, turn)
+        return legal_cache[turn]
+
+    for _ in range(max_attempts):
+        path = [rng.choice(dirs)]
+        ok = True
+        for _ in range(length - 1):
+            candidates = [
+                t for t in dirs if t != -path[-1] and legal(frozenset((-path[-1], t)))
+            ]
+            if not candidates:
+                ok = False
+                break
+            path.append(rng.choice(candidates))
+        if not ok:
+            continue
+        wrap = frozenset((-path[-1], path[0]))
+        if len(wrap) < 2 or not legal(wrap):
+            continue
+        return tuple(path)
+    raise RuntimeError(f"no legal loop of length {length} found")
+
+
+# every turn degenerates at once: all four directions start with a
+NO_LEGAL_TURN = rose_map("abA", "abA")
+
+
+class TestPerMapTables:
+    """random_legal_loop and map_loop read one cached table per map."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        graphmap._turn_table.cache_clear()
+
+    @staticmethod
+    def draws(sampler, f, seed):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(60):
+            length = rng.randint(1, 10)
+            try:
+                out.append(sampler(f, length, rng))
+            except RuntimeError as exc:
+                out.append(str(exc))
+        return out, rng.getstate()
+
+    @pytest.mark.parametrize(
+        "f", [F_AB_BA, F_AB_A, rose_map("abc", "bca", "cab", rank=3)],
+        ids=["immersion", "illegal_turns", "rank3_immersion"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampler_matches_the_lazy_one(self, f, seed):
+        assert self.draws(random_legal_loop, f, seed) == self.draws(
+            lazy_random_legal_loop, f, seed
+        )
+
+    def test_sampler_failure_leaves_the_same_state(self):
+        got = self.draws(random_legal_loop, NO_LEGAL_TURN, 3)
+        assert got == self.draws(lazy_random_legal_loop, NO_LEGAL_TURN, 3)
+        assert all(x.startswith("no legal loop") for x in got[0])
+
+    def test_sampler_builds_its_table_once(self, monkeypatch):
+        checked = []
+        real = graphmap._turn_orbit_legal
+
+        def counted(f, turn, depth_cap):
+            checked.append(turn)
+            return real(f, turn, depth_cap)
+
+        monkeypatch.setattr(graphmap, "_turn_orbit_legal", counted)
+        rng = random.Random(5)
+        for _ in range(50):
+            random_legal_loop(F_AB_A, rng.randint(1, 8), rng)
+        # each ordered pair of distinct, non-inverse directions once
+        assert len(checked) == 4 * 3
+
+    def test_immersion_images_concatenate(self, monkeypatch):
+        decided = []
+        real = graphmap.is_immersion
+        monkeypatch.setattr(
+            graphmap, "is_immersion", lambda f: decided.append(f) or real(f)
+        )
+        rng = random.Random(9)
+        for _ in range(50):
+            loop = random_cyclic_word(rng, 2, rng.randint(1, 8))
+            image = map_loop(F_AB_BA, loop)
+            assert image == tuple(x for s in loop for x in F_AB_BA.edge_image(s))
+            assert image == cyclic_core(map_path(F_AB_BA, loop))
+        assert decided == [F_AB_BA]
+
+    def test_non_immersion_still_reduces(self):
+        # f(bA) with f: a->ab, b->a concatenates to a·B·A
+        assert map_loop(F_AB_A, (2, -1)) == (-2,)
+        assert map_loop(F_AB_A, (2, -1), based=True) == (1, -2, -1)
+
+    def test_maps_between_different_roses(self):
+        # a -> ab, b -> ac into the rank-3 rose: no turn orbit is defined,
+        # and the non-immersion's images are still reduced
+        f = GraphMap(rose(2), rose(3), (0,), ((1, 2), (1, 3)))
+        assert map_loop(f, (1, -2)) == (2, -3)
+        with pytest.raises(ValueError, match="self-map"):
+            random_legal_loop(f, 3, random.Random(0))
+
+    def test_concatenation_branch_still_checks_its_loop(self):
+        with pytest.raises(ValueError, match="no edge 3"):
+            map_loop(F_AB_BA, (1, 3))
+        with pytest.raises(ValueError, match="no edge 0"):
+            map_loop(F_AB_BA, (1, 0))
+        with pytest.raises(ValueError, match="backtracks"):
+            map_loop(F_AB_BA, (2, -2))
+        with pytest.raises(ValueError, match="wraparound"):
+            map_loop(F_AB_BA, (1, 2, -1))
+        with pytest.raises(ValueError, match="empty"):
+            map_loop(F_AB_BA, ())
+        # a based loop may backtrack at the basepoint: a·ab·ba·BA
+        assert map_loop(F_AB_BA, (1, 2, -1), based=True) == (1, 2, 2, 1, -2, -1)
 
 
 def marking_config(h, h_inv):

@@ -706,18 +706,18 @@ class TestInvariantLoopSearch:
     )
     @settings(max_examples=300, deadline=None)
     def test_immersed_loop_images_need_no_reduction(self, f, raw):
-        from hnncert.graphmap import map_loop
+        from hnncert.graphmap import immersed_loop_image, map_path
 
         loop = cyclic_core(free_reduce(raw))
         assume(loop)
-        assert pullback._immersed_loop_image(f, loop) == map_loop(f, loop)
+        assert immersed_loop_image(f, loop) == cyclic_core(map_path(f, loop))
 
     def test_stops_mapping_at_the_first_witness(self, monkeypatch):
         tally = collections.Counter()
-        self.count(monkeypatch, pullback, "_immersed_loop_image", tally, lambda a: len(a[1]))
+        self.count(monkeypatch, pullback, "immersed_loop_image", tally, lambda a: len(a[1]))
         v = stabilization_power(SQUARES)
         assert (v.kind, v.power, v.degree) == ("invariant_loop", 1, 2)
-        assert tally["_immersed_loop_image_calls"] == 1
+        assert tally["immersed_loop_image_calls"] == 1
 
 
 class TestDoubleCosetOracle:
