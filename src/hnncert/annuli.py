@@ -62,10 +62,9 @@ def is_admissible(w: Union[AnnulusWord, Sequence[int]]) -> bool:
     """Reduced with every inverse letter before every positive letter.
 
     Equivalently: no positive letter is immediately followed by an inverse
-    one, so the word is an (inverse block)(positive block).  This is the
-    weaker of the two readings; see admissibility_readings for both.
-    Raw letter sequences are accepted so that unreduced candidates can be
-    reported inadmissible rather than rejected outright.
+    one, so the word is an (inverse block)(positive block).  Raw letter
+    sequences are accepted so that unreduced candidates can be reported
+    inadmissible rather than rejected outright.
     """
     letters = w.letters if isinstance(w, AnnulusWord) else tuple(w)
     if any(x == 0 for x in letters):
@@ -73,33 +72,6 @@ def is_admissible(w: Union[AnnulusWord, Sequence[int]]) -> bool:
     if any(a == -b for a, b in zip(letters, letters[1:])):
         return False
     return all(not (a > 0 and b < 0) for a, b in zip(letters, letters[1:]))
-
-
-def admissibility_readings(w: AnnulusWord) -> tuple[bool, bool]:
-    """(block reading, single-generator reading).
-
-    The first allows any inverse block before the positive block; the second
-    additionally requires the inverse block to use a single map.  The two
-    coincide on words of length 2, which is all the flaring audit consumes.
-    """
-    weak = is_admissible(w)
-    negatives = {x for x in w.letters if x < 0}
-    return weak, weak and len(negatives) <= 1
-
-
-@dataclass(frozen=True)
-class WordClassification:
-    positive: bool
-    unidirectional: bool
-
-
-def classify_word(w: AnnulusWord) -> WordClassification:
-    """Positive: only positive letters.  Unidirectional: a power of one letter."""
-    if not is_admissible(w):
-        raise ValueError("word is not admissible")
-    positive = all(x > 0 for x in w.letters)
-    unidirectional = bool(w.letters) and len(set(w.letters)) == 1
-    return WordClassification(positive, unidirectional)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ Verdict semantics:
 * ``inconclusive`` — anything else (failed preconditions, exhausted caps,
   audit violations); never a claim of non-hyperbolicity.
 
+Precondition: the extension is a multiple *ascending* HNN extension, so
+every φ_i must be injective.  F_n is Hopfian, so φ is injective iff its
+image φ(F_n) has rank n, read off the folded graph of the generator images.
+A non-injective representative is a failed precondition: it is named in the
+reasons, and the disjointness gate is skipped.
+
 No float enters a verdict.  "Expanding" is decided from the edge images: an
 irreducible transition matrix has Perron–Frobenius eigenvalue 1 exactly
 when it is a permutation matrix (every edge maps to a single edge), and
@@ -56,6 +62,7 @@ from .graphmap import (
     verify_train_track,
 )
 from .pullback import stabilization_power
+from .stallings import graph_rank, subgroup_graph
 from .words import Endomorphism, Word, word_from_string, word_to_string
 
 LCM_CAP = 2**20
@@ -392,6 +399,7 @@ def certify(config: CertificationConfig) -> Certificate:
     reps: list[GraphMap] = []
     stab_powers: list[int] = []
     exp_powers: list[int] = []
+    not_injective: list[str] = []
 
     for i, phi in enumerate(config.endomorphisms):
         label = f"endomorphism {i + 1}"
@@ -408,6 +416,11 @@ def certify(config: CertificationConfig) -> Certificate:
             "images": [word_to_string(w) for w in rep_endo.images],
             "marking_k": k_const,
         }
+
+        image_rank = graph_rank(subgroup_graph(list(rep_endo.images), rank))
+        if image_rank < rank:
+            not_injective.append(label)
+            reasons.append(f"{label}: not injective (image rank {image_rank} < {rank})")
 
         record["immersion"] = is_immersion(f)
         if not record["immersion"]:
@@ -493,7 +506,14 @@ def certify(config: CertificationConfig) -> Certificate:
 
     disjoint_power: Optional[int] = None
     not_disjoint_witness: Optional[dict] = None
-    if len(config.endomorphisms) >= 2:
+    if len(config.endomorphisms) < 2 or not_injective:
+        note = (
+            "single endomorphism: mapping-torus mode"
+            if len(config.endomorphisms) < 2
+            else f"{', '.join(not_injective)}: not injective"
+        )
+        evidence["disjointness"] = {"kind": "skipped", "n": None, "note": note}
+    else:
         verdict = essential_disjointness_power(
             rep_endos, cap=config.disjointness_cap
         )
@@ -522,12 +542,6 @@ def certify(config: CertificationConfig) -> Certificate:
             reasons.append(
                 f"family: disjointness search exceeded budget ({verdict.note})"
             )
-    else:
-        evidence["disjointness"] = {
-            "kind": "skipped",
-            "n": None,
-            "note": "single endomorphism: mapping-torus mode",
-        }
 
     if config.diagnostics:
         evidence["diagnostics"] = _diagnostics_report(reps)

@@ -10,31 +10,21 @@ factors' labels meet, and the first component with as many edges as vertices
 decides.  On an identical pair that is the diagonal, walked first from vertex
 0.  The edge budget is checked first, before any table is built.
 
-Preimages under φ^N are recovered without search when the images of the 2n
-directions start with distinct letters (every immersed rose map qualifies):
-products of image blocks concatenate without cancellation, so reading a word
-left to right forces the block decomposition.  Otherwise a bounded
-enumeration is used and completeness is not guaranteed.
+Preimages under φ^N are recovered without search, which needs the images of
+the 2n directions to start with distinct letters (every immersed rose map
+qualifies): products of image blocks concatenate without cancellation, so
+reading a word left to right forces the block decomposition.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .pullback import ProductBudgetError, product_components
-from .stallings import (
-    Edge,
-    LabeledGraph,
-    core,
-    graph_rank,
-    is_folded,
-    membership,
-    subgroup_graph,
-)
-from .words import Endomorphism, Word, apply_endo, cyclic_reduce, reduce
+from .stallings import Edge, LabeledGraph, core, is_folded, membership, subgroup_graph
+from .words import Endomorphism, Word, cyclic_reduce, reduce
 
 
 def block_table(e: Endomorphism) -> Optional[dict[int, tuple[int, tuple[int, ...]]]]:
@@ -83,40 +73,13 @@ def _decode_blocks(
     return Word(tuple(out), w.rank)
 
 
-def _enumerate_preimage(e: Endomorphism, w: Word, bound: int) -> Optional[Word]:
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        u = stack.pop()
-        if u and apply_endo(e, Word(u, e.rank)) == w:
-            return Word(u, e.rank)
-        if len(u) == bound:
-            continue
-        for s in range(-e.rank, e.rank + 1):
-            if s == 0 or (u and u[-1] == -s):
-                continue
-            stack.append(u + (s,))
-    return None if w.letters else Word((), e.rank)
-
-
 @dataclass(frozen=True)
 class ImageSubgroup:
-    """Based Stallings graph of φ^N(F_n) with preimage bookkeeping.
-
-    ``basis_loops`` are the basepoint loops of a spanning-tree basis (one per
-    non-tree edge); ``basis_preimages`` holds u with apply_endo(φ^N, u) equal
-    to the loop word, or None where no preimage could be certified.
-    """
+    """Based Stallings graph of φ^N(F_n)."""
 
     endomorphism: Endomorphism
     power: int
     graph: LabeledGraph
-    basis_edges: tuple[int, ...]
-    basis_loops: tuple[Word, ...]
-    basis_preimages: tuple[Optional[Word], ...]
-
-    @property
-    def rank(self) -> int:
-        return self.endomorphism.rank
 
 
 def _access_words(g: LabeledGraph, root: int) -> dict[int, tuple[int, ...]]:
@@ -139,46 +102,15 @@ def _access_words(g: LabeledGraph, root: int) -> dict[int, tuple[int, ...]]:
 
 
 def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
-    """Folded based graph of φ^n(F_n) with a spanning-tree loop basis."""
+    """Folded based graph of φ^n(F_n)."""
     if n < 1:
         raise ValueError("power must be >= 1")
     powered = e.power(n)
     graph = subgroup_graph(list(powered.images), e.rank)
-    if graph_rank(core(graph, keep_basepoint=False)) < e.rank:
-        warnings.warn("endomorphism is not injective; image has smaller rank")
     for img in powered.images:
         if not membership(graph, img):
             raise RuntimeError("generator image is not a closed basepoint loop")
-
-    access = _access_words(graph, graph.basepoint)
-    # an edge belongs to the BFS tree iff it realizes the access word of one
-    # of its endpoints; the rest index the spanning-tree loop basis
-    basis_edges = []
-    basis_loops = []
-    for idx, (u, v, l) in enumerate(graph.edges):
-        if access[v] == access[u] + (l,) or access[u] == access[v] + (-l,):
-            continue
-        basis_edges.append(idx)
-        loop = access[u] + (l,) + tuple(-x for x in reversed(access[v]))
-        basis_loops.append(reduce(loop, e.rank))
-
-    decodable = block_table(powered) is not None
-    preimages: list[Optional[Word]] = []
-    for loop in basis_loops:
-        if decodable:
-            u = decode_in_image(powered, loop)
-            if u is None:
-                raise RuntimeError("basis loop escaped the image it generates")
-            preimages.append(u)
-        else:
-            preimages.append(_enumerate_preimage(powered, loop, bound=6))
-    return ImageSubgroup(
-        e, n, graph, tuple(basis_edges), tuple(basis_loops), tuple(preimages)
-    )
-
-
-def _as_graph(x: Union[ImageSubgroup, LabeledGraph]) -> LabeledGraph:
-    return x.graph if isinstance(x, ImageSubgroup) else x
+    return ImageSubgroup(e, n, graph)
 
 
 def _free_core(g: LabeledGraph) -> LabeledGraph:
@@ -187,9 +119,7 @@ def _free_core(g: LabeledGraph) -> LabeledGraph:
 
 
 def all_conjugates_trivial_intersection(
-    h: Union[ImageSubgroup, LabeledGraph],
-    k: Union[ImageSubgroup, LabeledGraph],
-    max_edges: int = 500_000,
+    h: LabeledGraph, k: LabeledGraph, max_edges: int = 500_000
 ) -> bool:
     """True iff H ∩ gKg⁻¹ = {e} for every g in the ambient free group.
 
@@ -202,8 +132,8 @@ def all_conjugates_trivial_intersection(
     ProductBudgetError is raised if the product would exceed ``max_edges``
     edges, before any step table is built.
     """
-    a = _free_core(_as_graph(h))
-    b = _free_core(_as_graph(k))
+    a = _free_core(h)
+    b = _free_core(k)
     if a.rank != b.rank:
         raise ValueError("subgroups live in free groups of different ranks")
     if not (is_folded(a) and is_folded(b)):
@@ -306,7 +236,7 @@ def _intersection_witness(
 
 
 def pairwise_disjoint_at(
-    images: Sequence[ImageSubgroup], max_edges: int = 500_000
+    images: Sequence[LabeledGraph], max_edges: int = 500_000
 ) -> Optional[tuple[int, int]]:
     """First pair (i, j) whose conjugate intersections are not all trivial."""
     for i in range(len(images)):
@@ -340,12 +270,12 @@ def essential_disjointness_power(
     ranks = {e.rank for e in endos}
     if len(ranks) != 1:
         raise ValueError("endomorphisms act on different ranks")
-    last_failure: Optional[tuple[int, Sequence[ImageSubgroup], tuple[int, int]]] = None
+    last_failure: Optional[tuple[int, Sequence[LabeledGraph], tuple[int, int]]] = None
     note = ""
     for n in range(1, cap + 1):
         try:
             # equal endomorphisms share one image graph
-            built = {e: image_subgroup(e, n) for e in dict.fromkeys(endos)}
+            built = {e: image_subgroup(e, n).graph for e in dict.fromkeys(endos)}
             images = [built[e] for e in endos]
             bad = pairwise_disjoint_at(images, max_edges=max_edges)
         except ProductBudgetError as exc:
@@ -360,40 +290,39 @@ def essential_disjointness_power(
             return DisjointnessVerdict("disjoint_at", n=n)
         last_failure = (n, images, bad)
     n, images, (i, j) = last_failure
-    witness = _intersection_witness(
-        images[i].graph, images[j].graph, (i, j), max_edges=max_edges
-    )
+    witness = _intersection_witness(images[i], images[j], (i, j), max_edges=max_edges)
     return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 
 
 @lru_cache(maxsize=32)
 def _preimage_tables(e: Endomorphism, s: int):
-    """φ^s, the based core of its folded image graph (whose step map is
-    cached on it), the core's BFS access words, and φ^s's block table (None
-    when it is not block-decodable): everything :func:`preimage_in_image`
-    needs that depends on ``(e, s)`` alone."""
+    """The based core of φ^s's folded image graph (whose step map is cached
+    on it), the core's BFS access words, and φ^s's block table: everything
+    :func:`preimage_in_image` needs that depends on ``(e, s)`` alone."""
     powered = e.power(s)
+    table = block_table(powered)
+    if table is None:
+        raise ValueError("images do not start with distinct letters")
     based_core = core(subgroup_graph(list(powered.images), e.rank), keep_basepoint=True)
-    access = _access_words(based_core, based_core.basepoint)
-    return powered, based_core, access, block_table(powered)
+    return based_core, _access_words(based_core, based_core.basepoint), table
 
 
-def preimage_in_image(
-    e: Endomorphism, s: int, alpha: Word, search_bound: int = 6
-) -> Optional[Word]:
+def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:
     """β with apply_endo(e^s, β) conjugate to alpha, or None if no conjugate
     of alpha lies in φ^s(F_n).
 
-    alpha must be cyclically reduced.  A conjugate of alpha lies in the image
-    iff some rotation of alpha is a closed circuit in the core of the image
-    graph; the based element is then decoded into generator blocks.
+    alpha must be cyclically reduced, and φ^s block-decodable (see
+    :func:`decode_in_image`; every immersion is), else ValueError.  A
+    conjugate of alpha lies in the image iff some rotation of alpha is a
+    closed circuit in the core of the image graph; the based element is then
+    decoded into generator blocks.
 
-    The tables that depend on ``(e, s)`` alone (φ^s, the core of its image
-    graph, the core's step map and access words, the block table) are built
-    once per pair and kept in a bounded LRU cache, since an annulus audit
-    asks for thousands of rings under a handful of pairs.  Sharing them is
-    safe: ``e`` is a frozen, hashable value, each table is a pure function
-    of ``(e, s)``, and callers only read them.
+    The tables that depend on ``(e, s)`` alone (the core of φ^s's image
+    graph, its step map and access words, the block table) are built once
+    per pair and kept in a bounded LRU cache, since an annulus audit asks
+    for thousands of rings under a handful of pairs.  Sharing them is safe:
+    ``e`` is a frozen, hashable value, each table is a pure function of
+    ``(e, s)``, and callers only read them.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
@@ -402,9 +331,9 @@ def preimage_in_image(
     _, conj = cyclic_reduce(alpha)
     if conj.letters:
         raise ValueError("alpha must be cyclically reduced")
+    based_core, access, table = _preimage_tables(e, s)
     if not alpha.letters:
         return Word((), e.rank)
-    powered, based_core, access, table = _preimage_tables(e, s)
     steps = based_core.step_map
     letters = alpha.letters
     for r in range(len(letters)):
@@ -419,10 +348,7 @@ def preimage_in_image(
                 continue
             u = access[v]
             h = reduce(u + rot + tuple(-x for x in reversed(u)), e.rank)
-            if table is not None:
-                beta = _decode_blocks(table, h)
-            else:
-                beta = _enumerate_preimage(powered, h, bound=search_bound)
+            beta = _decode_blocks(table, h)
             if beta is not None:
                 return beta
     return None

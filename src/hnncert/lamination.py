@@ -21,7 +21,6 @@ from typing import Optional, Union
 from .graphmap import (
     GraphMap,
     Path,
-    compose_maps,
     iterate_map,
     verify_train_track,
 )
@@ -88,24 +87,6 @@ def _window_set(segments, size: int) -> set[Path]:
         out |= _subwords(path, size)
         out |= _subwords(_reverse_invert(path), size)
     return out
-
-
-def leaf_catalog(f: GraphMap, scale: int, depth_cap: int = 64) -> frozenset[LeafSegment]:
-    """Depth-k segments of every seed edge, k minimal with every segment
-    longer than 2·scale (so scale-windows of interior positions resolve)."""
-    _require_expanding_train_track(f)
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    current = f
-    for k in range(1, depth_cap + 1):
-        if k > 1:
-            current = compose_maps(f, current)
-        if all(len(p) >= 2 * scale for p in current.edge_map):
-            return frozenset(
-                LeafSegment(current.edge_map[e - 1], e, k)
-                for e in range(1, f.domain.num_edges + 1)
-            )
-    raise ValueError("segments did not reach the requested scale")
 
 
 def catalog_scale(catalog) -> int:

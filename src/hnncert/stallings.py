@@ -241,14 +241,6 @@ def membership(g: LabeledGraph, w: Word) -> bool:
     return pos == g.basepoint
 
 
-def valences(g: LabeledGraph) -> list[int]:
-    val = [0] * g.num_vertices
-    for u, v, _ in g.edges:
-        val[u] += 1
-        val[v] += 1
-    return val
-
-
 def core(g: LabeledGraph, keep_basepoint: bool = True) -> LabeledGraph:
     """Iteratively delete valence-one vertices (never a kept basepoint).
 
@@ -339,21 +331,6 @@ def subgraph_on(
     )
     base = index[basepoint] if basepoint is not None else None
     return LabeledGraph(g.rank, len(keep), edges, base), index
-
-
-def components(g: LabeledGraph) -> list[tuple[LabeledGraph, dict[int, int]]]:
-    """Connected components as subgraphs, each with its old→new vertex map.
-
-    The component containing the basepoint (if any) keeps it as basepoint.
-    """
-    labels = component_labels(g)
-    n_comp = max(labels) + 1 if labels else 0
-    out = []
-    for c in range(n_comp):
-        verts = [v for v in range(g.num_vertices) if labels[v] == c]
-        base = g.basepoint if g.basepoint is not None and labels[g.basepoint] == c else None
-        out.append(subgraph_on(g, verts, base))
-    return out
 
 
 def _bfs_code(g: LabeledGraph, root: int) -> tuple:

@@ -170,12 +170,6 @@ def conjugate_in_free_group(w1: Word, w2: Word) -> bool:
     return canonical_cyclic_form(w1) == canonical_cyclic_form(w2)
 
 
-def cyclic_length(w: Word) -> int:
-    """Length of the cyclically reduced core (conjugacy-class length)."""
-    core, _ = cyclic_reduce(w)
-    return len(core)
-
-
 @dataclass(frozen=True)
 class Endomorphism:
     """An endomorphism of F_rank given by the images of the generators."""

@@ -10,13 +10,10 @@ from hnncert.annuli import (
     AnnulusWord,
     FlaringVerdict,
     LoopSample,
-    WordClassification,
-    admissibility_readings,
     audit_31_hyperbolicity,
     build_annulus,
     check_lambda_hyperbolic,
     check_ring_relations,
-    classify_word,
     flaring_audit,
     is_admissible,
 )
@@ -80,39 +77,9 @@ class TestAdmissibility:
         assert is_admissible(W())
         assert is_admissible(W(-2))
 
-    def test_readings_differ_on_mixed_inverse_block(self):
-        assert admissibility_readings(W(-1, -2)) == (True, False)
-        assert admissibility_readings(W(-1, -1, 2)) == (True, True)
-        # the readings agree on every length-2 word
-        for a in (-2, -1, 1, 2):
-            for b in (-2, -1, 1, 2):
-                if a == -b:
-                    continue
-                weak, strict = admissibility_readings(W(a, b))
-                if len({x for x in (a, b) if x < 0}) <= 1:
-                    assert weak == strict
-
     def test_zero_letter_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             is_admissible((0, 1))
-
-
-class TestClassifyWord:
-    def test_positive_pair(self):
-        assert classify_word(W(1, 2)) == WordClassification(True, False)
-
-    def test_positive_power(self):
-        assert classify_word(W(1, 1)) == WordClassification(True, True)
-
-    def test_inverse_power_is_unidirectional(self):
-        assert classify_word(W(-2, -2)) == WordClassification(False, True)
-
-    def test_mixed(self):
-        assert classify_word(W(-1, 2)) == WordClassification(False, False)
-
-    def test_requires_admissible(self):
-        with pytest.raises(ValueError, match="admissible"):
-            classify_word(W(1, -2))
 
 
 class TestBuildAnnulus:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -340,6 +341,20 @@ class TestVerdicts:
         assert any("pullback" in r for r in cert.evidence["reasons"])
         assert cert.n is None
 
+    def test_non_injective_endomorphism_is_inconclusive(self):
+        # a, b -> ab maps F_2 onto <ab>, of rank 1: the extension is not
+        # ascending.  The disjointness gate, which would witness <ab>
+        # meeting itself at every power, is skipped.
+        cert = certify(parse_config(config_bytes(rank=2, endos=[["ab", "ab"]] * 2)))
+        assert cert.verdict == "inconclusive"
+        assert cert.witness is None
+        assert "endomorphism 1: not injective (image rank 1 < 2)" in cert.evidence["reasons"]
+        assert cert.evidence["disjointness"] == {
+            "kind": "skipped",
+            "n": None,
+            "note": "endomorphism 1, endomorphism 2: not injective",
+        }
+
     def test_power_coherence(self, green_cert):
         n = green_cert.n
         for rec in green_cert.evidence["per_endomorphism"]:
@@ -348,6 +363,29 @@ class TestVerdicts:
         assert n % green_cert.evidence["disjointness"]["n"] == 0
         assert green_cert.evidence["audit_31"]["power"] == n
         assert green_cert.evidence["flaring"]["power"] == n
+
+
+# Draws of a random-config fuzz run.  In the non-injective families some
+# power of a map sends a generator to the empty word.  The rank-3 families
+# are injective non-immersions: no power of their maps is block-decodable.
+@pytest.mark.parametrize(
+    "rank, endos, verdict, reason",
+    [
+        (2, [["bA", "bA"], ["bA", "BB"]], "inconclusive", "endomorphism 1: not injective (image rank 1 < 2)"),
+        (2, [["BA", "ab"], ["Ba", "Abb"]], "inconclusive", "endomorphism 1: not injective (image rank 1 < 2)"),
+        (2, [["aaB", "aB"], ["ba", "AB"]], "inconclusive", "endomorphism 2: not injective (image rank 1 < 2)"),
+        (3, [["cBB", "cB", "CCA"], ["ACb", "aab", "acc"]], "not_disjoint", None),
+        (3, [["ac", "acb", "Cbb"], ["bbc", "ca", "aCB"]], "not_disjoint", None),
+    ],
+    ids=["rank2_bA", "rank2_BA", "rank2_aaB", "rank3_cBB", "rank3_ac"],
+)
+def test_fuzz_draws_get_a_verdict(rank, endos, verdict, reason):
+    t0 = time.monotonic()
+    cert = certify(parse_config(config_bytes(rank=rank, endos=endos)))
+    assert time.monotonic() - t0 < 10.0
+    assert cert.verdict == verdict
+    if reason is not None:
+        assert reason in cert.evidence["reasons"]
 
 
 class TestMarkings:

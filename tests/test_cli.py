@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -25,7 +26,8 @@ GREEN = {
 BS = {"rank": 1, "endos": [["aa"]]}
 IDENTICAL = {"rank": 2, "endos": [["aab", "bba"], ["aab", "bba"]]}
 STUBBORN = {"rank": 2, "endos": [["ab", "ba"]], "caps": {"pullback": 2}}
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def installed_distribution():
@@ -197,9 +199,12 @@ class TestConsoleScript:
         assert target.load() is main
 
     def test_module_invocation_matches(self, tmp_path):
+        # pyproject's pytest ``pythonpath`` reaches only this process, so the
+        # child gets the source tree on its own path
         result = subprocess.run(
             [sys.executable, "-m", "hnncert.cli", "--input", write(tmp_path, BS)],
             capture_output=True,
             timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert result.returncode == EXIT_OBSTRUCTION

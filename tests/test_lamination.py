@@ -18,7 +18,6 @@ from hnncert.lamination import (
     LeafSegment,
     catalog_scale,
     independence_probe,
-    leaf_catalog,
     leaf_segment,
     quasi_periodicity_probe,
     weak_convergence_fraction,
@@ -36,6 +35,11 @@ OTHER = rose_map((1, 2, 2), (1, 2))  # a -> abb, b -> ab: has a bb block
 DOUBLE = rose_map((1, 1), rank=1)
 PERM = rose_map((2,), (1,))  # permutes the petals, never grows
 ILLEGAL = rose_map((1, 2), (-1, 2))
+
+
+def catalog(f, k):
+    """The depth-k leaf segments of every seed edge."""
+    return frozenset(leaf_segment(f, e, k) for e in range(1, f.domain.num_edges + 1))
 
 
 class TestLeafSegment:
@@ -76,39 +80,14 @@ class TestLeafSegment:
             leaf_segment(ILLEGAL, 1, 2)
 
 
-class TestLeafCatalog:
-    def test_catalog_reaches_scale(self):
-        cat = leaf_catalog(FIB, 2)
-        assert {(s.seed, s.path) for s in cat} == {
-            (1, (1, 2, 1, 1, 2, 1, 2, 1)),
-            (2, (1, 2, 1, 1, 2)),
-        }
-        assert {s.depth for s in cat} == {4}
-        assert catalog_scale(cat) == 2
-
-    def test_every_segment_long_enough(self):
-        for scale in (1, 3, 8):
-            cat = leaf_catalog(FIB, scale)
-            assert min(len(s) for s in cat) >= 2 * scale
-            assert catalog_scale(cat) >= scale
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="scale"):
-            leaf_catalog(FIB, 0)
-        with pytest.raises(ValueError, match="not expanding"):
-            leaf_catalog(PERM, 2)
-        with pytest.raises(ValueError, match="requested scale"):
-            leaf_catalog(FIB, 10**6, depth_cap=3)
-
-
 class TestWeakConvergence:
     def test_loop_disjoint_from_lamination(self):
         # bb is not a leaf factor, so every window of the b-loop misses
-        cat = leaf_catalog(FIB, 1)
+        cat = catalog(FIB, 2)
         assert weak_convergence_fraction((2,), cat, 1) == 0
 
     def test_loop_inside_lamination(self):
-        cat = leaf_catalog(FIB, 2)
+        cat = catalog(FIB, 4)
         for k in (2, 4, 6):
             loop = iterate_map(FIB, k).edge_map[0]
             assert weak_convergence_fraction(loop, cat, 2) == 1
@@ -117,7 +96,7 @@ class TestWeakConvergence:
         # f^4(a) with the last letter doubled: windows that see the bb
         # defect miss the catalog, everything else still matches
         loop = (1, 2, 1, 1, 2, 1, 2, 2)
-        cat = leaf_catalog(FIB, 2)
+        cat = catalog(FIB, 4)
         fraction = weak_convergence_fraction(loop, cat, 2)
         # independent recount via plain string containment
         leaf = "".join("ab"[x - 1] for x in leaf_segment(FIB, 1, 12).path)
@@ -131,7 +110,7 @@ class TestWeakConvergence:
 
     def test_windows_wrap_past_short_loops(self):
         # a 1-letter loop is compared through its periodic extension
-        cat = leaf_catalog(FIB, 3)
+        cat = catalog(FIB, 5)
         assert weak_convergence_fraction((1,), cat, 3) == 0  # aaaaaa never a factor
 
     def test_junction_bound(self):
@@ -140,7 +119,7 @@ class TestWeakConvergence:
         for k in (4, 6, 8):
             fk = iterate_map(FIB, k)
             delta = min(len(p) for p in fk.edge_map)
-            cat = frozenset(leaf_segment(FIB, e, k) for e in (1, 2))
+            cat = catalog(FIB, k)
             loop = map_loop(fk, (1, 2))
             for L in range(1, 5):
                 if catalog_scale(cat) < L:
@@ -149,7 +128,7 @@ class TestWeakConvergence:
                 assert fraction >= 1 - Fraction(2 * L, delta)
 
     def test_rejects_bad_input(self):
-        cat = leaf_catalog(FIB, 1)
+        cat = catalog(FIB, 2)
         with pytest.raises(ValueError, match="scale 1 below window radius 4"):
             weak_convergence_fraction((1, 2), cat, 4)
         with pytest.raises(ValueError, match="radius"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hnncert.stallings import (
     LabeledGraph,
     canonical_code,
-    components,
     core,
     fold,
     fold_with_map,
@@ -16,7 +15,6 @@ from hnncert.stallings import (
     membership,
     subgraph_on,
     subgroup_graph,
-    valences,
 )
 from hnncert.words import Word, free_reduce, reduce, word_from_string
 
@@ -405,14 +403,6 @@ class TestGraphRank:
 
 
 class TestComponentsAndCodes:
-    def test_components_split(self):
-        g = LabeledGraph(2, 3, ((0, 0, 1), (1, 2, 2)), basepoint=1)
-        comps = components(g)
-        assert len(comps) == 2
-        (c0, m0), (c1, m1) = comps
-        assert c0.num_vertices == 1 and c0.basepoint is None
-        assert c1.num_vertices == 2 and c1.basepoint == m1[1]
-
     def test_code_invariant_under_relabeling(self):
         g = subgroup_graph([W("ab"), W("ba")], 2)
         # permute vertex ids (0 1 2) -> (2 0 1), keeping the basepoint marked
@@ -440,7 +430,3 @@ class TestComponentsAndCodes:
         sub, idx = subgraph_on(g, [1, 2])
         assert sub.num_vertices == 2
         assert sub.edges == ((idx[1], idx[2], 2),)
-
-    def test_valences(self):
-        g = subgroup_graph([W("abA")], 2)
-        assert sorted(valences(g)) == [1, 3]

@@ -12,7 +12,6 @@ from hnncert.words import (
     canonical_cyclic_form,
     conjugate,
     conjugate_in_free_group,
-    cyclic_length,
     cyclic_reduce,
     free_reduce,
     least_rotation,
@@ -265,10 +264,6 @@ class TestWordBasics:
     def test_inverse_involution(self, w):
         assert w.inverse().inverse() == w
         assert multiply(w, w.inverse()).is_empty()
-
-    def test_cyclic_length(self):
-        assert cyclic_length(reduce([1, 2, -1], 2)) == 1
-        assert cyclic_length(reduce([1, 2], 2)) == 2
 
 
 class TestEndomorphism:
