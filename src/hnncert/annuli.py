@@ -8,7 +8,10 @@ realized by the explicit ring constructions here, so auditing constructed
 annuli covers the flaring hypothesis for thin annuli in general.
 
 Annuli live on unit-length roses, so a ring's length is its number of
-edges: an exact integer, and no floating point enters any verdict.
+edges: an exact integer, and no floating point enters any verdict.  Over
+immersions the audit's ring lengths are also read off letter counts and
+integer matrix powers (:func:`audit_31_by_counts`), with the ring builders
+as its oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .disjointness import preimage_in_image
@@ -24,10 +28,14 @@ from .graphmap import (
     MarkedGraph,
     Path,
     cyclic_paths_equal,
+    is_immersion,
     map_loop,
+    mat_mul,
+    mat_power,
     random_legal_loop,
     tighten_cyclic,
     tighten_path,
+    transition_matrix,
 )
 from .words import Endomorphism, Word, cyclic_reduce
 
@@ -223,14 +231,10 @@ class AuditViolation:
 
 @dataclass(frozen=True)
 class HyperbolicityAuditReport:
-    """``annuli`` holds the (starting loop, annulus) pairs that were checked,
-    in sampling order, for further audits of the same annuli."""
-
     words: tuple[AnnulusWord, ...]
     checked: int
     violations: tuple[AuditViolation, ...]
     note: str
-    annuli: tuple[tuple[Path, Annulus], ...] = ()
 
     @property
     def clean(self) -> bool:
@@ -249,6 +253,13 @@ def length_two_admissible_words(r: int) -> list[AnnulusWord]:
     return out
 
 
+_AUDIT_NOTE = (
+    "thin annulus words are admissible and admissible words are realized "
+    "by the ring construction, so constructed annuli cover the flaring "
+    "hypothesis"
+)
+
+
 def audit_31_hyperbolicity(
     maps: Sequence[GraphMap],
     loop_sample: LoopSample = LoopSample(),
@@ -261,15 +272,13 @@ def audit_31_hyperbolicity(
     exists.  Violations signal an upstream certification bug and are
     reported with full witnesses.  The audit covers thin annuli in general
     because every thin annulus word is admissible and every admissible word
-    is realized by the ring construction.  The report returns every
-    annulus it built with its starting loop, so the flaring audit can run
-    on the same annuli without building them again.
+    is realized by the ring construction.
     """
     _common_graph(maps)
     words = length_two_admissible_words(len(maps))
     rng = random.Random(loop_sample.seed)
     violations = []
-    checked: list[tuple[Path, Annulus]] = []
+    checked = 0
     for word in words:
         first = word.letters[0]
         f_first = maps[abs(first) - 1]
@@ -288,19 +297,115 @@ def audit_31_hyperbolicity(
                 for _ in range(power):
                     alpha = map_loop(f_first, alpha)
             annulus = build_annulus(alpha, word, maps, based=based)
-            checked.append((tuple(alpha), annulus))
+            checked += 1
             if not check_lambda_hyperbolic(annulus, 3, 1):
                 violations.append(
                     AuditViolation(word, tuple(alpha), annulus.ring_lengths())
                 )
-    note = (
-        "thin annulus words are admissible and admissible words are realized "
-        "by the ring construction, so constructed annuli cover the flaring "
-        "hypothesis"
-    )
     return HyperbolicityAuditReport(
-        tuple(words), len(checked), tuple(violations), note, tuple(checked)
+        tuple(words), checked, tuple(violations), _AUDIT_NOTE
     )
+
+
+@dataclass(frozen=True)
+class CountedAnnulus:
+    """An annulus of :func:`audit_31_by_counts`: its word, the sampled loop
+    its rings are pushed forward from, and its three ring lengths."""
+
+    word: AnnulusWord
+    seed: Path
+    lengths: tuple[int, int, int]
+
+
+def first_ring(maps: Sequence[GraphMap], n: int, a: CountedAnnulus) -> Path:
+    """The letters of ``a``'s first ring over the n-th powers of ``maps``:
+    the sampled loop, or for a word with p inverse letters its image under
+    f^(n·p), f the map of the word's first letter (the loop
+    :func:`audit_31_hyperbolicity` starts from).  Built letter by letter,
+    so the count audit calls it only for the witness of a violation."""
+    f = maps[abs(a.word.letters[0]) - 1]
+    loop = a.seed
+    for _ in range(n * sum(1 for x in a.word.letters if x < 0)):
+        loop = map_loop(f, loop)
+    return loop
+
+
+def audit_31_by_counts(
+    maps: Sequence[GraphMap], n: int, loop_sample: LoopSample = LoopSample()
+) -> tuple[HyperbolicityAuditReport, tuple[CountedAnnulus, ...]]:
+    """:func:`audit_31_hyperbolicity` of the n-th powers of the immersions
+    ``maps`` (free loops), computed from letter counts without building a
+    ring; also returns each checked annulus with its ring lengths, in
+    sampling order, for the flaring audit.  Raises ValueError unless every
+    map is an immersion.
+
+    Why this is exact.  An immersion maps a cyclically reduced loop to a
+    cyclically reduced loop with no cancellation, so |f^n(α)| = 1ᵀ·M^n·c(α),
+    where c(α) counts α's letters per edge (either direction) and
+    M = :func:`transition_matrix` (f); the n-th power is an immersion too.
+
+    * The loops drawn are the same.  For an immersion every turn is legal,
+      so the sampler's turn table depends only on the rank:
+      :func:`random_legal_loop` on f and on f^n makes the same ``rng``
+      calls and returns the same loop.
+    * A word opening with s inverse letters (here s ≤ 2, one map) starts
+      from α = φ^(ns)(seed) and resolves it by
+      :func:`disjointness.preimage_in_image`, which tries rotation 0 at the
+      core's vertex 0 first.  The core keeps the image graph's basepoint
+      there, and α, a product of generator images, closes up at it; its
+      blocks decode to the seed itself, since each block is named by its
+      first letter.  So the rings are (seed, φ^n(seed), …) pushed forward as
+      for a positive word, and their lengths are integer row vectors times
+      c(seed).
+
+    The 3·girth rule and the violation witnesses are those of
+    :func:`audit_31_hyperbolicity`; a violation's starting loop is built
+    (:func:`first_ring`) only when it is reported.
+    """
+    g = _common_graph(maps)
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    if not all(is_immersion(f) for f in maps):
+        raise ValueError("the count audit needs every map to be an immersion")
+    rank = g.num_edges
+    ones = ((1,) * rank,)
+    powers = [mat_power(transition_matrix(f), n) for f in maps]
+    # 1×rank rows: once[j]·c = |f_j^n(α)| and twice[j][k]·c = |f_k^n f_j^n(α)|
+    once = [mat_mul(ones, a) for a in powers]
+    twice = [[mat_mul(once[k], a) for k in range(len(maps))] for a in powers]
+    words = length_two_admissible_words(len(maps))
+    rng = random.Random(loop_sample.seed)
+    violations = []
+    counted = []
+    for word in words:
+        first, second = word.letters
+        j, k = abs(first) - 1, abs(second) - 1
+        if first > 0:
+            rows = ones + once[j] + twice[j][k]
+        elif second > 0:
+            rows = once[j] + ones + once[k]
+        else:
+            rows = twice[j][j] + once[j] + ones
+        for _ in range(loop_sample.count):
+            length = rng.randint(1, loop_sample.max_length)
+            try:
+                seed_loop = random_legal_loop(maps[j], length, rng)
+            except RuntimeError:
+                continue
+            c = [0] * rank
+            for s in seed_loop:
+                c[abs(s) - 1] += 1
+            a = CountedAnnulus(
+                word, seed_loop, tuple(sum(map(mul, row, c)) for row in rows)
+            )
+            counted.append(a)
+            lengths = a.lengths
+            if 3 * lengths[1] > max(lengths[0], lengths[2]):
+                violations.append(AuditViolation(word, first_ring(maps, n, a), lengths))
+    report = HyperbolicityAuditReport(
+        tuple(words), len(counted), tuple(violations), _AUDIT_NOTE
+    )
+    return report, tuple(counted)
 
 
 @dataclass(frozen=True)
@@ -324,7 +429,12 @@ def flaring_audit(a: Annulus, rho: int) -> FlaringVerdict:
         raise ValueError("flaring audit needs a length-1 annulus (3 rings)")
     if a.thinness > rho:
         raise ValueError("annulus is not thin enough for this bound")
-    lengths = a.ring_lengths()
+    return flaring_by_lengths(a.ring_lengths(), rho)
+
+
+def flaring_by_lengths(lengths: tuple[int, int, int], rho: int) -> FlaringVerdict:
+    """The verdict of :func:`flaring_audit` from a length-1 annulus's ring
+    lengths alone."""
     girth = lengths[1]
     if girth <= 2 * rho:
         return FlaringVerdict("thin_girth")

@@ -7,8 +7,10 @@ Verdict semantics:
 * ``certified_hyperbolic`` — every representative is an expanding irreducible
   train-track immersion, pullbacks stabilize, image subgroups are essentially
   disjoint at the emitted power N, expansion holds at N, and both annulus
-  audits ran at exactly N with zero violations (the ring-length audit builds
-  the sampled annuli; the flaring audit checks those same annuli).
+  audits ran at exactly N with zero violations (both read the sampled
+  annuli's ring lengths off letter counts and integer powers of the
+  transition matrices, :func:`annuli.audit_31_by_counts`, so no ring of
+  the N-th powers is built).
 * ``obstruction_BS`` — a verified invariant loop [φ^k(γ)] = [γ^d]; the
   mapping torus then contains a Baumslag–Solitar subgroup and is not
   hyperbolic at any power.
@@ -46,7 +48,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from . import __version__
-from .annuli import Annulus, LoopSample, audit_31_hyperbolicity, flaring_audit
+from .annuli import (
+    CountedAnnulus,
+    LoopSample,
+    audit_31_by_counts,
+    first_ring,
+    flaring_by_lengths,
+)
 from .disjointness import essential_disjointness_power
 from .expansion import expansion_power
 from .graphmap import (
@@ -55,7 +63,6 @@ from .graphmap import (
     cyclic_paths_equal,
     is_immersion,
     is_irreducible_matrix,
-    iterate_map,
     map_loop,
     pf_eigenvalue,
     transition_matrix,
@@ -64,6 +71,11 @@ from .graphmap import (
 from .pullback import stabilization_power
 from .stallings import graph_rank, subgroup_graph
 from .words import Endomorphism, Word, word_from_string, word_to_string
+
+# certify calls neither of these; perfbench/spans.py looks both up in this
+# module by name, until certify owns its trace (ROADMAP item 5)
+from .annuli import audit_31_hyperbolicity  # noqa: F401
+from .graphmap import iterate_map  # noqa: F401
 
 LCM_CAP = 2**20
 
@@ -324,16 +336,20 @@ class _FlaringSummary:
 
 
 def _flaring_battery(
-    annuli: Sequence[tuple[Sequence[int], Annulus]],
+    annuli: Sequence[CountedAnnulus],
     rho_max: int,
-    rank: int,
+    maps: Sequence[GraphMap],
+    n: int,
 ) -> _FlaringSummary:
     """Run the flaring audit at every thinness bound up to ``rho_max`` on
-    the (starting loop, 1-thin annulus) pairs of the ring-length audit."""
+    the ring lengths of the ring-length audit's 1-thin annuli over the n-th
+    powers of ``maps``; a violation's starting loop is built for its record
+    only."""
+    rank = maps[0].domain.num_edges
     summary = _FlaringSummary()
-    for alpha, annulus in annuli:
+    for annulus in annuli:
         for rho in range(1, rho_max + 1):
-            verdict = flaring_audit(annulus, rho)
+            verdict = flaring_by_lengths(annulus.lengths, rho)
             summary.checked += 1
             if verdict.kind == "flares_with":
                 summary.flares += 1
@@ -343,7 +359,7 @@ def _flaring_battery(
                 summary.violations.append(
                     {
                         "word": list(annulus.word.letters),
-                        "alpha": _loop_str(alpha, rank),
+                        "alpha": _loop_str(first_ring(maps, n, annulus), rank),
                         "rho": rho,
                         "lengths": [str(l) for l in verdict.witness],
                     }
@@ -573,13 +589,13 @@ def certify(config: CertificationConfig) -> Certificate:
         evidence["reasons"] = [f"common power {n} exceeds the cap {LCM_CAP}"]
         return finish("inconclusive", None, None)
 
-    maps_n = [iterate_map(f, n) if n > 1 else f for f in reps]
     sample = LoopSample(
         count=config.audit_loops,
         max_length=config.audit_loop_length,
         seed=config.seed,
     )
-    audit = audit_31_hyperbolicity(maps_n, sample)
+    # every representative is an immersion here, else a reason was given
+    audit, annuli = audit_31_by_counts(reps, n, sample)
     evidence["audit_31"] = {
         "power": n,
         "words": len(audit.words),
@@ -593,7 +609,7 @@ def certify(config: CertificationConfig) -> Certificate:
             for v in audit.violations
         ],
     }
-    flaring = _flaring_battery(audit.annuli, config.flaring_rho_max, rank)
+    flaring = _flaring_battery(annuli, config.flaring_rho_max, reps, n)
     evidence["flaring"] = {
         "power": n,
         "checked": flaring.checked,

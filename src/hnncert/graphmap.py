@@ -203,36 +203,50 @@ def is_irreducible_matrix(a: Matrix) -> bool:
     """True iff the support digraph is strongly connected.
 
     (For a 1×1 matrix this requires a positive entry, matching the
-    eventually-positive-power definition.)
+    eventually-positive-power definition.)  Vertex sets are integer
+    bitmasks: bit j of ``rows[i]`` is set when a[i][j] > 0, that is, the
+    image of e_j crosses e_i (j feeds i).  The digraph is strongly connected
+    iff every edge feeds e_1 and e_1 feeds every edge.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    if any(x < 0 for row in a for x in row):
-        raise ValueError("matrix has negative entries")
+    rows = []
+    for row in a:
+        mask = 0
+        bit = 1
+        for x in row:
+            if x:
+                if x < 0:
+                    raise ValueError("matrix has negative entries")
+                mask |= bit
+            bit <<= 1
+        rows.append(mask)
     if n == 1:
-        return a[0][0] > 0
-
-    def reachable(adj: list[list[int]]) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    bwd: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] > 0:
-                # image of e_j crosses e_i: j feeds i
-                fwd[j].append(i)
-                bwd[i].append(j)
-    return reachable(fwd) and reachable(bwd)
+        return rows[0] == 1
+    everything = (1 << n) - 1
+    # the edges that feed e_1: grow a frontier back through the rows
+    seen = frontier = 1
+    while frontier:
+        fed = 0
+        while frontier:
+            low = frontier & -frontier
+            fed |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = fed & ~seen
+        seen |= frontier
+    if seen != everything:
+        return False
+    # the edges e_1 feeds: e_i joins once its row meets the set so far
+    seen = 1
+    grown = True
+    while grown:
+        grown = False
+        for i in range(1, n):
+            if not seen >> i & 1 and rows[i] & seen:
+                seen |= 1 << i
+                grown = True
+    return seen == everything
 
 
 class PowerIterationError(RuntimeError):

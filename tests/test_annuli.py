@@ -5,20 +5,26 @@ from fractions import Fraction
 
 import pytest
 
+from hnncert import annuli
 from hnncert.annuli import (
     Annulus,
     AnnulusWord,
     FlaringVerdict,
     LoopSample,
+    audit_31_by_counts,
     audit_31_hyperbolicity,
     build_annulus,
     check_lambda_hyperbolic,
     check_ring_relations,
+    first_ring,
     flaring_audit,
+    flaring_by_lengths,
     is_admissible,
 )
+from hnncert.disjointness import preimage_in_image
 from hnncert.expansion import expansion_power
-from hnncert.graphmap import GraphMap, iterate_map, map_loop, rose
+from hnncert.graphmap import GraphMap, is_immersion, iterate_map, map_loop, rose
+from hnncert.words import Endomorphism, Word, word_from_string
 
 G2 = rose(2)
 F1 = GraphMap(G2, G2, (0,), ((1, 2), (2, 1)))  # a -> ab, b -> ba
@@ -258,3 +264,139 @@ class TestFlaring:
             flaring_audit(fake((3, 1, 3), thinness=3), rho=2)
         with pytest.raises(ValueError, match=">= 1"):
             flaring_audit(fake((3, 1, 3)), rho=0)
+
+
+def rose_maps(*images, rank=2):
+    """Rose self-maps from image strings, e.g. rose_maps("aab,bba")."""
+    return [
+        GraphMap.from_endomorphism(
+            Endomorphism(rank, tuple(word_from_string(w, rank) for w in spec.split(",")))
+        )
+        for spec in images
+    ]
+
+
+def random_reduced(rng, letters, length):
+    w = [rng.choice(letters)]
+    while len(w) < length:
+        w.append(rng.choice([x for x in letters if x != -w[-1]]))
+    return tuple(w)
+
+
+def random_immersions(rng, rank, count, max_image=3):
+    """``count`` random immersions of the rank-``rank`` rose."""
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    out = []
+    while len(out) < count:
+        images = tuple(
+            random_reduced(rng, letters, rng.randint(1, max_image)) for _ in range(rank)
+        )
+        f = GraphMap(rose(rank), rose(rank), (0,), images)
+        if is_immersion(f):
+            out.append(f)
+    return out
+
+
+def built_audit(monkeypatch, maps, n, sample):
+    """The oracle: :func:`audit_31_hyperbolicity` of the n-th powers, with
+    every annulus it built and the loop it built it from, in order."""
+    built = []
+    real = annuli.build_annulus
+
+    def recorded(alpha, w, maps, based=False):
+        a = real(alpha, w, maps, based=based)
+        built.append((tuple(alpha), a))
+        return a
+
+    monkeypatch.setattr(annuli, "build_annulus", recorded)
+    report = audit_31_hyperbolicity([iterate_map(f, n) for f in maps], sample)
+    monkeypatch.undo()
+    return report, built
+
+
+def assert_counts_match_built(monkeypatch, maps, n, sample, rho_max=4):
+    counted_report, counted = audit_31_by_counts(maps, n, sample)
+    report, built = built_audit(monkeypatch, maps, n, sample)
+    assert counted_report.words == report.words
+    assert counted_report.checked == report.checked == len(built) == len(counted)
+    assert counted_report.violations == report.violations
+    assert [(a.word, a.lengths) for a in counted] == [
+        (b.word, b.ring_lengths()) for _, b in built
+    ]
+    for a, (alpha, b) in zip(counted, built):
+        for rho in range(1, rho_max + 1):
+            assert flaring_by_lengths(a.lengths, rho) == flaring_audit(b, rho)
+    # the starting loops the witnesses carry, spot-checked
+    for a, (alpha, _) in list(zip(counted, built))[:: max(1, len(built) // 25)]:
+        assert first_ring(maps, n, a) == alpha
+    return counted_report, counted
+
+
+LAM = rose_maps("aab,bba", "abb,baa")
+
+
+class TestCountAudit:
+    """The count audit against the built rings, annulus by annulus."""
+
+    def test_fast_green_pair(self, monkeypatch):
+        report, counted = assert_counts_match_built(
+            monkeypatch, LAM, 2, LoopSample(count=5, max_length=6, seed=0)
+        )
+        assert report.checked == 40 and report.clean
+
+    def test_default_caps_green_pair(self, monkeypatch):
+        report, _ = assert_counts_match_built(monkeypatch, LAM, 2, LoopSample(200, 20, 0))
+        assert report.checked == 1600 and report.clean
+
+    def test_single_map(self, monkeypatch):
+        report, _ = assert_counts_match_built(monkeypatch, LAM[:1], 1, LoopSample(200, 20, 0))
+        assert report.checked == 400 and report.clean
+
+    def test_seed_7_green_pair(self, monkeypatch):
+        report, _ = assert_counts_match_built(monkeypatch, LAM, 2, LoopSample(50, 20, 7))
+        assert report.checked == 400 and report.clean
+
+    def test_violations_carry_the_built_witnesses(self, monkeypatch):
+        report, _ = assert_counts_match_built(
+            monkeypatch, [PERM, PERM], 3, LoopSample(count=10, max_length=8, seed=4)
+        )
+        assert report.violations
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_immersions(self, monkeypatch, rank, n):
+        rng = random.Random(100 * rank + n)
+        for trial in range(6):
+            maps = random_immersions(rng, rank, 1 + trial % 2)
+            assert_counts_match_built(
+                monkeypatch, maps, n, LoopSample(count=4, max_length=6, seed=trial)
+            )
+
+    def test_non_immersion_rejected(self):
+        with pytest.raises(ValueError, match="immersion"):
+            audit_31_by_counts(rose_maps("ab,aB"), 1, LoopSample(count=2))
+        with pytest.raises(ValueError, match="power"):
+            audit_31_by_counts(LAM, 0, LoopSample(count=2))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_preimage_of_an_image_is_the_loop_itself(rank):
+    """For an immersion the audit's preimage of φ^s(seed) is the seed, not
+    just a conjugate of it: this is what lets the count audit skip the
+    search."""
+    rng = random.Random(rank)
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    for f in random_immersions(rng, rank, 8):
+        e = Endomorphism(rank, tuple(Word(p, rank) for p in f.edge_map))
+        for _ in range(10):
+            seed = random_cyclic_loop(rng, letters, rng.randint(1, 8))
+            for s in (1, 2):
+                image = e.power(s)(Word(seed, rank))
+                assert preimage_in_image(e, s, image) == Word(seed, rank)
+
+
+def random_cyclic_loop(rng, letters, length):
+    while True:
+        w = random_reduced(rng, letters, length)
+        if length == 1 or w[0] != -w[-1]:
+            return w

@@ -525,9 +525,10 @@ class TestSoundnessGating:
         )
         cert = self.run_patched(
             monkeypatch,
-            "audit_31_hyperbolicity",
-            lambda maps, sample: HyperbolicityAuditReport(
-                (), 1, (violation,), "forced"
+            "audit_31_by_counts",
+            lambda maps, n, sample: (
+                HyperbolicityAuditReport((), 1, (violation,), "forced"),
+                (),
             ),
         )
         assert cert.verdict == "inconclusive"
@@ -535,8 +536,8 @@ class TestSoundnessGating:
     def test_flaring_gate(self, monkeypatch):
         cert = self.run_patched(
             monkeypatch,
-            "flaring_audit",
-            lambda a, rho: FlaringVerdict("violation", witness=a.ring_lengths()),
+            "flaring_by_lengths",
+            lambda lengths, rho: FlaringVerdict("violation", witness=lengths),
         )
         assert cert.verdict == "inconclusive"
         assert cert.evidence["flaring"]["violations"]
@@ -544,26 +545,50 @@ class TestSoundnessGating:
 
 class TestAuditAnnuli:
     annuli = importlib.import_module("hnncert.annuli")
+    graphmap = importlib.import_module("hnncert.graphmap")
 
-    def test_each_audit_annulus_is_built_once(self, monkeypatch):
-        built = []
-        real = self.annuli.build_annulus
+    def test_certify_builds_no_annulus(self, monkeypatch):
+        called = []
+        for real in (self.annuli.build_annulus, self.graphmap.iterate_map):
 
-        def counted(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
+            def recorded(*args, real=real, **kwargs):
+                called.append((real.__name__, args[1:]))
+                return real(*args, **kwargs)
 
-        # wherever a module of the package binds the name
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "hnncert" and (
-                getattr(module, "build_annulus", None) is real
-            ):
-                monkeypatch.setattr(module, "build_annulus", counted)
+            # wherever a module of the package binds the name
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "hnncert" and (
+                    getattr(module, real.__name__, None) is real
+                ):
+                    monkeypatch.setattr(module, real.__name__, recorded)
         cert = certify(parse_config(FAST_GREEN))
         assert cert.verdict == "certified_hyperbolic"
-        assert len(built) == cert.evidence["audit_31"]["checked"]
-        # the flaring audit still sees every annulus, once per thinness bound
-        assert cert.evidence["flaring"]["checked"] == 4 * len(built)
+        assert cert.n == 2
+        # no ring and no power of a map is built: the pullback filtration's
+        # level 1 reads iterate_map(f, 1), which returns f itself
+        assert all(call == ("iterate_map", (1,)) for call in called)
+        # the audits still count every sampled annulus, once per thinness bound
+        assert cert.evidence["audit_31"]["checked"] == 40
+        assert cert.evidence["flaring"]["checked"] == 4 * 40
+
+    def test_marked_green_pair_gets_a_verdict_at_power_6(self):
+        # the audits at N = 6 read 729-letter edge images; built rings
+        # reached 10^7 letters, and this config got no verdict at all
+        t0 = time.monotonic()
+        cert = certify(
+            parse_config(
+                config_bytes(
+                    rank=2,
+                    endos=[["aBabbaB", "bbaB"], ["abb", "baa"]],
+                    marking_maps=[{"map": ["ab", "b"], "inverse": ["aB", "b"]}, None],
+                )
+            )
+        )
+        assert time.monotonic() - t0 < 10.0
+        assert cert.verdict == "certified_hyperbolic"
+        assert cert.n == 6
+        assert cert.evidence["audit_31"]["checked"] == 1600
+        assert cert.evidence["flaring"]["violations"] == []
 
 
 class TestBenchmarkHooks:
@@ -595,8 +620,9 @@ print(json.dumps({"verdict": cert.verdict, "counts": dict(tracer.counts)}))
         assert result.returncode == 0, result.stderr.decode()
         out = json.loads(result.stdout)
         assert out["verdict"] == "certified_hyperbolic"
-        assert out["counts"]["annuli.build_annulus_calls"] == 40
-        assert out["counts"]["annuli.flaring_audit_calls"] == 4 * 40
+        # the audits read letter counts: no annulus is built or audited
+        assert out["counts"].get("annuli.build_annulus_calls", 0) == 0
+        assert out["counts"].get("annuli.flaring_audit_calls", 0) == 0
         assert out["counts"]["gate.disjointness_calls"] == 1
 
 
