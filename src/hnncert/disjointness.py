@@ -19,10 +19,9 @@ reading a word left to right forces the block decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from .pullback import ProductBudgetError, product_components
+from .pullback import ProductBudgetError, component_tree, product_components
 from .stallings import Edge, LabeledGraph, core, is_folded, membership, subgroup_graph
 from .words import Endomorphism, Word, cyclic_reduce, reduce
 
@@ -164,36 +163,23 @@ def _component_cycle(
     """The least vertex of a component and the label word of a cycle there.
 
     ``edges`` are the component's edges in product order; the cycle is the
-    first non-tree edge met from a BFS tree rooted at the least vertex.
+    first non-tree edge met, vertex by vertex in BFS order, from the BFS tree
+    of :func:`pullback.component_tree`.
     """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for u, v, l in edges:
-        adj.setdefault(u, []).append((v, l))
-        adj.setdefault(v, []).append((u, -l))
-    root = min(adj)
-    parent_word: dict[int, tuple[int, ...]] = {root: ()}
-    order = [root]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for w, s in adj[v]:
-            if w not in parent_word:
-                parent_word[w] = parent_word[v] + (s,)
-                order.append(w)
-    seen_pairs = set()
+    order, adj, parent = component_tree([(u, v) for u, v, _ in edges])
+    words: dict[int, tuple[int, ...]] = {order[0]: ()}
+    for w in order[1:]:
+        v, k, d = parent[w]
+        words[w] = words[v] + (d * edges[k][2],)
+    tree_edges = {k for _, k, _ in parent.values()}
     for v in order:
-        for w, s in adj[v]:
-            key = (min(v, w), max(v, w), abs(s))
-            if parent_word.get(w) == parent_word[v] + (s,) or parent_word.get(v) == parent_word[w] + (-s,):
+        for w, k, d in adj[v]:
+            if k in tree_edges:
                 continue
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            cycle = parent_word[v] + (s,) + tuple(-x for x in reversed(parent_word[w]))
+            cycle = words[v] + (d * edges[k][2],) + tuple(-x for x in reversed(words[w]))
             letters = reduce(cycle, rank).letters
             if letters:
-                return root, letters
+                return order[0], letters
     return None
 
 
@@ -294,19 +280,6 @@ def essential_disjointness_power(
     return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 
 
-@lru_cache(maxsize=32)
-def _preimage_tables(e: Endomorphism, s: int):
-    """The based core of φ^s's folded image graph (whose step map is cached
-    on it), the core's BFS access words, and φ^s's block table: everything
-    :func:`preimage_in_image` needs that depends on ``(e, s)`` alone."""
-    powered = e.power(s)
-    table = block_table(powered)
-    if table is None:
-        raise ValueError("images do not start with distinct letters")
-    based_core = core(subgroup_graph(list(powered.images), e.rank), keep_basepoint=True)
-    return based_core, _access_words(based_core, based_core.basepoint), table
-
-
 def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:
     """β with apply_endo(e^s, β) conjugate to alpha, or None if no conjugate
     of alpha lies in φ^s(F_n).
@@ -316,13 +289,6 @@ def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:
     conjugate of alpha lies in the image iff some rotation of alpha is a
     closed circuit in the core of the image graph; the based element is then
     decoded into generator blocks.
-
-    The tables that depend on ``(e, s)`` alone (the core of φ^s's image
-    graph, its step map and access words, the block table) are built once
-    per pair and kept in a bounded LRU cache, since an annulus audit asks
-    for thousands of rings under a handful of pairs.  Sharing them is safe:
-    ``e`` is a frozen, hashable value, each table is a pure function of
-    ``(e, s)``, and callers only read them.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
@@ -331,9 +297,14 @@ def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:
     _, conj = cyclic_reduce(alpha)
     if conj.letters:
         raise ValueError("alpha must be cyclically reduced")
-    based_core, access, table = _preimage_tables(e, s)
+    powered = e.power(s)
+    table = block_table(powered)
+    if table is None:
+        raise ValueError("images do not start with distinct letters")
     if not alpha.letters:
         return Word((), e.rank)
+    based_core = core(subgroup_graph(list(powered.images), e.rank), keep_basepoint=True)
+    access = _access_words(based_core, based_core.basepoint)
     steps = based_core.step_map
     letters = alpha.letters
     for r in range(len(letters)):

@@ -13,14 +13,19 @@ at uniform speed over the image path), which makes the subdivision points of
 successive filtration levels nested and lets cross-level containment be
 decided by exact point arithmetic.
 
-Components are matched across levels and subdivisions by a signature built
-from subdivision-invariant data only: the component's intrinsic vertices
-(points where at least one side sits on a vertex, plus leaves and branch
-points) and its arcs (maximal runs between intrinsic vertices, each of which
-stays inside a single edge on each side and is recorded as an exact segment).
-Signatures are read from per-factor tables, built once per factor, that key
-each point by integers (its edge and reduced offset numerator and
-denominator), so no rational is built per product vertex.
+The filtration matches components across levels and subdivisions by a
+signature built from subdivision-invariant data only: the component's
+intrinsic vertices (points where at least one side sits on a vertex, plus
+leaves and branch points) and its arcs (maximal runs between intrinsic
+vertices, each of which stays inside a single edge on each side and is
+recorded as an exact segment).  Signatures are read from per-factor tables,
+built once per factor, that key each point by integers (its edge and reduced
+offset numerator and denominator), so no rational is built per product
+vertex.  Only the filtration reads signatures.
+
+The stabilization gate needs level 1 alone, and reads it from
+:func:`product_components`, the walk the disjointness gate uses: no whole
+product, component labelling or signature is built there.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from operator import mul
+from typing import Iterator, Optional, Sequence, Union
 
 from .graphmap import (
     GraphMap,
@@ -38,8 +44,9 @@ from .graphmap import (
     is_immersion,
     iterate_map,
     rose,
+    transition_matrix,
 )
-from .stallings import LabeledGraph, component_labels
+from .stallings import LabeledGraph, component_labels, label_clash
 from .words import cyclic_core, free_reduce, least_rotation, primitive_root
 
 Point = tuple  # ('v', vertex) | ('e', positive edge id, Fraction offset)
@@ -49,12 +56,6 @@ Segment = tuple  # (parent edge, from key, to key), keys (numerator, denominator
 
 class ProductBudgetError(RuntimeError):
     """The requested product exceeds the configured size budget."""
-
-
-def immersion_offender(f: GraphMap) -> Optional[int]:
-    """The vertex at which the direction map fails to be injective, if any:
-    the rose's one vertex 0 unless ``f`` is an immersion."""
-    return None if is_immersion(f) else 0
 
 
 def point_image(f: GraphMap, p: Point) -> Point:
@@ -212,25 +213,15 @@ def subdivide_map(f: GraphMap) -> Subdivided:
 
 def as_product_factor(g: LabeledGraph) -> Subdivided:
     """Wrap a folded labeled graph (an immersion over the rose) as a factor."""
-    offender = _folded_offender(g)
-    if offender is not None:
-        raise ValueError(f"input is not an immersion: label clash at vertex {offender}")
+    clash = label_clash(g)
+    if clash is not None:
+        raise ValueError(f"input is not an immersion: label clash at vertex {clash}")
     return Subdivided(
         rose(g.rank),
         g,
         tuple(("v", v) for v in range(g.num_vertices)),
         tuple((i + 1, Fraction(0), Fraction(1), True) for i in range(len(g.edges))),
     )
-
-
-def _folded_offender(g: LabeledGraph) -> Optional[int]:
-    seen: set[tuple[int, int]] = set()
-    for u, v, l in g.edges:
-        for src, s in ((u, l), (v, -l)):
-            if (src, s) in seen:
-                return src
-            seen.add((src, s))
-    return None
 
 
 @dataclass(frozen=True)
@@ -375,6 +366,31 @@ def _walk_components(
             yield len(seen) - before, edges
 
 
+def component_tree(
+    ends: Sequence[tuple[int, int]],
+) -> tuple[list[int], dict[int, list[tuple[int, int, int]]], dict[int, tuple[int, int, int]]]:
+    """A BFS spanning tree of a connected graph given by its edges ``(u, v)``.
+
+    The tree is rooted at the least vertex, and each vertex lists its
+    incidences ``(neighbour, edge index, direction)`` in edge order, +1 at
+    an edge's source and −1 at its target.  Returns the vertices in BFS
+    order, the incidences, and per non-root vertex the incidence of its
+    parent through which the tree reached it.
+    """
+    adj: dict[int, list[tuple[int, int, int]]] = {}
+    for k, (u, v) in enumerate(ends):
+        adj.setdefault(u, []).append((v, k, 1))
+        adj.setdefault(v, []).append((u, k, -1))
+    order = [min(adj)]
+    parent: dict[int, tuple[int, int, int]] = {}
+    for v in order:  # the loop also visits the vertices appended to order
+        for w, k, d in adj[v]:
+            if w != order[0] and w not in parent:
+                parent[w] = (v, k, d)
+                order.append(w)
+    return order, adj, parent
+
+
 def fiber_product(
     left: Union[Subdivided, LabeledGraph, GraphMap],
     right: Union[Subdivided, LabeledGraph, GraphMap],
@@ -417,9 +433,8 @@ def _coerce_factor(x: Union[Subdivided, LabeledGraph, GraphMap]) -> Subdivided:
     if isinstance(x, LabeledGraph):
         return as_product_factor(x)
     if isinstance(x, GraphMap):
-        offender = immersion_offender(x)
-        if offender is not None:
-            raise ValueError(f"input is not an immersion: direction clash at vertex {offender}")
+        if not is_immersion(x):
+            raise ValueError("input is not an immersion: direction clash at vertex 0")
         return subdivide_map(x)
     raise TypeError(f"cannot use {type(x).__name__} as a product factor")
 
@@ -583,9 +598,8 @@ def pullback_filtration(
     next one (signature match), and that the diagonal is a union of
     components isomorphic to the domain.
     """
-    offender = immersion_offender(f)
-    if offender is not None:
-        raise ValueError(f"map is not an immersion: direction clash at vertex {offender}")
+    if not is_immersion(f):
+        raise ValueError("map is not an immersion: direction clash at vertex 0")
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     levels = []
@@ -657,87 +671,59 @@ class StabilizationVerdict:
     surviving: tuple = ()
 
 
-def _project_cycle(fp: FiberProduct, cycle: list[tuple[int, int]], side: int) -> Path:
-    """Free homotopy class of a product cycle's projection as a tight cyclic
-    path of full parent edges."""
-    pieces: list[int] = []
-    for edge_id, direction in cycle:
-        i, j = fp.edge_pairs[edge_id]
-        pieces.append(direction * (i + 1) if side == 0 else direction * (j + 1))
-    pieces = cyclic_core(free_reduce(pieces))
-    if not pieces:
-        return ()
-    sub = fp.left if side == 0 else fp.right
-    runs: list[tuple[int, Fraction, Fraction]] = []
+WalkedEdge = tuple  # (label, i, j, u, v), as product_components gives it
+
+
+def _project_cycle(
+    sub: Subdivided, edges: list[WalkedEdge], cycle: list[tuple[int, int]], side: int
+) -> Path:
+    """Free homotopy class of a product cycle's projection to one factor
+    (``side`` 0 or 1), as a tight cyclic path of full parent edges.
+
+    The projection is tightened in the subdivision first.  The
+    subdivision's vertices inside a petal have valence two, so a tight
+    cyclic path leaves a petal only at the rose's vertex: it is a cyclic
+    sequence of complete petal crossings, and each crossing is read off
+    the piece that ends it, one that reaches offset 1 ascending or offset
+    0 descending.
+    """
+    pieces = cyclic_core(free_reduce(d * (edges[k][1 + side] + 1) for k, d in cycle))
+    letters = []
     for signed in pieces:
-        k = abs(signed) - 1
-        e, lo, hi, ascending = sub.edge_meta[k]
-        forward = ascending if signed > 0 else not ascending
-        seg = (e, lo, hi) if forward else (e, hi, lo)
-        if runs and runs[-1][0] == seg[0] and runs[-1][2] == seg[1]:
-            runs[-1] = (seg[0], runs[-1][1], seg[2])
-        else:
-            runs.append(seg)
-    # the cyclic walk may start mid-edge, splitting one crossing across the
-    # seam; after tightening, runs only turn at full vertices, so merging the
-    # seam leaves nothing but complete crossings
-    if len(runs) >= 2 and runs[-1][0] == runs[0][0] and runs[-1][2] == runs[0][1]:
-        runs[0] = (runs[0][0], runs[-1][1], runs[0][2])
-        runs.pop()
-    return cyclic_core(free_reduce(_full_letter(r) for r in runs))
+        e, lo, hi, ascending = sub.edge_meta[abs(signed) - 1]
+        if ascending == (signed > 0):
+            if hi == 1:
+                letters.append(e)
+        elif lo == 0:
+            letters.append(-e)
+    return tuple(letters)
 
 
-def _full_letter(seg: tuple[int, Fraction, Fraction]) -> int:
-    e, a, b = seg
-    if a == 0 and b == 1:
-        return e
-    if a == 1 and b == 0:
-        return -e
-    raise RuntimeError("projection of a tight cycle ended mid-edge")
-
-
-def _fundamental_cycles(fp: FiberProduct, comp: ProductComponent, limit: int = 8):
-    """Up to ``limit`` fundamental cycles of the component, as lists of
-    (edge id, direction)."""
-    g = fp.graph
-    parent: dict[int, tuple[int, int, int]] = {}  # vertex -> (prev vertex, edge, dir)
-    root = comp.vertex_ids[0]
-    seen = {root}
-    queue = [root]
-    tree_edges = set()
-    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in comp.vertex_ids}
-    for i in comp.edge_ids:
-        u, v, _ = g.edges[i]
-        adj[u].append((v, i, 1))
-        adj[v].append((u, i, -1))
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w, i, d in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = (v, i, d)
-                tree_edges.add(i)
-                queue.append(w)
+def _fundamental_cycles(edges: list[WalkedEdge], limit: int = 8):
+    """Up to ``limit`` fundamental cycles of a walked component, as lists of
+    (edge index, direction), from the BFS tree of :func:`component_tree`
+    and the non-tree edges in product order; ``edges`` are the component's
+    edges sorted into product order."""
+    order, _, parent = component_tree([(u, v) for _, _, _, u, v in edges])
+    root = order[0]
+    tree_edges = {k for _, k, _ in parent.values()}
 
     def path_to_root(v: int) -> list[tuple[int, int]]:
         out = []
         while v != root:
-            p, i, d = parent[v]
-            out.append((i, -d))  # walk from v back to p
+            p, k, d = parent[v]
+            out.append((k, -d))  # walk from v back to p
             v = p
         return out
 
     cycles = []
-    for i in comp.edge_ids:
-        if i in tree_edges:
+    for k, (_, _, _, u, v) in enumerate(edges):
+        if k in tree_edges:
             continue
-        u, v, _ = g.edges[i]
         up = path_to_root(u)
         vp = path_to_root(v)
-        # cycle: root -> u (reverse of up), edge i, v -> root (vp)
-        cycle = [(e, -d) for e, d in reversed(up)] + [(i, 1)] + vp
+        # cycle: root -> u (reverse of up), edge k, v -> root (vp)
+        cycle = [(e, -d) for e, d in reversed(up)] + [(k, 1)] + vp
         cycles.append(_strip_backtracks(cycle))
         if len(cycles) >= limit:
             break
@@ -770,15 +756,26 @@ def _canonical_loop(p: Path) -> Path:
 def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[StabilizationVerdict]:
     """The first pair k < kp ≤ cap, in (kp, k) order, with f^kp(γ) a
     rotation of (f^k(γ))^d, as an invariant-loop verdict; see
-    :func:`stabilization_power`."""
+    :func:`stabilization_power`.
+
+    The search gives up at the first iterate longer than 200,000 letters,
+    and checks that before the iterate is built: an immersion's images do
+    not cancel, so f(γ) has 1ᵀ·M·c letters, where c counts γ's letters per
+    edge and M is the :func:`transition_matrix`.
+    """
     length_guard = 200_000
+    m = transition_matrix(f)
+    counts = [0] * len(m)
+    for x in gamma:
+        counts[abs(x) - 1] += 1
     iterates = [gamma]
     roots = [primitive_root(gamma)]
     keys: dict[int, Path] = {}
     for kp in range(1, cap + 1):
-        nxt = immersed_loop_image(f, iterates[-1])
-        if not nxt or len(nxt) > length_guard:
+        counts = [sum(map(mul, row, counts)) for row in m]
+        if not 0 < sum(counts) <= length_guard:
             return None
+        nxt = immersed_loop_image(f, iterates[-1])
         iterates.append(nxt)
         period, exponent = primitive_root(nxt)
         roots.append((period, exponent))
@@ -809,6 +806,14 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
     found by iterating candidate loop classes up to ``cap``, or cap_exceeded
     with the surviving components for diagnostics.
 
+    Level 1 is read from :func:`product_components` on the subdivision of f,
+    one component at a time, as in the disjointness gate; signatures, which
+    only the filtration needs, are never built.  A component is dirty when
+    it has as many edges as vertices and no vertex (x, x) of the diagonal.
+    The candidate loops are the projections to both factors of up to eight
+    fundamental cycles per dirty component (:func:`_fundamental_cycles`),
+    then each single edge.
+
     The search is linear in the letters mapped.  A cyclic word p is a
     rotation of q^d exactly when their primitive roots have the same length,
     exp(p) = d·exp(q), and the roots are rotations of each other
@@ -818,29 +823,31 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
     scanned in (kp, k) order as each iterate is built, and the search maps
     no further than its first witness.
     """
-    offender = immersion_offender(f)
-    if offender is not None:
-        raise ValueError(f"map is not an immersion: direction clash at vertex {offender}")
+    if not is_immersion(f):
+        raise ValueError("map is not an immersion: direction clash at vertex 0")
+    sub = subdivide_level(f, 1)
+    diagonal = sub.graph.num_vertices + 1  # (x, x) has id x·diagonal
     try:
-        sub = subdivide_level(f, 1)
-        fp = fiber_product(sub, sub, max_edges=max_edges)
+        components = product_components(sub.graph, sub.graph, max_edges)
     except ProductBudgetError:
         return StabilizationVerdict("cap_exceeded", surviving=("product budget exceeded",))
-    comps = fp.components()
     dirty = [
-        c for c in comps if not c.contains_diagonal and c.rank >= 1
+        (vertices, sorted(edges))
+        for vertices, edges in components
+        if len(edges) >= vertices
+        and all(u % diagonal and v % diagonal for _, _, _, u, v in edges)
     ]
     if not dirty:
         return StabilizationVerdict("stabilized_at", n=1)
 
     candidates: list[Path] = []
     seen_classes: set[Path] = set()
-    for comp in dirty:
-        for cycle in _fundamental_cycles(fp, comp):
+    for _, edges in dirty:
+        for cycle in _fundamental_cycles(edges):
             if not cycle:
                 continue
             for side in (0, 1):
-                loop = _project_cycle(fp, cycle, side)
+                loop = _project_cycle(sub, edges, cycle, side)
                 if loop:
                     key = _canonical_loop(loop)
                     if key not in seen_classes:
@@ -857,6 +864,6 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
         if found is not None:
             return found
     surviving = tuple(
-        (c.rank, len(c.vertex_ids), len(c.edge_ids)) for c in dirty
+        (len(edges) - vertices + 1, vertices, len(edges)) for vertices, edges in dirty
     )
     return StabilizationVerdict("cap_exceeded", surviving=surviving)

@@ -63,14 +63,20 @@ class LabeledGraph:
         return self.step_map.get((vertex, signed_label))
 
 
-def is_folded(g: LabeledGraph) -> bool:
+def label_clash(g: LabeledGraph) -> Optional[int]:
+    """A vertex with two edge ends of one signed label, or None if ``g`` is
+    folded."""
     seen: set[tuple[int, int]] = set()
     for u, v, l in g.edges:
         for src, s in ((u, l), (v, -l)):
             if (src, s) in seen:
-                return False
+                return src
             seen.add((src, s))
-    return True
+    return None
+
+
+def is_folded(g: LabeledGraph) -> bool:
+    return label_clash(g) is None
 
 
 class _UnionFind:

@@ -1,9 +1,11 @@
 """Tests for the certification pipeline, config parsing, and reports."""
 
+import collections
 import hashlib
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -739,6 +741,51 @@ def test_reference_report_digest(name):
     config, digest = REFERENCE_REPORTS[name]
     report = emit_report(certify(parse_config(config_bytes(**config))))
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+def seeded_corpus(count, seed=1):
+    """``count`` parseable configs drawn from ``random.Random(seed)``: rank 2
+    or 3, one or two endomorphisms, each image 2 or 3 random letters, small
+    caps.  Drafts that parse_config rejects are skipped."""
+    rng = random.Random(seed)
+    caps = {"audit_loops": 10, "disjointness": 3, "pullback": 6}
+    configs = []
+    while len(configs) < count:
+        rank = rng.randint(2, 3)
+        letters = "abc"[:rank] + "ABC"[:rank]
+        endos = [
+            [
+                "".join(rng.choice(letters) for _ in range(rng.randint(2, 3)))
+                for _ in range(rank)
+            ]
+            for _ in range(rng.randint(1, 2))
+        ]
+        try:
+            configs.append(parse_config(config_bytes(rank=rank, endos=endos, caps=caps)))
+        except ConfigError:
+            continue
+    return configs
+
+
+def test_seeded_corpus_digest():
+    # SHA-256 of the concatenated reports of 1,000 random configs, which
+    # reach every gate's odd cases: 638 inconclusive, 250 obstruction_BS,
+    # 99 not_disjoint and 13 certified_hyperbolic
+    digest = hashlib.sha256()
+    verdicts = collections.Counter()
+    for config in seeded_corpus(1000):
+        cert = certify(config)
+        verdicts[cert.verdict] += 1
+        digest.update(emit_report(cert))
+    assert verdicts == {
+        "inconclusive": 638,
+        "obstruction_BS": 250,
+        "not_disjoint": 99,
+        "certified_hyperbolic": 13,
+    }
+    assert digest.hexdigest() == (
+        "65195f353261ddeb4c07514977e183ee38547156d9c600cbc1344451a3c06e14"
+    )
 
 
 class TestReports:

@@ -2,7 +2,9 @@
 
 import collections
 import itertools
+import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,14 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hnncert import pullback
-from hnncert.graphmap import GraphMap, iterate_map
+from hnncert import stallings as stallings_module
+from hnncert.graphmap import GraphMap, is_immersion, iterate_map
 from hnncert.pullback import (
     ProductBudgetError,
     StabilizationVerdict,
     _subdivision_fractions,
     as_product_factor,
     fiber_product,
-    immersion_offender,
     new_components,
     point_image,
     point_image_power,
@@ -232,8 +234,14 @@ class TestFiberProduct:
             fiber_product(SAPIR, SAPIR, max_edges=3)
 
     def test_offender_is_named(self):
-        assert immersion_offender(NON_IMMERSION) == 0
-        assert immersion_offender(SAPIR) is None
+        for build in (
+            lambda f: fiber_product(f, f),
+            lambda f: pullback_filtration(f, 1),
+            stabilization_power,
+        ):
+            with pytest.raises(ValueError, match="direction clash at vertex 0"):
+                build(NON_IMMERSION)
+            build(SAPIR)
 
 
 def dict_indexed_product(a, b):
@@ -635,7 +643,7 @@ def rank_two_immersions(max_len):
     ]
     for a, b in itertools.product(words, repeat=2):
         f = GraphMap.from_endomorphism(Endomorphism(2, (Word(a, 2), Word(b, 2))))
-        if immersion_offender(f) is None:
+        if is_immersion(f):
             yield f
 
 
@@ -718,6 +726,212 @@ class TestInvariantLoopSearch:
         v = stabilization_power(SQUARES)
         assert (v.kind, v.power, v.degree) == ("invariant_loop", 1, 2)
         assert tally["immersed_loop_image_calls"] == 1
+
+    def test_builds_no_iterate_over_the_length_guard(self, monkeypatch):
+        # iterates of a single letter grow 20-fold: 160,000 letters, then
+        # 3,200,000, which the guard rejects from the letter counts alone
+        lengths = []
+        real = pullback.immersed_loop_image
+
+        def measured(f, loop):
+            image = real(f, loop)
+            lengths.append(len(image))
+            return image
+
+        monkeypatch.setattr(pullback, "immersed_loop_image", measured)
+        v = stabilization_power(rose_map("ab" * 10, "ba" * 10))
+        assert v.kind == "cap_exceeded"
+        assert max(lengths) == 160_000
+
+
+def fiber_product_cycles(fp, comp, limit=8):
+    """Up to ``limit`` fundamental cycles of a FiberProduct component, as
+    (edge id, direction) lists: a BFS tree from the component's first
+    vertex, then the non-tree edges in edge-id order."""
+    g = fp.graph
+    root = comp.vertex_ids[0]
+    parent, queue, tree = {}, [root], set()
+    adj = {v: [] for v in comp.vertex_ids}
+    for i in comp.edge_ids:
+        u, v, _ = g.edges[i]
+        adj[u].append((v, i, 1))
+        adj[v].append((u, i, -1))
+    for v in queue:
+        for w, i, d in adj[v]:
+            if w != root and w not in parent:
+                parent[w] = (v, i, d)
+                tree.add(i)
+                queue.append(w)
+
+    def path_to_root(v):
+        out = []
+        while v != root:
+            p, i, d = parent[v]
+            out.append((i, -d))
+            v = p
+        return out
+
+    cycles = []
+    for i in comp.edge_ids:
+        if i in tree:
+            continue
+        u, v, _ = g.edges[i]
+        cycle = [(e, -d) for e, d in reversed(path_to_root(u))] + [(i, 1)] + path_to_root(v)
+        cycles.append(pullback._strip_backtracks(cycle))
+        if len(cycles) >= limit:
+            break
+    return cycles
+
+
+def fraction_projection(fp, cycle, side):
+    """A product cycle's projection to one factor: the tightened pieces
+    merged into runs of exact ``Fraction`` segments, the seam run merged
+    with the first, and each run read as a full parent edge."""
+    pieces = cyclic_core(
+        free_reduce(d * (fp.edge_pairs[e][side] + 1) for e, d in cycle)
+    )
+    sub = fp.left if side == 0 else fp.right
+    runs = []
+    for signed in pieces:
+        e, lo, hi, ascending = sub.edge_meta[abs(signed) - 1]
+        seg = (e, lo, hi) if ascending == (signed > 0) else (e, hi, lo)
+        if runs and runs[-1][0] == seg[0] and runs[-1][2] == seg[1]:
+            runs[-1] = (seg[0], runs[-1][1], seg[2])
+        else:
+            runs.append(seg)
+    if len(runs) >= 2 and runs[-1][0] == runs[0][0] and runs[-1][2] == runs[0][1]:
+        runs[0] = (runs[0][0], runs[-1][1], runs[0][2])
+        runs.pop()
+    letters = []
+    for e, a, b in runs:
+        assert (a, b) in ((0, 1), (1, 0)), "a run ended mid-edge"
+        letters.append(e if a == 0 else -e)
+    return cyclic_core(free_reduce(letters))
+
+
+def fiber_product_stabilization(f, cap):
+    """Oracle for ``stabilization_power``: level 1 from the whole
+    FiberProduct, its labelled components and their ProductComponent
+    records, with the same candidate order and invariant-loop search."""
+    sub = subdivide_level(f, 1)
+    fp = fiber_product(sub, sub)
+    dirty = [c for c in fp.components() if not c.contains_diagonal and c.rank >= 1]
+    if not dirty:
+        return StabilizationVerdict("stabilized_at", n=1)
+    candidates, seen = [], set()
+    loops = [
+        fraction_projection(fp, cycle, side)
+        for comp in dirty
+        for cycle in fiber_product_cycles(fp, comp)
+        if cycle
+        for side in (0, 1)
+    ]
+    for loop in [l for l in loops if l] + [(e,) for e in range(1, f.domain.num_edges + 1)]:
+        key = pullback._canonical_loop(loop)
+        if key not in seen:
+            seen.add(key)
+            candidates.append(loop)
+    for gamma in candidates:
+        found = pullback._invariant_loop(f, gamma, cap)
+        if found is not None:
+            return found
+    surviving = tuple((c.rank, len(c.vertex_ids), len(c.edge_ids)) for c in dirty)
+    return StabilizationVerdict("cap_exceeded", surviving=surviving)
+
+
+def long_image_immersion(length, seed):
+    """A rank-2 immersion whose generators map to seeded random reduced
+    words of ``length`` letters, a's image opening and closing with a and
+    b's with b (so the four directions have distinct images)."""
+    rng = random.Random(seed)
+    images = []
+    for first in (1, 2):
+        w = [first]
+        while len(w) < length - 1:
+            x = rng.choice((1, -1, 2, -2))
+            if x != -w[-1] and (len(w) < length - 2 or x != -first):
+                w.append(x)
+        images.append(Word(tuple(w) + (first,), 2))
+    f = GraphMap.from_endomorphism(Endomorphism(2, tuple(images)))
+    assert is_immersion(f)
+    return f
+
+
+class TestLevelOneWalk:
+    """stabilization_power reads level 1 from the component walk, and
+    matches the whole-FiberProduct route it replaced."""
+
+    @staticmethod
+    def fields(v):
+        return (v.kind, v.n, v.loop, v.degree, v.power, v.surviving)
+
+    def check(self, maps, cap):
+        kinds = collections.Counter()
+        for f in maps:
+            got = self.fields(stabilization_power(f, cap=cap))
+            assert got == self.fields(fiber_product_stabilization(f, cap)), f.edge_map
+            kinds[got[0]] += 1
+        # every verdict kind occurs, so the comparison is not vacuous
+        assert set(kinds) == {"stabilized_at", "invariant_loop", "cap_exceeded"}
+
+    def test_matches_the_fiber_product_route_on_small_rank_two_immersions(self):
+        maps = list(rank_two_immersions(3))
+        assert len(maps) == 344
+        self.check(maps, 6)
+
+    def test_matches_the_fiber_product_route_on_a_rank_three_sweep(self):
+        rng = random.Random(13)
+        letters = (1, -1, 2, -2, 3, -3)
+        maps = []
+        while len(maps) < 300:
+            images = []
+            for _ in range(3):
+                w = [rng.choice(letters)]
+                for _ in range(rng.randint(0, 3)):
+                    w.append(rng.choice([x for x in letters if x != -w[-1]]))
+                images.append(Word(tuple(w), 3))
+            f = GraphMap.from_endomorphism(Endomorphism(3, tuple(images)))
+            if is_immersion(f):
+                maps.append(f)
+        self.check(maps, 6)
+
+    @pytest.mark.parametrize(
+        "f, kind",
+        [
+            (SAPIR, "cap_exceeded"),
+            (rose_map("ab" * 30, "ba" * 30), "cap_exceeded"),
+            (long_image_immersion(60, 1), "stabilized_at"),
+        ],
+        ids=["SAPIR", "sapir_60", "random_60"],
+    )
+    def test_builds_no_whole_product(self, f, kind, monkeypatch):
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(pullback, "fiber_product")
+        count(pullback, "_component_signature")
+        count(pullback, "component_labels")
+        count(stallings_module, "component_labels")
+        tracemalloc.start()
+        try:
+            v = stabilization_power(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.kind == kind
+        assert calls == {}
+        # building the whole level-1 product (fiber_product) of a 60-letter
+        # map peaks at 9-10 MB; SAPIR's 3.5 MB are its iterates of up to
+        # 2^16 letters
+        assert peak < 5_000_000
 
 
 class TestDoubleCosetOracle:
