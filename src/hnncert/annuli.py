@@ -29,6 +29,7 @@ from .graphmap import (
     Path,
     cyclic_paths_equal,
     is_immersion,
+    letter_counts,
     map_loop,
     mat_mul,
     mat_power,
@@ -392,9 +393,7 @@ def audit_31_by_counts(
                 seed_loop = random_legal_loop(maps[j], length, rng)
             except RuntimeError:
                 continue
-            c = [0] * rank
-            for s in seed_loop:
-                c[abs(s) - 1] += 1
+            c = letter_counts(seed_loop, rank)
             a = CountedAnnulus(
                 word, seed_loop, tuple(sum(map(mul, row, c)) for row in rows)
             )

@@ -79,6 +79,16 @@ from .graphmap import iterate_map  # noqa: F401
 
 LCM_CAP = 2**20
 
+# the "caps" object of the JSON schema: each key and the config field it sets
+_CAPS = {
+    "pullback": "pullback_cap",
+    "disjointness": "disjointness_cap",
+    "expansion": "expansion_cap",
+    "audit_loops": "audit_loops",
+    "audit_loop_length": "audit_loop_length",
+    "flaring_rho_max": "flaring_rho_max",
+}
+
 
 class ConfigError(ValueError):
     """Malformed certification input; the message names the offending field."""
@@ -119,13 +129,9 @@ class CertificationConfig:
                 raise ConfigError(f"endos[{i}]: rank {e.rank} != configured rank")
         if self.markings and len(self.markings) != len(self.endomorphisms):
             raise ConfigError("marking_maps: need one entry (or null) per endomorphism")
-        for cap_name in ("pullback_cap", "disjointness_cap", "expansion_cap"):
+        for cap_name in _CAPS.values():
             if getattr(self, cap_name) < 1:
                 raise ConfigError(f"caps: {cap_name} must be >= 1")
-        if self.audit_loops < 1 or self.audit_loop_length < 1:
-            raise ConfigError("caps: audit sample sizes must be >= 1")
-        if self.flaring_rho_max < 1:
-            raise ConfigError("caps: flaring_rho_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -139,14 +145,6 @@ class Certificate:
 
 
 _TOP_KEYS = {"rank", "endos", "caps", "marking_maps", "seed", "diagnostics"}
-_CAP_KEYS = {
-    "pullback",
-    "disjointness",
-    "expansion",
-    "audit_loops",
-    "audit_loop_length",
-    "flaring_rho_max",
-}
 
 
 def _parse_word(spec: Union[str, Sequence[int]], rank: int, where: str) -> Word:
@@ -212,7 +210,7 @@ def parse_config(text: bytes, lenient: bool = False) -> CertificationConfig:
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps: expected an object")
-    unknown_caps = sorted(set(caps) - _CAP_KEYS)
+    unknown_caps = sorted(set(caps) - set(_CAPS))
     if unknown_caps:
         if lenient:
             warnings.warn(f"ignoring unknown caps: {', '.join(unknown_caps)}")
@@ -259,14 +257,9 @@ def parse_config(text: bytes, lenient: bool = False) -> CertificationConfig:
         rank=rank,
         endomorphisms=endos,
         markings=markings,
-        pullback_cap=caps.get("pullback", 16),
-        disjointness_cap=caps.get("disjointness", 8),
-        expansion_cap=caps.get("expansion", 64),
-        audit_loops=caps.get("audit_loops", 200),
-        audit_loop_length=caps.get("audit_loop_length", 20),
-        flaring_rho_max=caps.get("flaring_rho_max", 4),
         diagnostics=diagnostics,
         seed=seed,
+        **{field: caps[key] for key, field in _CAPS.items() if key in caps},
     )
 
 
@@ -287,14 +280,7 @@ def _config_echo(config: CertificationConfig) -> dict:
         ]
         if config.markings
         else None,
-        "caps": {
-            "pullback": config.pullback_cap,
-            "disjointness": config.disjointness_cap,
-            "expansion": config.expansion_cap,
-            "audit_loops": config.audit_loops,
-            "audit_loop_length": config.audit_loop_length,
-            "flaring_rho_max": config.flaring_rho_max,
-        },
+        "caps": {key: getattr(config, field) for key, field in _CAPS.items()},
         "diagnostics": config.diagnostics,
         "seed": config.seed,
     }

@@ -12,10 +12,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
-from .certify import ConfigError, certify, emit_report, parse_config
+from .certify import (
+    CertificationConfig,
+    ConfigError,
+    certify,
+    emit_report,
+    parse_config,
+)
 
 EXIT_CERTIFIED = 0
 EXIT_USAGE = 1
@@ -73,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, metavar="S", help="override the sampling seed"
     )
     parser.add_argument(
-        "--diagnostics", action="store_true",
+        "--diagnostics", action="store_true", default=None,
         help="annotate the report with lamination diagnostics",
     )
     parser.add_argument(
@@ -97,17 +103,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"certify: {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    overrides = {}
-    if args.pullback_cap is not None:
-        overrides["pullback_cap"] = args.pullback_cap
-    if args.disjointness_cap is not None:
-        overrides["disjointness_cap"] = args.disjointness_cap
-    if args.expansion_cap is not None:
-        overrides["expansion_cap"] = args.expansion_cap
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.diagnostics:
-        overrides["diagnostics"] = True
+    # each override flag's dest is the config field it sets; an absent flag is None
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in fields(CertificationConfig)
+        if getattr(args, field.name, None) is not None
+    }
     if overrides:
         try:
             config = replace(config, **overrides)

@@ -165,19 +165,22 @@ def cyclic_paths_equal(p: Sequence[int], q: Sequence[int]) -> bool:
 # --- transition matrices ---
 
 
+def letter_counts(p: Sequence[int], rank: int) -> list[int]:
+    """Entry i: number of times edge e_{i+1} appears (either direction) in
+    the path ``p``."""
+    counts = [0] * rank
+    for s in p:
+        counts[abs(s) - 1] += 1
+    return counts
+
+
 def transition_matrix(f: GraphMap) -> Matrix:
     """Entry (i, j): number of times edge e_{i+1} appears (either direction)
     in the image of edge e_{j+1}."""
     if not f.is_self_map():
         raise ValueError("transition matrix needs a self-map")
     n = f.domain.num_edges
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        for s in f.edge_map[j]:
-            col[abs(s) - 1] += 1
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*(letter_counts(p, n) for p in f.edge_map)))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

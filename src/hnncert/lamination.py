@@ -21,7 +21,7 @@ from typing import Optional, Union
 from .graphmap import (
     GraphMap,
     Path,
-    iterate_map,
+    map_path,
     verify_train_track,
 )
 
@@ -65,7 +65,9 @@ def leaf_segment(f: GraphMap, seed: int, k: int) -> LeafSegment:
         raise ValueError("seed edge out of range")
     if k < 0:
         raise ValueError("iteration count must be >= 0")
-    path: Path = (seed,) if k == 0 else iterate_map(f, k).edge_map[seed - 1]
+    path: Path = (seed,)
+    for _ in range(k):
+        path = map_path(f, path)
     return LeafSegment(path, seed, k)
 
 

@@ -43,6 +43,7 @@ from .graphmap import (
     immersed_loop_image,
     is_immersion,
     iterate_map,
+    letter_counts,
     rose,
     transition_matrix,
 )
@@ -150,6 +151,32 @@ def _subdivision_fractions(f: GraphMap, level: int) -> list[list[Fraction]]:
     return pts
 
 
+def _subdivide(g: GraphMap, bounds: Sequence[Sequence[Fraction]]) -> Subdivided:
+    """Cut each edge e of ``g``'s domain at ``bounds[e - 1]`` (from 0 to 1,
+    one piece per letter of e's image) into pieces labelled by the letters."""
+    vertex_point: list[Point] = [("v", 0)]
+    edges: list[tuple[int, int, int]] = []
+    metas: list[tuple[int, Fraction, Fraction, bool]] = []
+    for e in range(1, g.domain.num_edges + 1):
+        seq = g.edge_map[e - 1]
+        cuts = bounds[e - 1]
+        nodes = [0]
+        for k in range(1, len(seq)):
+            nodes.append(len(vertex_point))
+            vertex_point.append(("e", e, cuts[k]))
+        nodes.append(0)
+        for m, s in enumerate(seq):
+            a, b = nodes[m], nodes[m + 1]
+            if s > 0:
+                edges.append((a, b, s))
+                metas.append((e, cuts[m], cuts[m + 1], True))
+            else:
+                edges.append((b, a, -s))
+                metas.append((e, cuts[m], cuts[m + 1], False))
+    graph = LabeledGraph(g.codomain.num_edges, len(vertex_point), tuple(edges))
+    return Subdivided(g.codomain, graph, tuple(vertex_point), tuple(metas))
+
+
 def subdivide_level(f: GraphMap, level: int) -> Subdivided:
     """Subdivide the domain of the self-map power ``f^level``."""
     if not f.is_self_map():
@@ -157,58 +184,21 @@ def subdivide_level(f: GraphMap, level: int) -> Subdivided:
     if level < 1:
         raise ValueError("level must be >= 1")
     g = iterate_map(f, level)
-    fractions = _subdivision_fractions(f, level)
-
-    vertex_point: list[Point] = [("v", 0)]
-    edges: list[tuple[int, int, int]] = []
-    metas: list[tuple[int, Fraction, Fraction, bool]] = []
-    for e in range(1, g.domain.num_edges + 1):
-        seq = g.edge_map[e - 1]
-        inner = fractions[e - 1]
-        if len(seq) != len(inner) + 1:
-            raise RuntimeError("subdivision points do not match the image path")
-        bounds = [Fraction(0)] + inner + [Fraction(1)]
-        nodes = [0]
-        for k in range(1, len(seq)):
-            nodes.append(len(vertex_point))
-            vertex_point.append(("e", e, bounds[k]))
-        nodes.append(0)
-        for m, s in enumerate(seq):
-            a, b = nodes[m], nodes[m + 1]
-            if s > 0:
-                edges.append((a, b, s))
-                metas.append((e, bounds[m], bounds[m + 1], True))
-            else:
-                edges.append((b, a, -s))
-                metas.append((e, bounds[m], bounds[m + 1], False))
-    graph = LabeledGraph(g.codomain.num_edges, len(vertex_point), tuple(edges))
-    return Subdivided(g.codomain, graph, tuple(vertex_point), tuple(metas))
+    bounds = [
+        [Fraction(0)] + inner + [Fraction(1)]
+        for inner in _subdivision_fractions(f, level)
+    ]
+    if any(len(p) + 1 != len(b) for p, b in zip(g.edge_map, bounds)):
+        raise RuntimeError("subdivision points do not match the image path")
+    return _subdivide(g, bounds)
 
 
 def subdivide_map(f: GraphMap) -> Subdivided:
-    """Subdivide an arbitrary map (not necessarily a self-map) once."""
-    vertex_point: list[Point] = [("v", 0)]
-    edges: list[tuple[int, int, int]] = []
-    metas: list[tuple[int, Fraction, Fraction, bool]] = []
-    for e in range(1, f.domain.num_edges + 1):
-        seq = f.edge_map[e - 1]
-        length = len(seq)
-        nodes = [0]
-        for k in range(1, length):
-            nodes.append(len(vertex_point))
-            vertex_point.append(("e", e, Fraction(k, length)))
-        nodes.append(0)
-        for m, s in enumerate(seq):
-            a, b = nodes[m], nodes[m + 1]
-            lo, hi = Fraction(m, length), Fraction(m + 1, length)
-            if s > 0:
-                edges.append((a, b, s))
-                metas.append((e, lo, hi, True))
-            else:
-                edges.append((b, a, -s))
-                metas.append((e, lo, hi, False))
-    graph = LabeledGraph(f.codomain.num_edges, len(vertex_point), tuple(edges))
-    return Subdivided(f.codomain, graph, tuple(vertex_point), tuple(metas))
+    """Subdivide an arbitrary map (not necessarily a self-map) once; for a
+    self-map this is ``subdivide_level(f, 1)``."""
+    return _subdivide(
+        f, [[Fraction(k, len(p)) for k in range(len(p) + 1)] for p in f.edge_map]
+    )
 
 
 def as_product_factor(g: LabeledGraph) -> Subdivided:
@@ -765,9 +755,7 @@ def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[Stabilizatio
     """
     length_guard = 200_000
     m = transition_matrix(f)
-    counts = [0] * len(m)
-    for x in gamma:
-        counts[abs(x) - 1] += 1
+    counts = letter_counts(gamma, len(m))
     iterates = [gamma]
     roots = [primitive_root(gamma)]
     keys: dict[int, Path] = {}
@@ -825,7 +813,7 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
     """
     if not is_immersion(f):
         raise ValueError("map is not an immersion: direction clash at vertex 0")
-    sub = subdivide_level(f, 1)
+    sub = subdivide_map(f)
     diagonal = sub.graph.num_vertices + 1  # (x, x) has id x·diagonal
     try:
         components = product_components(sub.graph, sub.graph, max_edges)

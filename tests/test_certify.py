@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -548,10 +549,19 @@ class TestSoundnessGating:
 class TestAuditAnnuli:
     annuli = importlib.import_module("hnncert.annuli")
     graphmap = importlib.import_module("hnncert.graphmap")
+    MARKED_GREEN = config_bytes(
+        rank=2,
+        endos=[["aBabbaB", "bbaB"], ["abb", "baa"]],
+        marking_maps=[{"map": ["ab", "b"], "inverse": ["aB", "b"]}, None],
+    )
 
     def test_certify_builds_no_annulus(self, monkeypatch):
         called = []
-        for real in (self.annuli.build_annulus, self.graphmap.iterate_map):
+        for real in (
+            self.annuli.build_annulus,
+            self.graphmap.iterate_map,
+            self.graphmap.compose_maps,
+        ):
 
             def recorded(*args, real=real, **kwargs):
                 called.append((real.__name__, args[1:]))
@@ -563,29 +573,24 @@ class TestAuditAnnuli:
                     getattr(module, real.__name__, None) is real
                 ):
                     monkeypatch.setattr(module, real.__name__, recorded)
-        cert = certify(parse_config(FAST_GREEN))
+        cert = certify(replace(parse_config(FAST_GREEN), diagnostics=True))
         assert cert.verdict == "certified_hyperbolic"
         assert cert.n == 2
-        # no ring and no power of a map is built: the pullback filtration's
-        # level 1 reads iterate_map(f, 1), which returns f itself
-        assert all(call == ("iterate_map", (1,)) for call in called)
         # the audits still count every sampled annulus, once per thinness bound
         assert cert.evidence["audit_31"]["checked"] == 40
         assert cert.evidence["flaring"]["checked"] == 4 * 40
+        marked = certify(parse_config(self.MARKED_GREEN))
+        assert marked.verdict == "certified_hyperbolic"
+        wide = certify(parse_config(WIDE_GROWTH))
+        assert wide.evidence["per_endomorphism"][0]["expansion"] == {"kind": "power", "n": 9}
+        # no ring and no power of a map is built, not even f^1
+        assert called == []
 
     def test_marked_green_pair_gets_a_verdict_at_power_6(self):
         # the audits at N = 6 read 729-letter edge images; built rings
         # reached 10^7 letters, and this config got no verdict at all
         t0 = time.monotonic()
-        cert = certify(
-            parse_config(
-                config_bytes(
-                    rank=2,
-                    endos=[["aBabbaB", "bbaB"], ["abb", "baa"]],
-                    marking_maps=[{"map": ["ab", "b"], "inverse": ["aB", "b"]}, None],
-                )
-            )
-        )
+        cert = certify(parse_config(self.MARKED_GREEN))
         assert time.monotonic() - t0 < 10.0
         assert cert.verdict == "certified_hyperbolic"
         assert cert.n == 6
@@ -741,6 +746,27 @@ def test_reference_report_digest(name):
     config, digest = REFERENCE_REPORTS[name]
     report = emit_report(certify(parse_config(config_bytes(**config))))
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+# A representative a -> a^6, b -> b^2 behind a marking with K = 12, so the
+# expansion target is 3K^2 = 432: b reaches it at power 9, when a's image
+# would have 6^9 = 10,077,696 letters.
+WIDE_GROWTH = config_bytes(
+    rank=2,
+    endos=[["aBBBBBBBBBBB" * 6 + "b" * 22, "bb"]],
+    marking_maps=[{"map": ["abbbbbbbbbbb", "b"], "inverse": ["aBBBBBBBBBBB", "b"]}],
+)
+
+
+def test_wide_growth_report_digest():
+    t0 = time.monotonic()
+    cert = certify(parse_config(WIDE_GROWTH))
+    report = emit_report(cert)
+    assert time.monotonic() - t0 < 1.0
+    assert cert.evidence["per_endomorphism"][0]["expansion"] == {"kind": "power", "n": 9}
+    assert hashlib.sha256(report).hexdigest() == (
+        "90456de7b5183eaf15d07624b4588afdc3a1e0e120e5eb3fd336a81ea424c01d"
+    )
 
 
 def seeded_corpus(count, seed=1):

@@ -1,18 +1,22 @@
 """Tests for the expansion power of train track rose maps."""
 
+import collections
 import random
 
 import pytest
 
-from hnncert.expansion import ExpansionVerdict, expansion_power
+from hnncert.expansion import ExpansionVerdict, PeriodicLoopWitness, expansion_power
 from hnncert.graphmap import (
     GraphMap,
+    compose_maps,
     iterate_map,
     map_loop,
     path_length,
     random_legal_loop,
     rose,
+    verify_train_track,
 )
+from hnncert.words import free_reduce
 
 
 def rose_map(*paths, rank=2):
@@ -107,3 +111,78 @@ class TestExpansionPower:
             after = path_length(f.domain, map_loop(iterated, loop))
             assert after >= 3 * before, (label, loop)
             checked += 1
+
+
+def composed_expansion_power(f, cap, target_factor):
+    """Reference: composes the whole map once per power and reads every
+    edge's length off the composite."""
+    g = f.domain
+    edges = range(1, g.num_edges + 1)
+    first_power = {}
+    seen = {e: {(e,): 0} for e in edges}
+    current = f
+    for n in range(1, cap + 1):
+        if n > 1:
+            current = compose_maps(f, current)
+        lens = {e: path_length(g, current.edge_map[e - 1]) for e in edges}
+        for e in edges:
+            if e in first_power:
+                continue
+            if lens[e] >= target_factor:
+                first_power[e] = n
+                continue
+            path = current.edge_map[e - 1]
+            if path in seen[e]:
+                m = seen[e][path]
+                by_power = {power: p for p, power in seen[e].items()}
+                orbit = tuple(by_power[i] for i in range(m, n))
+                return ExpansionVerdict(
+                    "periodic_loop_obstruction",
+                    witness=PeriodicLoopWitness(e, m, n - m, orbit),
+                )
+            seen[e][path] = n
+        if all(lens[e] >= target_factor for e in edges):
+            note = ""
+            if n > max(first_power.values()):
+                note = "per-edge powers not simultaneous; certified at first common power"
+            return ExpansionVerdict(
+                "power",
+                n=n,
+                strict=all(lens[e] > target_factor for e in edges),
+                per_edge=tuple(sorted(first_power.items())),
+                note=note,
+            )
+    stuck = [e for e in edges if e not in first_power]
+    if stuck:
+        note = f"edges {stuck} below target after {cap} iterations"
+    else:
+        note = f"per-edge powers never simultaneous within {cap} iterations"
+    return ExpansionVerdict("cap_exceeded", note=note)
+
+
+def random_train_track_rose(rng):
+    """A rose map of rank 1–3 with tight images of 1–4 letters, redrawn
+    until it is a train track map."""
+    while True:
+        rank = rng.randint(1, 3)
+        letters = [s for i in range(1, rank + 1) for s in (i, -i)]
+        images = []
+        while len(images) < rank:
+            p = free_reduce(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            if p:
+                images.append(p)
+        f = rose_map(*images, rank=rank)
+        if verify_train_track(f).kind == "train_track":
+            return f
+
+
+def test_matches_the_composed_reference_on_random_roses():
+    rng = random.Random(14)
+    kinds = collections.Counter()
+    for _ in range(1000):
+        f = random_train_track_rose(rng)
+        cap, target = rng.randint(1, 12), rng.randint(2, 60)
+        verdict = expansion_power(f, cap=cap, target_factor=target)
+        assert verdict == composed_expansion_power(f, cap, target), (f.edge_map, cap, target)
+        kinds[verdict.kind] += 1
+    assert set(kinds) == {"power", "periodic_loop_obstruction", "cap_exceeded"}
