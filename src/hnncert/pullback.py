@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
@@ -269,6 +270,17 @@ def product_edges(
     this is called, before anything is built: ProductBudgetError if the
     product would have more than ``max_edges`` edges.
     """
+    return (
+        (ua + ub, va + vb, l, i, j)
+        for l, block_a, block_b in _label_blocks(a, b, max_edges)
+        for i, ua, va in block_a
+        for j, ub, vb in block_b
+    )
+
+
+def _label_blocks(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> list[tuple]:
+    """Per label both factors carry, ascending: ``(label, [(i, ua·nb, va·nb)],
+    [(j, ub, vb)])`` over the edges of ``a`` and ``b``; the budget is checked first."""
     _check_budget(a, b, max_edges)
     nb = b.num_vertices
     by_label_a: dict[int, list[tuple[int, int, int]]] = {}
@@ -277,17 +289,7 @@ def product_edges(
     by_label_b: dict[int, list[tuple[int, int, int]]] = {}
     for j, (ub, vb, l) in enumerate(b.edges):
         by_label_b.setdefault(l, []).append((j, ub, vb))
-    return _stream_edges(by_label_a, by_label_b)
-
-
-def _stream_edges(
-    by_label_a: dict[int, list[tuple[int, int, int]]],
-    by_label_b: dict[int, list[tuple[int, int, int]]],
-) -> Iterator[tuple[int, int, int, int, int]]:
-    for l in sorted(by_label_b):
-        for i, ua, va in by_label_a.get(l, ()):
-            for j, ub, vb in by_label_b[l]:
-                yield ua + ub, va + vb, l, i, j
+    return [(l, by_label_a[l], by_label_b[l]) for l in sorted(by_label_b) if l in by_label_a]
 
 
 def product_components(
@@ -399,16 +401,13 @@ def fiber_product(
     b = _coerce_factor(right)
     if a.codomain != b.codomain:
         raise ValueError("factors have different codomains")
-    stream = product_edges(a.graph, b.graph, max_edges)
-    nb = b.graph.num_vertices
-    pairs = tuple(
-        (x, y) for x in range(a.graph.num_vertices) for y in range(nb)
-    )
     edges: list[tuple[int, int, int]] = []
     edge_pairs: list[tuple[int, int]] = []
-    for u, v, l, i, j in stream:
-        edges.append((u, v, l))
-        edge_pairs.append((i, j))
+    for l, block_a, block_b in _label_blocks(a.graph, b.graph, max_edges):
+        edges += [(ua + ub, va + vb, l) for _, ua, va in block_a for _, ub, vb in block_b]
+        edge_pairs += [(i, j) for i, _, _ in block_a for j, _, _ in block_b]
+    nb = b.graph.num_vertices
+    pairs = tuple(product(range(a.graph.num_vertices), range(nb)))
 
     basepoint = None
     if a.graph.basepoint is not None and b.graph.basepoint is not None:
@@ -433,33 +432,45 @@ def _coerce_factor(x: Union[Subdivided, LabeledGraph, GraphMap]) -> Subdivided:
 
 
 def _product_components(fp: FiberProduct) -> tuple[ProductComponent, ...]:
+    """Components by least vertex; one without edges has its point pair as
+    signature, so only those with edges get vertex lists and a walk."""
     g = fp.graph
+    pairs = fp.vertex_pairs
+    key_l, key_r = fp.left.point_keys, fp.right.point_keys
     labels = component_labels(g)
-    n_comp = max(labels) + 1 if labels else 0
-    comp_vertices: list[list[int]] = [[] for _ in range(n_comp)]
-    for v in range(g.num_vertices):
-        comp_vertices[labels[v]].append(v)
-    comp_edges: list[list[int]] = [[] for _ in range(n_comp)]
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
+    comp_edges: dict[int, list[int]] = {}
+    incident: dict[int, list[tuple[int, int]]] = {}
     for i, (u, v, _) in enumerate(g.edges):
-        comp_edges[labels[u]].append(i)
-        incident[u].append((i, 1))
-        incident[v].append((i, -1))
+        comp_edges.setdefault(labels[u], []).append(i)
+        incident.setdefault(u, []).append((i, 1))
+        incident.setdefault(v, []).append((i, -1))
+    comp_vertices: dict[int, list[int]] = {c: [] for c in comp_edges}
+    for v in sorted(incident):
+        comp_vertices[labels[v]].append(v)
 
-    out = []
-    for verts, edges in zip(comp_vertices, comp_edges):
-        rank = len(edges) - len(verts) + 1
-        signature = _component_signature(fp, verts, incident)
-        diag = any(x == y for x, y in (fp.vertex_pairs[v] for v in verts))
-        out.append(ProductComponent(tuple(verts), tuple(edges), rank, signature, diag))
+    out: list[ProductComponent] = []
+    for v, c in enumerate(labels):
+        if c < len(out):
+            continue
+        if c in comp_edges:
+            verts, edges = comp_vertices[c], comp_edges[c]
+            signature = _component_signature(fp, verts, incident)
+            rank = len(edges) - len(verts) + 1
+            diag = any(x == y for x, y in (pairs[w] for w in verts))
+            out.append(ProductComponent(tuple(verts), tuple(edges), rank, signature, diag))
+        else:
+            x, y = pairs[v]
+            out.append(ProductComponent((v,), (), 0, (((key_l[x], key_r[y]),), ()), x == y))
     return tuple(out)
 
 
 def _component_signature(
-    fp: FiberProduct, verts: list[int], incident: list[list[tuple[int, int]]]
+    fp: FiberProduct, verts: list[int], incident: dict[int, list[tuple[int, int]]]
 ) -> tuple:
+    """Intrinsic vertices and arcs of a component; ``incident`` holds
+    (edge, +1) at an edge's source and (edge, −1) at its target."""
     g = fp.graph
-    pairs = fp.vertex_pairs
+    pairs, edge_pairs = fp.vertex_pairs, fp.edge_pairs
     left, right = fp.left, fp.right
     key_l, key_r = left.point_keys, right.point_keys
     on_l, on_r = left.on_vertex, right.on_vertex
@@ -473,52 +484,40 @@ def _component_signature(
         raise RuntimeError("component without intrinsic vertices; product structure violated")
 
     arcs = []
-    walked: set[tuple[int, int]] = set()  # (edge, direction) half-edges
+    walked: set[int] = set()  # edges on arcs already recorded
     for v0, key0 in intrinsic.items():
-        for edge_id, direction in incident[v0]:
-            # incident stores (edge, +1) at the source and (edge, -1) at the
-            # target; walking away from v0 uses that direction
-            if (edge_id, direction) in walked:
+        for eid, d in incident[v0]:
+            # walking away from v0 along the edge runs with its stored
+            # orientation at its source (d = +1), against it at its target
+            if eid in walked:
                 continue
-            seg_l = seg_r = None
-            eid, d = edge_id, direction
+            i, j = edge_pairs[eid]
+            el, al, bl = seg_l_of[i][d < 0]
+            er, ar, br = seg_r_of[j][d < 0]
             while True:
-                walked.add((eid, d))
-                walked.add((eid, -d))
-                i, j = fp.edge_pairs[eid]
-                side = 0 if d == 1 else 1
-                seg_l = _chain(seg_l, seg_l_of[i][side])
-                seg_r = _chain(seg_r, seg_r_of[j][side])
+                walked.add(eid)
                 u, w, _ = g.edges[eid]
                 pos = w if d == 1 else u
                 if pos in intrinsic:
                     break
                 # a non-intrinsic vertex has valence two: continue through
-                # the incidence we did not arrive by
+                # the incidence we did not arrive by, chaining its segments
                 first, second = incident[pos]
                 eid, d = second if first == (eid, -d) else first
+                i, j = edge_pairs[eid]
+                e2, a2, b2 = seg_l_of[i][d < 0]
+                e3, a3, b3 = seg_r_of[j][d < 0]
+                if e2 != el or a2 != bl or e3 != er or a3 != br:
+                    raise RuntimeError("arc left its edge without an intrinsic vertex")
+                bl, br = b2, b3
             key1 = intrinsic[pos]
             arcs.append(
                 min(
-                    (key0, key1, seg_l, seg_r),
-                    (key1, key0, _flip(seg_l), _flip(seg_r)),
+                    (key0, key1, (el, al, bl), (er, ar, br)),
+                    (key1, key0, (el, bl, al), (er, br, ar)),
                 )
             )
     return (tuple(sorted(intrinsic.values())), tuple(sorted(arcs)))
-
-
-def _chain(acc: Optional[Segment], seg: Segment) -> Segment:
-    if acc is None:
-        return seg
-    e, a, b = acc
-    e2, a2, b2 = seg
-    if e2 != e or a2 != b:
-        raise RuntimeError("arc left its edge without an intrinsic vertex")
-    return (e, a, b2)
-
-
-def _flip(seg: Segment) -> Segment:
-    return (seg[0], seg[2], seg[1])
 
 
 # --- the filtration and stabilization ---
@@ -570,6 +569,10 @@ def _level_flags(fp: FiberProduct, comps, images: list[int]) -> tuple[bool, ...]
     pairs = fp.vertex_pairs
     flags = []
     for comp in comps:
+        if len(comp.vertex_ids) == 1:
+            x, y = pairs[comp.vertex_ids[0]]
+            flags.append(images[x] == images[y])
+            continue
         votes = {images[x] == images[y] for x, y in (pairs[v] for v in comp.vertex_ids)}
         if len(votes) != 1:
             raise RuntimeError(

@@ -91,15 +91,6 @@ class _UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
 
 class _Folder:
     """Worklist Stallings folding over a growing vertex set.
@@ -295,31 +286,36 @@ def core(g: LabeledGraph, keep_basepoint: bool = True) -> LabeledGraph:
 
 
 def component_labels(g: LabeledGraph) -> list[int]:
-    """Component index per vertex (undirected connectivity, first-occurrence order)."""
-    uf = _UnionFind(g.num_vertices)
+    """Component index per vertex (undirected connectivity, first-occurrence order).
+
+    Union-find with path halving that links the larger root under the
+    smaller, so every parent precedes its child and one pass in vertex
+    order reads each label off its parent's."""
+    parent = list(range(g.num_vertices))
     for u, v, _ in g.edges:
-        uf.union(u, v)
-    index: dict[int, int] = {}
-    out = []
-    for v in range(g.num_vertices):
-        c = uf.find(v)
-        if c not in index:
-            index[c] = len(index)
-        out.append(index[c])
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    out = parent[:]
+    n = 0
+    for v, p in enumerate(parent):
+        if p == v:
+            out[v] = n
+            n += 1
+        else:
+            out[v] = out[p]
     return out
 
 
 def graph_rank(g: LabeledGraph) -> int:
     """Sum over components of (edge count − vertex count + 1); ≥ 0."""
     labels = component_labels(g)
-    n_comp = max(labels) + 1 if labels else 0
-    v_count = [0] * n_comp
-    e_count = [0] * n_comp
-    for v in range(g.num_vertices):
-        v_count[labels[v]] += 1
-    for u, _, _ in g.edges:
-        e_count[labels[u]] += 1
-    return sum(e_count[c] - v_count[c] + 1 for c in range(n_comp))
+    return len(g.edges) - g.num_vertices + (max(labels) + 1 if labels else 0)
 
 
 def subgraph_on(

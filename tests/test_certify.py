@@ -632,6 +632,27 @@ print(json.dumps({"verdict": cert.verdict, "counts": dict(tracer.counts)}))
         assert out["counts"].get("annuli.flaring_audit_calls", 0) == 0
         assert out["counts"]["gate.disjointness_calls"] == 1
 
+    def test_primitives_round(self, tmp_path):
+        """One primitives round, untraced and traced: every op runs and
+        passes its check, and the traced spans still see the product."""
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        for trace in ("0", "1"):
+            out = tmp_path / f"primitives-trace{trace}.json"
+            result = subprocess.run(
+                [sys.executable, str(self.ROOT / "perfbench" / "worker.py"),
+                 "--workload", "primitives", "--seed", "1", "--trace", trace, "--out", str(out)],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            data = json.loads(out.read_text())
+            assert data["ops"]
+            for op in data["ops"]:
+                assert op["error"] is None and op["check"] is None, op
+        assert data["trace"]["counts"]["pullback.fiber_product_edges"] > 0
+        assert "stallings.component_labels" in data["trace"]["times"]
+
 
 class TestStandardLibraryOnly:
     """The package runs on the standard library alone."""

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from hnncert import pullback
 from hnncert import stallings as stallings_module
-from hnncert.graphmap import GraphMap, is_immersion, iterate_map
+from hnncert.graphmap import GraphMap, is_immersion, iterate_map, rose
 from hnncert.pullback import (
     ProductBudgetError,
+    ProductComponent,
     StabilizationVerdict,
     _subdivision_fractions,
     as_product_factor,
@@ -352,6 +353,158 @@ class TestProductComponents:
         k = data.draw(subgroup_graphs(rank))
         self.check(h, k)
         self.check(core(h, keep_basepoint=False), core(k, keep_basepoint=False))
+
+
+# --- the filtration's components as they were built before isolated product
+# vertices skipped the signature walk (test-local oracle) ---
+
+
+def oracle_components(fp):
+    g = fp.graph
+    labels = component_labels(g)
+    n_comp = max(labels) + 1 if labels else 0
+    comp_vertices = [[] for _ in range(n_comp)]
+    for v in range(g.num_vertices):
+        comp_vertices[labels[v]].append(v)
+    comp_edges = [[] for _ in range(n_comp)]
+    incident = [[] for _ in range(g.num_vertices)]
+    for i, (u, v, _) in enumerate(g.edges):
+        comp_edges[labels[u]].append(i)
+        incident[u].append((i, 1))
+        incident[v].append((i, -1))
+
+    out = []
+    for verts, edges in zip(comp_vertices, comp_edges):
+        rank = len(edges) - len(verts) + 1
+        signature = oracle_signature(fp, verts, incident)
+        diag = any(x == y for x, y in (fp.vertex_pairs[v] for v in verts))
+        out.append(ProductComponent(tuple(verts), tuple(edges), rank, signature, diag))
+    return tuple(out)
+
+
+def oracle_signature(fp, verts, incident):
+    g = fp.graph
+    pairs = fp.vertex_pairs
+    left, right = fp.left, fp.right
+    key_l, key_r = left.point_keys, right.point_keys
+    on_l, on_r = left.on_vertex, right.on_vertex
+    seg_l_of, seg_r_of = left.segments, right.segments
+    intrinsic = {}
+    for v in verts:
+        x, y = pairs[v]
+        if on_l[x] or on_r[y] or len(incident[v]) != 2:
+            intrinsic[v] = (key_l[x], key_r[y])
+    if not intrinsic:
+        raise RuntimeError("component without intrinsic vertices; product structure violated")
+
+    arcs = []
+    walked = set()  # (edge, direction) half-edges
+    for v0, key0 in intrinsic.items():
+        for edge_id, direction in incident[v0]:
+            if (edge_id, direction) in walked:
+                continue
+            seg_l = seg_r = None
+            eid, d = edge_id, direction
+            while True:
+                walked.add((eid, d))
+                walked.add((eid, -d))
+                i, j = fp.edge_pairs[eid]
+                side = 0 if d == 1 else 1
+                seg_l = oracle_chain(seg_l, seg_l_of[i][side])
+                seg_r = oracle_chain(seg_r, seg_r_of[j][side])
+                u, w, _ = g.edges[eid]
+                pos = w if d == 1 else u
+                if pos in intrinsic:
+                    break
+                first, second = incident[pos]
+                eid, d = second if first == (eid, -d) else first
+            key1 = intrinsic[pos]
+            arcs.append(
+                min(
+                    (key0, key1, seg_l, seg_r),
+                    (key1, key0, oracle_flip(seg_l), oracle_flip(seg_r)),
+                )
+            )
+    return (tuple(sorted(intrinsic.values())), tuple(sorted(arcs)))
+
+
+def oracle_chain(acc, seg):
+    if acc is None:
+        return seg
+    e, a, b = acc
+    e2, a2, b2 = seg
+    if e2 != e or a2 != b:
+        raise RuntimeError("arc left its edge without an intrinsic vertex")
+    return (e, a, b2)
+
+
+def oracle_flip(seg):
+    return (seg[0], seg[2], seg[1])
+
+
+def oracle_level_flags(fp, comps, images):
+    flags = []
+    for comp in comps:
+        votes = {images[x] == images[y] for x, y in (fp.vertex_pairs[v] for v in comp.vertex_ids)}
+        assert len(votes) == 1
+        flags.append(votes.pop())
+    return tuple(flags)
+
+
+# the rose fixtures of perfbench's primitives workload, at its depths
+ROSE_FIXTURES = {
+    "swap": (((1, 2), (2, 1)), 5),
+    "doubles": (((1, 1), (2, 2)), 5),
+    "lam1": (((1, 1, 2), (2, 2, 1)), 4),
+    "lam2": (((1, 2, 2), (2, 1, 1)), 4),
+    "square1": (((1, 1),), 6),
+    "perm": (((2,), (1,)), 8),
+}
+
+
+class TestComponentWalkOracle:
+    """Components and flags equal the construction that walked every
+    component, isolated product vertices included."""
+
+    def test_rose_fixtures(self):
+        isolated = 0
+        for name, (images, depth) in ROSE_FIXTURES.items():
+            r = rose(len(images))
+            f = GraphMap(r, r, (0,), images)
+            previous = None
+            for level in pullback_filtration(f, depth).levels:
+                fp = level.product
+                sub = fp.left
+                point_images = pullback._previous_images(f, sub, previous)
+                previous = (sub, point_images)
+                comps = oracle_components(fp)
+                assert level.components == comps, (name, level.index)
+                assert level.in_previous == oracle_level_flags(fp, comps, point_images), (
+                    name,
+                    level.index,
+                )
+                isolated += sum(1 for c in comps if not c.edge_ids)
+        assert isolated > 1000
+
+    def test_random_subgroup_graph_products(self):
+        rng = random.Random(16)
+        checked = 0
+        for _ in range(300):
+            rank = rng.choice([2, 3])
+            pair = []
+            for _ in range(2):
+                gens = []
+                for _ in range(rng.randint(1, 3)):
+                    w = [rng.choice([x for x in range(-rank, rank + 1) if x])]
+                    while len(w) < rng.randint(1, 8):
+                        w.append(rng.choice([x for x in range(-rank, rank + 1) if x and x != -w[-1]]))
+                    gens.append(Word(tuple(w), rank))
+                g = subgroup_graph(gens, rank)
+                pair.append(g if rng.random() < 0.5 else core(g, keep_basepoint=False))
+            fp = fiber_product(*pair)
+            assert fp.components() == oracle_components(fp)
+            checked += len(fp.components())
+        assert checked > 1000
 
 
 def intersection_membership(a, b, letters, rank=2):

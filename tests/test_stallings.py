@@ -1,12 +1,16 @@
 """Stallings graphs: folding, membership, cores, ranks, isomorphism codes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnncert import stallings as stallings_module
 from hnncert.stallings import (
     LabeledGraph,
     canonical_code,
+    component_labels,
     core,
     fold,
     fold_with_map,
@@ -42,6 +46,62 @@ def wedge_edges(gens):
             edges.append((prev, nxt, x) if x > 0 else (nxt, prev, -x))
             prev = nxt
     return nv, edges
+
+
+class UnionFindLabels:
+    """component_labels as a union-find class computed it before the flat
+    labelling: union keeps the smaller root, then one find per vertex."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+    @classmethod
+    def labels(cls, g):
+        uf = cls(g.num_vertices)
+        for u, v, _ in g.edges:
+            uf.union(u, v)
+        index = {}
+        out = []
+        for v in range(g.num_vertices):
+            c = uf.find(v)
+            if c not in index:
+                index[c] = len(index)
+            out.append(index[c])
+        return out
+
+
+def random_multigraph(rng):
+    """0-40 vertices, self-loops, parallel edges and isolated vertices, in
+    random edge order; based half of the time."""
+    rank = rng.randint(1, 3)
+    nv = rng.randint(0, 40)
+    edges = []
+    if nv:
+        for _ in range(rng.randint(0, 2 * nv)):
+            u = rng.randrange(nv)
+            v = u if rng.random() < 0.1 else rng.randrange(nv)
+            edges.append((u, v, rng.randint(1, rank)))
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))
+        rng.shuffle(edges)
+    base = rng.randrange(nv) if nv and rng.random() < 0.5 else None
+    return LabeledGraph(rank, nv, tuple(edges), base)
 
 
 def reference_fold(rank, num_vertices, edges, basepoint):
@@ -400,6 +460,25 @@ class TestGraphRank:
         # an a-loop component plus a lone edge component (tree)
         g = LabeledGraph(2, 3, ((0, 0, 1), (1, 2, 2)))
         assert graph_rank(g) == 1
+
+
+class TestComponentLabelsOracle:
+    def test_matches_union_find_labels_on_random_multigraphs(self, monkeypatch):
+        rng = random.Random(16)
+        graphs = [LabeledGraph(2, 0, ())] + [random_multigraph(rng) for _ in range(2000)]
+        # the draw covers what the labelling must handle
+        assert sum(1 for g in graphs if any(u == v for u, v, _ in g.edges)) > 100
+        assert sum(1 for g in graphs if len(set(g.edges)) < len(g.edges)) > 100
+        assert sum(1 for g in graphs if len({x for e in g.edges for x in e[:2]}) < g.num_vertices) > 100
+
+        def summary(labels):
+            return [(labels(g), graph_rank(g), canonical_code(fold(g))) for g in graphs]
+
+        got = summary(component_labels)
+        monkeypatch.setattr(stallings_module, "component_labels", UnionFindLabels.labels)
+        want = summary(UnionFindLabels.labels)
+        for g, mine, oracle in zip(graphs, got, want):
+            assert mine == oracle, g
 
 
 class TestComponentsAndCodes:
