@@ -8,10 +8,7 @@ realized by the explicit ring constructions here, so auditing constructed
 annuli covers the flaring hypothesis for thin annuli in general.
 
 Annuli live on unit-length roses, so a ring's length is its number of
-edges: an exact integer, and no floating point enters any verdict.  Over
-immersions the audit's ring lengths are also read off letter counts and
-integer matrix powers (:func:`audit_31_by_counts`), with the ring builders
-as its oracle.
+edges: an exact integer, and no floating point enters any verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence, Union
 
 from .disjointness import preimage_in_image
@@ -28,15 +24,10 @@ from .graphmap import (
     MarkedGraph,
     Path,
     cyclic_paths_equal,
-    is_immersion,
-    letter_counts,
     map_loop,
-    mat_mul,
-    mat_power,
     random_legal_loop,
     tighten_cyclic,
     tighten_path,
-    transition_matrix,
 )
 from .words import Endomorphism, Word, cyclic_reduce
 
@@ -309,105 +300,6 @@ def audit_31_hyperbolicity(
 
 
 @dataclass(frozen=True)
-class CountedAnnulus:
-    """An annulus of :func:`audit_31_by_counts`: its word, the sampled loop
-    its rings are pushed forward from, and its three ring lengths."""
-
-    word: AnnulusWord
-    seed: Path
-    lengths: tuple[int, int, int]
-
-
-def first_ring(maps: Sequence[GraphMap], n: int, a: CountedAnnulus) -> Path:
-    """The letters of ``a``'s first ring over the n-th powers of ``maps``:
-    the sampled loop, or for a word with p inverse letters its image under
-    f^(n·p), f the map of the word's first letter (the loop
-    :func:`audit_31_hyperbolicity` starts from).  Built letter by letter,
-    so the count audit calls it only for the witness of a violation."""
-    f = maps[abs(a.word.letters[0]) - 1]
-    loop = a.seed
-    for _ in range(n * sum(1 for x in a.word.letters if x < 0)):
-        loop = map_loop(f, loop)
-    return loop
-
-
-def audit_31_by_counts(
-    maps: Sequence[GraphMap], n: int, loop_sample: LoopSample = LoopSample()
-) -> tuple[HyperbolicityAuditReport, tuple[CountedAnnulus, ...]]:
-    """:func:`audit_31_hyperbolicity` of the n-th powers of the immersions
-    ``maps`` (free loops), computed from letter counts without building a
-    ring; also returns each checked annulus with its ring lengths, in
-    sampling order, for the flaring audit.  Raises ValueError unless every
-    map is an immersion.
-
-    Why this is exact.  An immersion maps a cyclically reduced loop to a
-    cyclically reduced loop with no cancellation, so |f^n(α)| = 1ᵀ·M^n·c(α),
-    where c(α) counts α's letters per edge (either direction) and
-    M = :func:`transition_matrix` (f); the n-th power is an immersion too.
-
-    * The loops drawn are the same.  For an immersion every turn is legal,
-      so the sampler's turn table depends only on the rank:
-      :func:`random_legal_loop` on f and on f^n makes the same ``rng``
-      calls and returns the same loop.
-    * A word opening with s inverse letters (here s ≤ 2, one map) starts
-      from α = φ^(ns)(seed) and resolves it by
-      :func:`disjointness.preimage_in_image`, which tries rotation 0 at the
-      core's vertex 0 first.  The core keeps the image graph's basepoint
-      there, and α, a product of generator images, closes up at it; its
-      blocks decode to the seed itself, since each block is named by its
-      first letter.  So the rings are (seed, φ^n(seed), …) pushed forward as
-      for a positive word, and their lengths are integer row vectors times
-      c(seed).
-
-    The 3·girth rule and the violation witnesses are those of
-    :func:`audit_31_hyperbolicity`; a violation's starting loop is built
-    (:func:`first_ring`) only when it is reported.
-    """
-    g = _common_graph(maps)
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    if not all(is_immersion(f) for f in maps):
-        raise ValueError("the count audit needs every map to be an immersion")
-    rank = g.num_edges
-    ones = ((1,) * rank,)
-    powers = [mat_power(transition_matrix(f), n) for f in maps]
-    # 1×rank rows: once[j]·c = |f_j^n(α)| and twice[j][k]·c = |f_k^n f_j^n(α)|
-    once = [mat_mul(ones, a) for a in powers]
-    twice = [[mat_mul(once[k], a) for k in range(len(maps))] for a in powers]
-    words = length_two_admissible_words(len(maps))
-    rng = random.Random(loop_sample.seed)
-    violations = []
-    counted = []
-    for word in words:
-        first, second = word.letters
-        j, k = abs(first) - 1, abs(second) - 1
-        if first > 0:
-            rows = ones + once[j] + twice[j][k]
-        elif second > 0:
-            rows = once[j] + ones + once[k]
-        else:
-            rows = twice[j][j] + once[j] + ones
-        for _ in range(loop_sample.count):
-            length = rng.randint(1, loop_sample.max_length)
-            try:
-                seed_loop = random_legal_loop(maps[j], length, rng)
-            except RuntimeError:
-                continue
-            c = letter_counts(seed_loop, rank)
-            a = CountedAnnulus(
-                word, seed_loop, tuple(sum(map(mul, row, c)) for row in rows)
-            )
-            counted.append(a)
-            lengths = a.lengths
-            if 3 * lengths[1] > max(lengths[0], lengths[2]):
-                violations.append(AuditViolation(word, first_ring(maps, n, a), lengths))
-    report = HyperbolicityAuditReport(
-        tuple(words), len(counted), tuple(violations), _AUDIT_NOTE
-    )
-    return report, tuple(counted)
-
-
-@dataclass(frozen=True)
 class FlaringVerdict:
     kind: str  # "flares_with" | "thin_girth" | "violation"
     lam: Optional[Fraction] = None
@@ -428,12 +320,7 @@ def flaring_audit(a: Annulus, rho: int) -> FlaringVerdict:
         raise ValueError("flaring audit needs a length-1 annulus (3 rings)")
     if a.thinness > rho:
         raise ValueError("annulus is not thin enough for this bound")
-    return flaring_by_lengths(a.ring_lengths(), rho)
-
-
-def flaring_by_lengths(lengths: tuple[int, int, int], rho: int) -> FlaringVerdict:
-    """The verdict of :func:`flaring_audit` from a length-1 annulus's ring
-    lengths alone."""
+    lengths = a.ring_lengths()
     girth = lengths[1]
     if girth <= 2 * rho:
         return FlaringVerdict("thin_girth")

@@ -6,11 +6,8 @@ Verdict semantics:
 
 * ``certified_hyperbolic`` — every representative is an expanding irreducible
   train-track immersion, pullbacks stabilize, image subgroups are essentially
-  disjoint at the emitted power N, expansion holds at N, and both annulus
-  audits ran at exactly N with zero violations (both read the sampled
-  annuli's ring lengths off letter counts and integer powers of the
-  transition matrices, :func:`annuli.audit_31_by_counts`, so no ring of
-  the N-th powers is built).
+  disjoint at the emitted power N, and expansion holds at N, which settles
+  the annuli-flare hypothesis at N (below).
 * ``obstruction_BS`` — a verified invariant loop [φ^k(γ)] = [γ^d]; the
   mapping torus then contains a Baumslag–Solitar subgroup and is not
   hyperbolic at any power.
@@ -18,8 +15,8 @@ Verdict semantics:
   the cap.  Image subgroups shrink as the power grows, so this is a budget
   verdict like ``inconclusive`` (the CLI exits 3 for both), not an
   obstruction: a larger disjointness cap may still certify.
-* ``inconclusive`` — anything else (failed preconditions, exhausted caps,
-  audit violations); never a claim of non-hyperbolicity.
+* ``inconclusive`` — anything else (failed preconditions, exhausted caps);
+  never a claim of non-hyperbolicity.
 
 Precondition: the extension is a multiple *ascending* HNN extension, so
 every φ_i must be injective.  F_n is Hopfian, so φ is injective iff its
@@ -34,8 +31,21 @@ above 1 otherwise.  The eigenvalue itself is only reported, as ``lambda``.
 
 Power selection: per-check powers transfer to common multiples (images of
 φ^{kN} sit inside images of φ^N, stabilized pullbacks stay stabilized, and
-expansion factors compound), so N is their least common multiple; the
-audits are then re-run at exactly N.
+expansion factors compound), so N is their least common multiple.
+
+Annuli flare at N (Bestvina–Feighn's annuli-flare hypothesis), so no annulus
+is sampled.  Each representative f_j is an immersion, and its expansion
+power divides N.  An immersion's edge images never cancel, so every column
+sum of M_j^N, M_j = ``transition_matrix(f_j)``, is at least 3K_j² ≥ 3, and
+1ᵀM_j^N ≥ 3·1ᵀ entry by entry.  A loop with letter counts c has
+|f_j^N(α)| = 1ᵀM_j^N·c, so the three rings of a thin annulus over the
+admissible words (j, k), (−j, k) and (−j, −j) have lengths
+(1ᵀc, 1ᵀM_j^N·c, 1ᵀM_k^N·M_j^N·c), (1ᵀM_j^N·c, 1ᵀc, 1ᵀM_k^N·c) and
+(1ᵀM_j^N·M_j^N·c, 1ᵀM_j^N·c, 1ᵀc), c counting the loop the rings are
+pushed from.  In each an outer ring is at least three times the middle
+one: 3·girth ≤ max(end lengths) holds for every loop, and so does flaring
+(an end of at least twice the girth).  ``tests/test_annuli.py`` checks this
+against the built rings of :mod:`annuli`.
 """
 
 from __future__ import annotations
@@ -44,17 +54,10 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import __version__
-from .annuli import (
-    CountedAnnulus,
-    LoopSample,
-    audit_31_by_counts,
-    first_ring,
-    flaring_by_lengths,
-)
 from .disjointness import essential_disjointness_power
 from .expansion import expansion_power
 from .graphmap import (
@@ -72,14 +75,17 @@ from .pullback import stabilization_power
 from .stallings import graph_rank, subgroup_graph
 from .words import Endomorphism, Word, word_from_string, word_to_string
 
-# certify calls neither of these; perfbench/spans.py looks both up in this
-# module by name, until certify owns its trace (ROADMAP item 5)
+# certify calls none of these; perfbench/spans.py looks them up in this
+# module by name, until certify owns its trace (ROADMAP item 6)
 from .annuli import audit_31_hyperbolicity  # noqa: F401
+from .annuli import flaring_audit as _flaring_battery  # noqa: F401
 from .graphmap import iterate_map  # noqa: F401
 
 LCM_CAP = 2**20
 
-# the "caps" object of the JSON schema: each key and the config field it sets
+# the "caps" object of the JSON schema: each key and the config field it sets.
+# audit_loops, audit_loop_length and flaring_rho_max (like "seed") still
+# parse and enter the config digest, but no verdict reads them.
 _CAPS = {
     "pullback": "pullback_cap",
     "disjointness": "disjointness_cap",
@@ -290,10 +296,6 @@ def _canonical_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _loop_str(loop: Sequence[int], rank: int) -> str:
-    return word_to_string(Word(tuple(loop), rank))
-
-
 def _verified_bs_witness(
     f: GraphMap, loop, degree: int, power: int, rank: int
 ) -> Optional[dict]:
@@ -307,50 +309,10 @@ def _verified_bs_witness(
     except ValueError:
         return None
     return {
-        "loop": _loop_str(loop, rank),
+        "loop": word_to_string(Word(tuple(loop), rank)),
         "degree": degree,
         "power": power,
     }
-
-
-@dataclass
-class _FlaringSummary:
-    checked: int = 0
-    flares: int = 0
-    thin_girth: int = 0
-    violations: list = field(default_factory=list)
-
-
-def _flaring_battery(
-    annuli: Sequence[CountedAnnulus],
-    rho_max: int,
-    maps: Sequence[GraphMap],
-    n: int,
-) -> _FlaringSummary:
-    """Run the flaring audit at every thinness bound up to ``rho_max`` on
-    the ring lengths of the ring-length audit's 1-thin annuli over the n-th
-    powers of ``maps``; a violation's starting loop is built for its record
-    only."""
-    rank = maps[0].domain.num_edges
-    summary = _FlaringSummary()
-    for annulus in annuli:
-        for rho in range(1, rho_max + 1):
-            verdict = flaring_by_lengths(annulus.lengths, rho)
-            summary.checked += 1
-            if verdict.kind == "flares_with":
-                summary.flares += 1
-            elif verdict.kind == "thin_girth":
-                summary.thin_girth += 1
-            else:
-                summary.violations.append(
-                    {
-                        "word": list(annulus.word.letters),
-                        "alpha": _loop_str(first_ring(maps, n, annulus), rank),
-                        "rho": rho,
-                        "lengths": [str(l) for l in verdict.witness],
-                    }
-                )
-    return summary
 
 
 def _diagnostics_report(reps: Sequence[GraphMap]) -> dict:
@@ -390,8 +352,7 @@ def _diagnostics_report(reps: Sequence[GraphMap]) -> dict:
 def certify(config: CertificationConfig) -> Certificate:
     """Run the full pipeline and assemble a certificate.
 
-    Deterministic: identical configs produce identical certificates (all
-    sampling is seeded from ``config.seed``).
+    Deterministic: identical configs produce identical certificates.
     """
     rank = config.rank
     reasons: list[str] = []
@@ -575,41 +536,6 @@ def certify(config: CertificationConfig) -> Certificate:
         evidence["reasons"] = [f"common power {n} exceeds the cap {LCM_CAP}"]
         return finish("inconclusive", None, None)
 
-    sample = LoopSample(
-        count=config.audit_loops,
-        max_length=config.audit_loop_length,
-        seed=config.seed,
-    )
-    # every representative is an immersion here, else a reason was given
-    audit, annuli = audit_31_by_counts(reps, n, sample)
-    evidence["audit_31"] = {
-        "power": n,
-        "words": len(audit.words),
-        "checked": audit.checked,
-        "violations": [
-            {
-                "word": list(v.word.letters),
-                "alpha": _loop_str(v.alpha, rank),
-                "lengths": [str(l) for l in v.lengths],
-            }
-            for v in audit.violations
-        ],
-    }
-    flaring = _flaring_battery(annuli, config.flaring_rho_max, reps, n)
-    evidence["flaring"] = {
-        "power": n,
-        "checked": flaring.checked,
-        "flares": flaring.flares,
-        "thin_girth": flaring.thin_girth,
-        "violations": flaring.violations,
-    }
-
-    if audit.violations or flaring.violations:
-        evidence["reasons"] = [
-            "annulus audits found violations at the certified power"
-        ]
-        return finish("inconclusive", n, None)
-
     return finish("certified_hyperbolic", n, None)
 
 
@@ -647,13 +573,6 @@ def emit_report(c: Certificate, format: str = "json") -> bytes:
         dis = c.evidence.get("disjointness")
         if dis:
             lines.append(f"disjointness: {dis['kind']} (n={dis['n']})")
-        for key in ("audit_31", "flaring"):
-            block = c.evidence.get(key)
-            if block:
-                lines.append(
-                    f"{key}: checked {block['checked']}, "
-                    f"violations {len(block['violations'])}"
-                )
         for reason in c.evidence.get("reasons", []):
             lines.append(f"reason: {reason}")
         lines.append(f"config digest: {c.config_digest}")

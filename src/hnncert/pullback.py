@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .graphmap import (
@@ -608,13 +608,13 @@ def pullback_filtration(
         for comp, flag in zip(comps, flags):
             if comp.contains_diagonal and not flag:
                 raise RuntimeError("diagonal component escaped the previous level")
+        ordered = sorted(zip([c.signature for c in comps], flags), key=itemgetter(0))
         if prev_signatures is not None:
-            old = sorted(c.signature for c, fl in zip(comps, flags) if fl)
-            if old != prev_signatures:
+            if [s for s, fl in ordered if fl] != prev_signatures:
                 raise RuntimeError(
                     f"level {i - 1} components do not persist into level {i}"
                 )
-        prev_signatures = sorted(c.signature for c in comps)
+        prev_signatures = [s for s, _ in ordered]
         levels.append(PullbackLevel(i, fp, comps, flags))
     return PullbackFiltration(f, tuple(levels))
 
