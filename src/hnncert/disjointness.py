@@ -8,7 +8,9 @@ positive rank.  The product is never built: its components are walked one at
 a time from a step table per factor, least vertex first and only where the
 factors' labels meet, and the first component with as many edges as vertices
 decides.  On an identical pair that is the diagonal, walked first from vertex
-0.  The edge budget is checked first, before any table is built.
+0.  The edge budget is checked first, before any table is built; for an
+immersion it is checked before the image is built at all, from letter
+counts (:func:`essential_disjointness_power`).
 
 Preimages under φ^N are recovered without search, which needs the images of
 the 2n directions to start with distinct letters (every immersed rose map
@@ -19,9 +21,16 @@ reading a word left to right forces the block decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
-from .pullback import ProductBudgetError, component_tree, product_components
+from .graphmap import GraphMap, transition_matrix
+from .pullback import (
+    ProductBudgetError,
+    check_product_size,
+    component_tree,
+    product_components,
+)
 from .stallings import Edge, LabeledGraph, core, is_folded, membership, subgroup_graph
 from .words import Endomorphism, Word, cyclic_reduce, reduce
 
@@ -81,23 +90,49 @@ class ImageSubgroup:
     graph: LabeledGraph
 
 
-def _access_words(g: LabeledGraph, root: int) -> dict[int, tuple[int, ...]]:
-    """Reduced word read along a BFS path from root, per reachable vertex."""
+def _bfs_parents(
+    g: LabeledGraph, root: int, target: Optional[int] = None
+) -> dict[int, tuple[int, int]]:
+    """BFS from root over ``sorted`` neighbour lists: vertex → (parent,
+    signed label of the step from it), in discovery order, root first (its
+    own parent, label 0).  Stops once ``target`` is discovered."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for u, v, l in g.edges:
         adj.setdefault(u, []).append((l, v))
         adj.setdefault(v, []).append((-l, u))
-    out: dict[int, tuple[int, ...]] = {root: ()}
+    parent = {root: (root, 0)}
     queue = [root]
     qi = 0
     while qi < len(queue):
         v = queue[qi]
         qi += 1
         for s, w in sorted(adj.get(v, ())):
-            if w not in out:
-                out[w] = out[v] + (s,)
+            if w not in parent:
+                parent[w] = (v, s)
+                if w == target:
+                    return parent
                 queue.append(w)
+    return parent
+
+
+def _access_words(g: LabeledGraph, root: int) -> dict[int, tuple[int, ...]]:
+    """Reduced word read along a BFS path from root, per reachable vertex."""
+    out: dict[int, tuple[int, ...]] = {}
+    for v, (u, s) in _bfs_parents(g, root).items():
+        out[v] = out[u] + (s,) if v != root else ()
     return out
+
+
+def _access_word(g: LabeledGraph, root: int, target: int) -> tuple[int, ...]:
+    """``_access_words(g, root)[target]``, read back along the parent
+    pointers of a BFS that stops at ``target``: linear, not quadratic."""
+    parent = _bfs_parents(g, root, target)
+    word = []
+    v = target
+    while v != root:
+        v, s = parent[v]
+        word.append(s)
+    return tuple(reversed(word))
 
 
 def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
@@ -213,24 +248,11 @@ def _intersection_witness(
             continue
         anchor, cycle_letters = found
         x, y = divmod(anchor, cb.num_vertices)
-        ua = _access_words(ca, ca.basepoint)[x]
-        ub = _access_words(cb, cb.basepoint)[y]
+        ua = _access_word(ca, ca.basepoint, x)
+        ub = _access_word(cb, cb.basepoint, y)
         g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
         w = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
         return IntersectionWitness(pair, g, w, len(comp) - vertices + 1)
-    return None
-
-
-def pairwise_disjoint_at(
-    images: Sequence[LabeledGraph], max_edges: int = 500_000
-) -> Optional[tuple[int, int]]:
-    """First pair (i, j) whose conjugate intersections are not all trivial."""
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if not all_conjugates_trivial_intersection(
-                images[i], images[j], max_edges=max_edges
-            ):
-                return (i, j)
     return None
 
 
@@ -248,6 +270,19 @@ def essential_disjointness_power(
     witness is read off the based cores' product, which is larger than the
     free cores' one; if that product exceeds ``max_edges`` the witness is
     None.
+
+    At each power the pairs are tested in order, up to the first that is
+    not disjoint, and an image is built when a pair first needs it (equal
+    endomorphisms share one).  When every endomorphism is an immersion
+    (:func:`block_table` is not None) the budget of each pair is decided
+    before its images are built: φ^n is an immersion too, so its generator
+    loops fold nowhere and the free core of φ^n(F_n) has exactly (M^n·1)_l
+    edges labelled l, with M the transition matrix of φ.  A pair over the
+    budget raises the same ProductBudgetError as the product would, without
+    forming a letter of φ^n.  Every letter starts the image of some
+    direction, so each count is at least 1 and no image built has more
+    than ``max_edges`` edges.  Other families check the budget on the built
+    cores, in :func:`all_conjugates_trivial_intersection`.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -256,14 +291,33 @@ def essential_disjointness_power(
     ranks = {e.rank for e in endos}
     if len(ranks) != 1:
         raise ValueError("endomorphisms act on different ranks")
-    last_failure: Optional[tuple[int, Sequence[LabeledGraph], tuple[int, int]]] = None
+    distinct = list(dict.fromkeys(endos))
+    # M per distinct endomorphism when every one is an immersion, and M^n·1
+    matrices = {}
+    if all(block_table(e) is not None for e in distinct):
+        matrices = {e: transition_matrix(GraphMap.from_endomorphism(e)) for e in distinct}
+    counts = {e: [1] * e.rank for e in matrices}
+    pairs = [(i, j) for i in range(len(endos)) for j in range(i + 1, len(endos))]
+    last_failure: Optional[tuple[int, LabeledGraph, LabeledGraph, tuple[int, int]]] = None
     note = ""
     for n in range(1, cap + 1):
+        counts = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in counts.items()}
+        built: dict[Endomorphism, LabeledGraph] = {}
         try:
-            # equal endomorphisms share one image graph
-            built = {e: image_subgroup(e, n).graph for e in dict.fromkeys(endos)}
-            images = [built[e] for e in endos]
-            bad = pairwise_disjoint_at(images, max_edges=max_edges)
+            for pair in pairs:
+                ei, ej = (endos[k] for k in pair)
+                if counts:
+                    check_product_size(sum(map(mul, counts[ei], counts[ej])), max_edges)
+                for e in (ei, ej):
+                    if e not in built:
+                        built[e] = image_subgroup(e, n).graph
+                if not all_conjugates_trivial_intersection(
+                    built[ei], built[ej], max_edges=max_edges
+                ):
+                    last_failure = (n, built[ei], built[ej], pair)
+                    break
+            else:
+                return DisjointnessVerdict("disjoint_at", n=n)
         except ProductBudgetError as exc:
             if last_failure is None:
                 return DisjointnessVerdict("cap_exceeded", n=n, note=str(exc))
@@ -272,11 +326,8 @@ def essential_disjointness_power(
                 f"verdict covers powers 1..{n - 1}"
             )
             break
-        if bad is None:
-            return DisjointnessVerdict("disjoint_at", n=n)
-        last_failure = (n, images, bad)
-    n, images, (i, j) = last_failure
-    witness = _intersection_witness(images[i], images[j], (i, j), max_edges=max_edges)
+    n, a, b, pair = last_failure
+    witness = _intersection_witness(a, b, pair, max_edges=max_edges)
     return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
@@ -92,10 +92,20 @@ class GraphMap:
                 if a == -b:
                     raise ValueError(f"image of edge {i + 1} is not tight")
 
+    @cached_property
+    def signed_images(self) -> dict[int, Path]:
+        """Signed edge id → image path (the reversed path for a reversed
+        edge), built once per map; no other key is present."""
+        table: dict[int, Path] = {}
+        for i, p in enumerate(self.edge_map, 1):
+            table[i] = p
+            table[-i] = tuple(-x for x in reversed(p))
+        return table
+
     def edge_image(self, s: int) -> Path:
-        """Image path of the signed edge ``s`` (reversed path for reversed edge)."""
-        p = self.edge_map[abs(s) - 1]
-        return p if s > 0 else tuple(-x for x in reversed(p))
+        """Image path of the signed edge ``s`` (reversed path for reversed
+        edge); KeyError if ``s`` is no signed edge id."""
+        return self.signed_images[s]
 
     def is_self_map(self) -> bool:
         return self.domain == self.codomain
@@ -128,8 +138,15 @@ def immersed_loop_image(f: GraphMap, loop: Sequence[int]) -> Path:
     the edge images.  No two (cyclically) consecutive letters cancel, since
     cancelling at a turn needs two directions with one image, so it is
     already tight, and cyclically so when the loop does not backtrack at
-    the wraparound.  Nothing is checked."""
-    return tuple(chain.from_iterable(map(f.edge_image, loop)))
+    the wraparound.  Tightness is not checked; the letters are mapped
+    through :attr:`GraphMap.signed_images` with no Python call per letter,
+    and a letter that is no signed edge id (0, or beyond ±rank) raises
+    ValueError."""
+    table = f.signed_images
+    try:
+        return tuple(chain.from_iterable(map(table.__getitem__, loop)))
+    except KeyError as exc:
+        raise ValueError(f"no edge {exc.args[0]}") from None
 
 
 def map_loop(f: GraphMap, loop: Sequence[int], based: bool = False) -> Path:

@@ -246,17 +246,21 @@ class FiberProduct:
         return _product_components(self)
 
 
+def check_product_size(total: int, max_edges: int) -> None:
+    """ProductBudgetError if a product of ``total`` edges exceeds ``max_edges``."""
+    if total > max_edges:
+        raise ProductBudgetError(
+            f"fiber product would have {total} edges (budget {max_edges})"
+        )
+
+
 def _check_budget(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> None:
     """ProductBudgetError if the product of ``a`` and ``b`` would have more
     than ``max_edges`` edges: one for each two edges with equal labels."""
     per_label: dict[int, int] = {}
     for _, _, l in a.edges:
         per_label[l] = per_label.get(l, 0) + 1
-    total = sum(per_label.get(l, 0) for _, _, l in b.edges)
-    if total > max_edges:
-        raise ProductBudgetError(
-            f"fiber product would have {total} edges (budget {max_edges})"
-        )
+    check_product_size(sum(per_label.get(l, 0) for _, _, l in b.edges), max_edges)
 
 
 def product_edges(
@@ -805,14 +809,16 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
     fundamental cycles per dirty component (:func:`_fundamental_cycles`),
     then each single edge.
 
-    The search is linear in the letters mapped.  A cyclic word p is a
-    rotation of q^d exactly when their primitive roots have the same length,
-    exp(p) = d·exp(q), and the roots are rotations of each other
-    (Lyndon–Schützenberger).  So each iterate is reduced once to its
-    (period, exponent) as it is built, and only a pair that passes both
-    integer tests compares least-rotated roots, each built once.  Pairs are
-    scanned in (kp, k) order as each iterate is built, and the search maps
-    no further than its first witness.
+    The search works on whole iterates, with no Python step per letter.  A
+    cyclic word p is a rotation of q^d exactly when their primitive roots
+    have the same length, exp(p) = d·exp(q), and the roots are rotations of
+    each other (Lyndon–Schützenberger).  So each iterate is built by one
+    table map (:func:`immersed_loop_image`) and reduced once to its
+    (period, exponent) by slice comparisons (:func:`primitive_root`), and
+    only a pair that passes both integer tests compares least-rotated
+    roots, each built once.  Pairs are scanned in (kp, k) order as each
+    iterate is built, and the search maps no further than its first
+    witness.
     """
     if not is_immersion(f):
         raise ValueError("map is not an immersion: direction clash at vertex 0")

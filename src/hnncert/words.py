@@ -126,26 +126,30 @@ def least_rotation(seq: Sequence[int]) -> int:
 
 def primitive_root(seq: Sequence[int]) -> tuple[int, int]:
     """``(period, exponent)`` with ``seq == seq[:period] * exponent`` and the
-    least such period (Knuth–Morris–Pratt failure function, O(L)).
+    least such period, by divisor tests on slices.
 
-    If the least period n − border divides n it is the root's length;
-    otherwise (Fine–Wilf) ``seq`` is its own root.  ``()`` gives ``(0, 0)``.
+    The divisors d of n = len(seq) with ``seq`` a power of ``seq[:d]`` are
+    exactly the multiples of the root's length r (Fine–Wilf: two such
+    divisors below n sum to at most n, so their gcd is one too).  So the
+    period starts at n and, for each prime q dividing n, is divided by q
+    while the quotient p still has ``seq[p:] == seq[:n - p]``: one
+    comparison per division and one failed comparison per prime, O(log n)
+    slice comparisons of at most n items each and trial division up to
+    √n.  ``()`` gives ``(0, 0)``.
     """
     n = len(seq)
     if not n:
         return 0, 0
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        x = seq[i]
-        while k and x != seq[k]:
-            k = fail[k - 1]
-        if x == seq[k]:
-            k += 1
-        fail[i] = k
-    period = n - k
-    if n % period:
-        return n, 1
+    period, rest, q = n, n, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            while period % q == 0 and seq[period // q :] == seq[: n - period // q]:
+                period //= q
+        q += 1
     return period, n // period
 
 

@@ -29,7 +29,7 @@ from hnncert.disjointness import DisjointnessVerdict
 from hnncert.expansion import ExpansionVerdict
 from hnncert.graphmap import PowerIterationError, TrainTrackVerdict
 from hnncert.pullback import StabilizationVerdict
-from hnncert.words import Endomorphism, Word, word_from_string
+from hnncert.words import Endomorphism, Word, free_reduce, word_from_string, word_to_string
 
 
 def config_bytes(**kwargs) -> bytes:
@@ -742,6 +742,36 @@ def test_wide_growth_report_digest():
     assert cert.evidence["per_endomorphism"][0]["expansion"] == {"kind": "power", "n": 9}
     assert hashlib.sha256(report).hexdigest() == (
         "90456de7b5183eaf15d07624b4588afdc3a1e0e120e5eb3fd336a81ea424c01d"
+    )
+
+
+def slow_image_pair():
+    """Rank 2: a -> a, b -> bab, and a -> a, b -> b·w·b with w a reduced
+    200-letter word drawn from ``random.Random(5)``.  The second image grows
+    about 200-fold per power while the first grows 3-fold, so the product
+    budget trips at power 3, where the second image would be a 1.9-million
+    edge graph."""
+    rng = random.Random(5)
+    w = []
+    while len(w) < 200:
+        x = rng.choice((1, 2, -1, -2))
+        if not w or x != -w[-1]:
+            w.append(x)
+    b_image = word_to_string(Word(free_reduce((2, *w, 2)), 2))
+    return config_bytes(rank=2, endos=[["a", "bab"], ["a", b_image]])
+
+
+def test_disjointness_budget_is_decided_before_the_images():
+    t0 = time.monotonic()
+    cert = certify(parse_config(slow_image_pair()))
+    report = emit_report(cert)
+    assert time.monotonic() - t0 < 10.0
+    assert cert.verdict == "obstruction_BS"
+    assert cert.evidence["disjointness"]["note"] == (
+        "search budget exhausted at power 3; verdict covers powers 1..2"
+    )
+    assert hashlib.sha256(report).hexdigest() == (
+        "d38b9f1ae7a41c2588fcc483754e2adb6bfef632ccd715d68d68a3a47035d134"
     )
 
 

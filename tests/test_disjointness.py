@@ -1,8 +1,10 @@
 """Tests for image subgroups, essential disjointness, and preimages."""
 
+import collections
 import importlib
 import itertools
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -23,9 +25,9 @@ from hnncert.disjointness import (
     decode_in_image,
     essential_disjointness_power,
     image_subgroup,
-    pairwise_disjoint_at,
     preimage_in_image,
 )
+from hnncert.graphmap import GraphMap, mat_power, transition_matrix
 from hnncert.pullback import ProductBudgetError, fiber_product
 from hnncert.stallings import (
     LabeledGraph,
@@ -203,11 +205,9 @@ class TestEssentialDisjointness:
 
     def test_each_power_tested_independently(self):
         # fails at 1, passes at 2 and 3: the verdict must not short-circuit
-        img1 = [image_subgroup(SAPIR, 1).graph, image_subgroup(SQUARES, 1).graph]
-        assert pairwise_disjoint_at(img1) == (0, 1)
-        for n in (2, 3):
-            imgs = [image_subgroup(SAPIR, n).graph, image_subgroup(SQUARES, n).graph]
-            assert pairwise_disjoint_at(imgs) is None
+        for n, disjoint in ((1, False), (2, True), (3, True)):
+            h, k = (image_subgroup(e, n).graph for e in (SAPIR, SQUARES))
+            assert all_conjugates_trivial_intersection(h, k) is disjoint
 
     def test_below_cap_reports_witness(self):
         verdict = essential_disjointness_power([SAPIR, SQUARES], cap=1)
@@ -278,8 +278,10 @@ class TestEssentialDisjointness:
         assert verdict.note == (
             "search budget exhausted at power 4; verdict covers powers 1..3"
         )
-        # the two equal endomorphisms share one image per power, with no rerun
-        assert powers == [1, 2, 3, 4]
+        # the two equal endomorphisms share one image per power, with no
+        # rerun, and the trip at power 4 is decided from letter counts
+        # before its image is built
+        assert powers == [1, 2, 3]
         capped = essential_disjointness_power([SAPIR, SAPIR], cap=3)
         assert verdict.witness == capped.witness
         assert _witness_is_valid([SAPIR, SAPIR], verdict)
@@ -297,6 +299,147 @@ class TestEssentialDisjointness:
         # SAPIR meets itself, so both powers fail and are both built
         assert (verdict.kind, verdict.n, verdict.witness.pair) == ("not_disjoint_at_cap", 2, (0, 2))
         assert built == [(SAPIR, 1), (SQUARES, 1), (SAPIR, 2), (SQUARES, 2)]
+
+
+def eager_gate(endos, cap, max_edges):
+    """``essential_disjointness_power`` as it was before the count-decided
+    budget: every image of a power built and cored, then the pairs tested
+    in order, the budget checked on the built cores."""
+    last_failure = None
+    note = ""
+    for n in range(1, cap + 1):
+        try:
+            built = {e: image_subgroup(e, n).graph for e in dict.fromkeys(endos)}
+            images = [built[e] for e in endos]
+            bad = next(
+                (
+                    (i, j)
+                    for i in range(len(images))
+                    for j in range(i + 1, len(images))
+                    if not all_conjugates_trivial_intersection(images[i], images[j], max_edges)
+                ),
+                None,
+            )
+        except ProductBudgetError as exc:
+            if last_failure is None:
+                return DisjointnessVerdict("cap_exceeded", n=n, note=str(exc))
+            note = f"search budget exhausted at power {n}; verdict covers powers 1..{n - 1}"
+            break
+        if bad is None:
+            return DisjointnessVerdict("disjoint_at", n=n)
+        last_failure = (n, images, bad)
+    n, images, (i, j) = last_failure
+    witness = _intersection_witness(images[i], images[j], (i, j), max_edges=max_edges)
+    return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
+
+
+def seeded_endos(rng, rank, max_image, powers=3, immersion=False):
+    """An endomorphism with random reduced images of 1..``max_image``
+    letters whose first ``powers`` powers kill no generator, and an
+    immersion if ``immersion``."""
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    while True:
+        images = []
+        for _ in range(rank):
+            word, length = [rng.choice(letters)], rng.randint(1, max_image)
+            while len(word) < length:
+                word.append(rng.choice([x for x in letters if x != -word[-1]]))
+            images.append(Word(tuple(word), rank))
+        e = Endomorphism(rank, tuple(images))
+        if immersion and block_table(e) is None:
+            continue
+        try:
+            e.power(powers)
+        except ValueError:
+            continue
+        return e
+
+
+def label_counts(g):
+    counts = [0] * g.rank
+    for _, _, l in g.edges:
+        counts[l - 1] += 1
+    return counts
+
+
+class TestCountDecidedBudget:
+    """The product budget decided from M^n·1 before an immersion's image is
+    built, against the gate that built every image first."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_counts_are_the_free_core_labels(self, rank):
+        rng = random.Random(rank)
+        checked = 0
+        while checked < 60:
+            e = seeded_endos(rng, rank, 3, immersion=True)
+            m = transition_matrix(GraphMap.from_endomorphism(e))
+            for n in (1, 2, 3):
+                free = disjointness._free_core(image_subgroup(e, n).graph)
+                assert label_counts(free) == [sum(row) for row in mat_power(m, n)]
+            checked += 1
+
+    def test_matches_the_eager_gate(self):
+        rng = random.Random(18)
+        kinds = collections.Counter()
+        for max_edges in (2, 6, 12, 24, 40, 160, 600):
+            for _ in range(40):
+                rank = rng.choice((2, 2, 3))
+                immersions = rng.random() < 0.6
+                endos = [
+                    seeded_endos(rng, rank, 3, immersion=immersions)
+                    for _ in range(rng.choice((2, 2, 3)))
+                ]
+                if rng.random() < 0.3:
+                    endos.append(endos[0])
+                verdict = essential_disjointness_power(endos, cap=3, max_edges=max_edges)
+                assert verdict == eager_gate(endos, 3, max_edges), (endos, max_edges)
+                counted = all(block_table(e) is not None for e in endos)
+                kinds[(counted, verdict.kind, bool(verdict.note))] += 1
+        # both routes trip the budget at power 1 and past it
+        for counted in (True, False):
+            assert (counted, "cap_exceeded", True) in kinds
+            assert (counted, "not_disjoint_at_cap", True) in kinds
+            assert (counted, "not_disjoint_at_cap", False) in kinds
+
+    @pytest.mark.parametrize(
+        "endos", [[COLLAPSE, TO_B], [SAPIR, COLLAPSE, SQUARES], [COLLAPSE, COLLAPSE]]
+    )
+    @pytest.mark.parametrize("max_edges", [1, 4, 30])
+    def test_non_immersion_families_build_then_check(self, endos, max_edges):
+        assert essential_disjointness_power(endos, 3, max_edges) == eager_gate(endos, 3, max_edges)
+
+    def test_trip_at_power_one_names_the_count(self, monkeypatch):
+        built = []
+        real = disjointness.image_subgroup
+        monkeypatch.setattr(
+            disjointness, "image_subgroup", lambda e, n: built.append(n) or real(e, n)
+        )
+        verdict = essential_disjointness_power([SAPIR, SQUARES], cap=4, max_edges=7)
+        # each image has two a-edges and two b-edges: 2·2 + 2·2 product edges
+        assert verdict == DisjointnessVerdict(
+            "cap_exceeded", n=1, note="fiber product would have 8 edges (budget 7)"
+        )
+        assert verdict == eager_gate([SAPIR, SQUARES], 4, 7)
+        assert built == []
+
+    def test_a_pair_after_the_first_failure_is_never_budgeted(self, monkeypatch):
+        # SAPIR meets itself at every power, so the pairs with big, whose
+        # products would exceed the budget already at power 1, are not tested
+        big = endo("a" + "ba" * 40, "b" + "ab" * 40)
+        assert block_table(big) is not None
+        built = []
+        real = disjointness.image_subgroup
+        monkeypatch.setattr(
+            disjointness, "image_subgroup", lambda e, n: built.append((e, n)) or real(e, n)
+        )
+        verdict = essential_disjointness_power([SAPIR, SAPIR, big], cap=6, max_edges=160)
+        assert (verdict.kind, verdict.n, verdict.witness.pair) == ("not_disjoint_at_cap", 3, (0, 1))
+        assert verdict.note == "search budget exhausted at power 4; verdict covers powers 1..3"
+        assert built == [(SAPIR, 1), (SAPIR, 2), (SAPIR, 3)]
+        # the eager gate would build big's fourth power, 81⁴ letters per generator
+        assert verdict == eager_gate([SAPIR, SAPIR], 6, 160)
+        alone = essential_disjointness_power([SAPIR, big], cap=6, max_edges=160)
+        assert (alone.kind, alone.n) == ("cap_exceeded", 1)
 
 
 # --- the streamed gate and witness against the whole product ---
@@ -405,6 +548,16 @@ def count_walks(monkeypatch):
 
     monkeypatch.setattr(disjointness, "product_components", counted)
     return calls, walked
+
+
+class TestAccessWord:
+    @given(st.integers(2, 3).flatmap(small_subgroup))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_every_access_word(self, g):
+        c = core(g, keep_basepoint=True)
+        words = disjointness._access_words(c, c.basepoint)
+        for v, word in words.items():
+            assert disjointness._access_word(c, c.basepoint, v) == word
 
 
 class TestStreamedProduct:

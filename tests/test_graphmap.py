@@ -17,6 +17,7 @@ from hnncert.graphmap import (
     compose_maps,
     crossed_turns,
     cyclic_paths_equal,
+    immersed_loop_image,
     is_immersion,
     is_irreducible_matrix,
     is_legal_turn,
@@ -101,6 +102,40 @@ class TestMapLoop:
         # reduction drops the wraparound a…A pair
         image = map_loop(F_AB_A, (2, -1))
         assert image == (-2,)
+
+
+class TestImmersedLoopImage:
+    def test_signed_images(self):
+        assert F_AB_BA.signed_images == {1: (1, 2), -1: (-2, -1), 2: (2, 1), -2: (-1, -2)}
+        assert F_AB_BA.edge_image(-1) == (-2, -1)
+
+    def test_matches_per_letter_images(self):
+        rng = random.Random(3)
+        for f in (F_AB_BA, rose_map("aab", "bbc", "cca", rank=3)):
+            rank = f.domain.num_edges
+            for _ in range(30):
+                loop = random_cyclic_word(rng, rank, rng.randint(1, 12))
+                image = immersed_loop_image(f, loop)
+                assert image == tuple(
+                    x for s in loop
+                    for x in (f.edge_map[s - 1] if s > 0 else
+                              tuple(-y for y in reversed(f.edge_map[-s - 1])))
+                )
+
+    # 0 once read the last edge's image (index −1), and so would −rank − 1
+    # through a negative list index
+    @pytest.mark.parametrize("bad", [0, 3, -3, 7])
+    def test_letters_off_the_rose_raise(self, bad):
+        with pytest.raises(ValueError, match=f"no edge {bad}"):
+            immersed_loop_image(F_AB_BA, (1, bad, 2))
+        with pytest.raises(KeyError):
+            F_AB_BA.edge_image(bad)
+
+    def test_table_is_built_once_and_stays_out_of_equality(self):
+        f = rose_map("ab", "ba")
+        table = f.signed_images
+        assert f.signed_images is table
+        assert f == F_AB_BA and hash(f) == hash(F_AB_BA)
 
 
 class TestTransitionMatrix:

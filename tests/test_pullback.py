@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 
 from hnncert import pullback
 from hnncert import stallings as stallings_module
-from hnncert.graphmap import GraphMap, is_immersion, iterate_map, rose
+from hnncert.graphmap import (
+    GraphMap,
+    is_immersion,
+    iterate_map,
+    letter_counts,
+    rose,
+    transition_matrix,
+)
 from hnncert.pullback import (
     ProductBudgetError,
     ProductComponent,
@@ -787,6 +795,77 @@ def booth_scan(f, gamma, cap):
     return None
 
 
+def kmp_primitive_root(seq):
+    """``words.primitive_root`` as the Knuth–Morris–Pratt failure function."""
+    n = len(seq)
+    if not n:
+        return 0, 0
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        x = seq[i]
+        while k and x != seq[k]:
+            k = fail[k - 1]
+        if x == seq[k]:
+            k += 1
+        fail[i] = k
+    period = n - k
+    if n % period:
+        return n, 1
+    return period, n // period
+
+
+def per_letter_scan(f, gamma, cap):
+    """Oracle for ``pullback._invariant_loop`` as it was before the
+    whole-iterate search: each iterate mapped one ``edge_image`` call per
+    letter and reduced to its root by :func:`kmp_primitive_root`, with the
+    same length guard and (kp, k) scan."""
+    m = transition_matrix(f)
+    counts = letter_counts(gamma, len(m))
+    iterates = [gamma]
+    roots = [kmp_primitive_root(gamma)]
+    keys = {}
+    for kp in range(1, cap + 1):
+        counts = [sum(map(mul, row, counts)) for row in m]
+        if not 0 < sum(counts) <= 200_000:
+            return None
+        nxt = tuple(x for s in iterates[-1] for x in f.edge_image(s))
+        iterates.append(nxt)
+        period, exponent = kmp_primitive_root(nxt)
+        roots.append((period, exponent))
+        for k in range(kp):
+            if roots[k][0] != period or exponent % roots[k][1]:
+                continue
+            for i in (k, kp):
+                if i not in keys:
+                    keys[i] = pullback._least_rotated(iterates[i][:period])
+            if keys[k] == keys[kp]:
+                return StabilizationVerdict(
+                    "invariant_loop", loop=iterates[k], degree=exponent // roots[k][1],
+                    power=kp - k,
+                )
+    return None
+
+
+def seeded_immersions(seed, rank, count, max_image):
+    """``count`` immersions of the rank-``rank`` rose with random reduced
+    images of 1..``max_image`` letters, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    out = []
+    while len(out) < count:
+        images = []
+        for _ in range(rank):
+            w, length = [rng.choice(letters)], rng.randint(1, max_image)
+            while len(w) < length:
+                w.append(rng.choice([x for x in letters if x != -w[-1]]))
+            images.append(tuple(w))
+        f = GraphMap(rose(rank), rose(rank), (0,), tuple(images))
+        if is_immersion(f):
+            out.append(f)
+    return out
+
+
 def rank_two_immersions(max_len):
     words = [
         w
@@ -808,12 +887,21 @@ class TestInvariantLoopSearch:
     def fields(v):
         return (v.kind, v.n, v.loop, v.degree, v.power, v.surviving)
 
-    def both(self, f, cap, monkeypatch):
+    def both(self, f, cap, monkeypatch, oracle=booth_scan):
         fast = stabilization_power(f, cap=cap)
         with monkeypatch.context() as m:
-            m.setattr(pullback, "_invariant_loop", booth_scan)
+            m.setattr(pullback, "_invariant_loop", oracle)
             slow = stabilization_power(f, cap=cap)
         return self.fields(fast), self.fields(slow)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_matches_the_per_letter_search_on_seeded_immersions(self, rank, monkeypatch):
+        kinds = collections.Counter()
+        for f in seeded_immersions(rank, rank, 120, 5):
+            fast, slow = self.both(f, 8, monkeypatch, per_letter_scan)
+            assert fast == slow, f.edge_map
+            kinds[fast[0]] += 1
+        assert set(kinds) == {"stabilized_at", "invariant_loop", "cap_exceeded"}
 
     def test_matches_booth_scan_on_small_rank_two_immersions(self, monkeypatch):
         kinds = collections.Counter()

@@ -1,5 +1,7 @@
 """Free-group word arithmetic: reduction, cyclic forms, endomorphisms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,7 +217,65 @@ powers_st = st.builds(
 )
 
 
+def kmp_primitive_root(seq):
+    """The Knuth–Morris–Pratt version ``primitive_root`` replaced: the least
+    period n − border is the root's length when it divides n, and otherwise
+    (Fine–Wilf) the sequence is its own root."""
+    n = len(seq)
+    if not n:
+        return 0, 0
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        x = seq[i]
+        while k and x != seq[k]:
+            k = fail[k - 1]
+        if x == seq[k]:
+            k += 1
+        fail[i] = k
+    period = n - k
+    if n % period:
+        return n, 1
+    return period, n // period
+
+
+def thue_morse(length):
+    """The Thue–Morse word over letters 1 and 2, ``length`` a power of two."""
+    t = (1,)
+    while len(t) < length:
+        t += tuple(3 - x for x in t)
+    return t
+
+
 class TestPrimitiveRoot:
+    @given(st.one_of(powers_st, st.lists(st.integers(-3, 3), max_size=96).map(tuple)))
+    @settings(max_examples=300)
+    def test_matches_kmp(self, seq):
+        assert primitive_root(seq) == kmp_primitive_root(seq)
+
+    # 1, primes, prime powers and mixed composites such as 2⁴·3²
+    @pytest.mark.parametrize("length", [1, 2, 3, 13, 97, 8, 27, 49, 1024, 12, 144, 210, 720])
+    def test_powers_match_kmp(self, length):
+        rng = random.Random(length)
+        for e in (d for d in range(1, length + 1) if length % d == 0):
+            root = tuple(rng.choice((1, 2, -1)) for _ in range(length // e))
+            seq = root * e
+            assert primitive_root(seq) == kmp_primitive_root(seq)
+            # a near miss: one letter changed, and a rotation of the power
+            i = rng.randrange(length)
+            for near in (seq[:i] + (3,) + seq[i + 1 :], seq[i:] + seq[:i]):
+                assert primitive_root(near) == kmp_primitive_root(near)
+
+    def test_thue_morse_iterate(self):
+        t = thue_morse(65_536)
+        assert primitive_root(t) == kmp_primitive_root(t) == (65_536, 1)
+        assert primitive_root(t * 3) == kmp_primitive_root(t * 3) == (65_536, 3)
+        half = t[:32_768]
+        assert primitive_root(half * 2) == (32_768, 2)
+
+    def test_accepts_lists(self):
+        assert primitive_root([1, 2] * 6) == (2, 6)
+
     @given(st.one_of(powers_st, st.lists(st.integers(-2, 2), max_size=16).map(tuple)))
     def test_against_bruteforce(self, seq):
         n = len(seq)
