@@ -27,7 +27,6 @@ from .graphmap import (
     map_loop,
     random_legal_loop,
     tighten_cyclic,
-    tighten_path,
 )
 from .words import Endomorphism, Word, cyclic_reduce
 
@@ -108,9 +107,8 @@ def _common_graph(maps: Sequence[GraphMap]) -> MarkedGraph:
     if not maps:
         raise ValueError("need at least one map")
     g = maps[0].domain
-    for f in maps:
-        if not f.is_self_map() or f.domain != g:
-            raise ValueError("maps must be self-maps of one common graph")
+    if any(f.domain != g for f in maps):
+        raise ValueError("maps must act on one common rose")
     return g
 
 
@@ -131,21 +129,20 @@ def build_annulus(
     alpha: Sequence[int],
     w: AnnulusWord,
     maps: Sequence[GraphMap],
-    based: bool = False,
 ) -> Annulus:
     """Rings of the thin annulus over ``w`` starting at the loop ``alpha``.
 
-    Positive letters push the current ring forward through the named map;
-    an initial inverse block is resolved by preimages (one joint preimage
-    for a single-map block, letter by letter otherwise).  Preimage rings are
-    free-homotopy representatives even in based mode.
+    Every ring is a free loop, cyclically tightened.  Positive letters push
+    the current ring forward through the named map; an initial inverse
+    block is resolved by preimages (one joint preimage for a single-map
+    block, letter by letter otherwise).
     """
     g = _common_graph(maps)
     if w.rank != len(maps):
         raise ValueError("word rank must match the number of maps")
     if not is_admissible(w):
         raise ValueError("word is not admissible")
-    start = tighten_path(g, alpha) if based else tighten_cyclic(g, alpha)
+    start = tighten_cyclic(g, alpha)
     if not start:
         raise ValueError("the starting loop is trivial")
 
@@ -176,7 +173,7 @@ def build_annulus(
                     )
                 rings.append(beta)
     for x in pos:
-        rings.append(map_loop(maps[x - 1], rings[-1], based=based))
+        rings.append(map_loop(maps[x - 1], rings[-1]))
     return Annulus(g, tuple(rings), w)
 
 
@@ -255,7 +252,6 @@ _AUDIT_NOTE = (
 def audit_31_hyperbolicity(
     maps: Sequence[GraphMap],
     loop_sample: LoopSample = LoopSample(),
-    based: bool = False,
 ) -> HyperbolicityAuditReport:
     """Check 3·girth ≤ max(end lengths) over all admissible length-2 words.
 
@@ -288,7 +284,7 @@ def audit_31_hyperbolicity(
                 alpha = seed_loop
                 for _ in range(power):
                     alpha = map_loop(f_first, alpha)
-            annulus = build_annulus(alpha, word, maps, based=based)
+            annulus = build_annulus(alpha, word, maps)
             checked += 1
             if not check_lambda_hyperbolic(annulus, 3, 1):
                 violations.append(

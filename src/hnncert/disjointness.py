@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
-from .graphmap import GraphMap, transition_matrix
+from .graphmap import GraphMap, letter_counts, transition_matrix
 from .pullback import (
     ProductBudgetError,
     check_product_size,
@@ -261,8 +261,10 @@ def essential_disjointness_power(
 ) -> DisjointnessVerdict:
     """Smallest N ≤ cap with all pairwise conjugate intersections trivial.
 
-    Each N is tested independently (disjointness is not assumed monotone in
-    N).  If every N fails, the verdict carries a witness from the last power.
+    Disjointness is monotone in N: φ^(n+1)(F_n) ⊆ φ^n(F_n), so a pair
+    disjoint at n stays disjoint at every later power.  Each N is still
+    tested in full, one power after another.  If every N fails, the
+    verdict carries a witness from the last power.
     If the product budget ``max_edges`` is exhausted at a power n > 1, the
     powers 1..n−1 were each fully tested and failed, so the verdict is
     not_disjoint_at_cap for n − 1 with the witness from power n − 1 and a
@@ -273,16 +275,17 @@ def essential_disjointness_power(
 
     At each power the pairs are tested in order, up to the first that is
     not disjoint, and an image is built when a pair first needs it (equal
-    endomorphisms share one).  When every endomorphism is an immersion
-    (:func:`block_table` is not None) the budget of each pair is decided
-    before its images are built: φ^n is an immersion too, so its generator
-    loops fold nowhere and the free core of φ^n(F_n) has exactly (M^n·1)_l
-    edges labelled l, with M the transition matrix of φ.  A pair over the
-    budget raises the same ProductBudgetError as the product would, without
-    forming a letter of φ^n.  Every letter starts the image of some
+    endomorphisms share one).  The budget of each pair is decided from the
+    per-label edge counts of the two free cores before an immersion's image
+    is built.  For an immersion φ (:func:`block_table` is not None), φ^n is
+    an immersion too, so its generator loops fold nowhere and the free core
+    of φ^n(F_n) has exactly (M^n·1)_l edges labelled l, with M the
+    transition matrix of φ; every letter starts the image of some
     direction, so each count is at least 1 and no image built has more
-    than ``max_edges`` edges.  Other families check the budget on the built
-    cores, in :func:`all_conjugates_trivial_intersection`.
+    than ``max_edges`` edges.  Any other endomorphism's image is built and
+    its core counted.  A pair over the budget raises the same
+    ProductBudgetError as the product would, without forming a letter of
+    an immersion's φ^n.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -291,23 +294,29 @@ def essential_disjointness_power(
     ranks = {e.rank for e in endos}
     if len(ranks) != 1:
         raise ValueError("endomorphisms act on different ranks")
-    distinct = list(dict.fromkeys(endos))
-    # M per distinct endomorphism when every one is an immersion, and M^n·1
-    matrices = {}
-    if all(block_table(e) is not None for e in distinct):
-        matrices = {e: transition_matrix(GraphMap.from_endomorphism(e)) for e in distinct}
-    counts = {e: [1] * e.rank for e in matrices}
+    # M per distinct immersion, and its M^n·1
+    matrices = {
+        e: transition_matrix(GraphMap.from_endomorphism(e))
+        for e in dict.fromkeys(endos)
+        if block_table(e) is not None
+    }
+    powered = {e: [1] * e.rank for e in matrices}
     pairs = [(i, j) for i in range(len(endos)) for j in range(i + 1, len(endos))]
     last_failure: Optional[tuple[int, LabeledGraph, LabeledGraph, tuple[int, int]]] = None
     note = ""
     for n in range(1, cap + 1):
-        counts = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in counts.items()}
+        powered = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in powered.items()}
+        counts = dict(powered)  # per-label free-core edge counts at power n
         built: dict[Endomorphism, LabeledGraph] = {}
         try:
             for pair in pairs:
                 ei, ej = (endos[k] for k in pair)
-                if counts:
-                    check_product_size(sum(map(mul, counts[ei], counts[ej])), max_edges)
+                for e in (ei, ej):
+                    if e not in counts:
+                        built[e] = image_subgroup(e, n).graph
+                        labels = [l for _, _, l in _free_core(built[e]).edges]
+                        counts[e] = letter_counts(labels, e.rank)
+                check_product_size(sum(map(mul, counts[ei], counts[ej])), max_edges)
                 for e in (ei, ej):
                     if e not in built:
                         built[e] = image_subgroup(e, n).graph

@@ -7,11 +7,9 @@ maps, so the bound reduces to per-edge image lengths.  Every rose edge has
 length 1, so all lengths are exact integer edge counts.
 
 No power of the map is built.  Iterated edge images of a train track map
-never cancel (Bestvina–Handel), so ℓ(f^n(e)) is e's column sum of M^n,
-M the transition matrix, and lengths never fall.  An edge's image paths
-are built only while they stay below the target, to find a periodic
-witness; once every edge has reached it, the lengths at that power are
-read off M^N.
+never cancel (Bestvina–Handel), so lengths never fall, and an edge's image
+paths are built only while they stay below the target, to find a periodic
+witness.
 """
 
 from __future__ import annotations
@@ -19,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphmap import (
-    GraphMap,
-    Path,
-    map_path,
-    mat_power,
-    transition_matrix,
-    verify_train_track,
-)
+from .graphmap import GraphMap, Path, map_path, verify_train_track
 
 
 @dataclass(frozen=True)
@@ -43,7 +34,6 @@ class PeriodicLoopWitness:
 class ExpansionVerdict:
     kind: str  # "power" | "periodic_loop_obstruction" | "cap_exceeded"
     n: Optional[int] = None
-    strict: Optional[bool] = None
     per_edge: tuple[tuple[int, int], ...] = ()
     witness: Optional[PeriodicLoopWitness] = None
     note: str = ""
@@ -58,10 +48,8 @@ def expansion_power(
     edge whose image paths recur below the target is a periodic
     obstruction, reported at the least (power, edge); running out of
     iterations is reported as such.  Since lengths never fall, N is the
-    largest per-edge power, and ``strict`` is read off M^N.
+    largest per-edge power.
     """
-    if not f.is_self_map():
-        raise ValueError("expansion needs a self-map")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if target_factor <= 1:
@@ -95,12 +83,8 @@ def expansion_power(
             images[e] = path
             seen[e][path] = n
         if len(first_power) == len(edges):
-            lengths = map(sum, zip(*mat_power(transition_matrix(f), n)))
             return ExpansionVerdict(
-                "power",
-                n=n,
-                strict=all(length > target_factor for length in lengths),
-                per_edge=tuple(sorted(first_power.items())),
+                "power", n=n, per_edge=tuple(sorted(first_power.items()))
             )
     stuck = [e for e in edges if e not in first_power]
     return ExpansionVerdict(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, count
 from operator import mul
 from typing import Optional, Sequence
 
@@ -69,9 +69,10 @@ def tighten_path(g: MarkedGraph, p: Sequence[int]) -> Path:
 
 @dataclass(frozen=True)
 class GraphMap:
-    """A rose map: the vertex to itself, edges to tight nonempty paths.
+    """A rose self-map: the vertex to itself, edges to tight nonempty paths.
 
-    ``vertex_map`` must be ``(0,)``, the one vertex's image.
+    ``domain`` and ``codomain`` must be the same rose, and ``vertex_map``
+    must be ``(0,)``, the one vertex's image.
     """
 
     domain: MarkedGraph
@@ -80,6 +81,8 @@ class GraphMap:
     edge_map: tuple[Path, ...]
 
     def __post_init__(self) -> None:
+        if self.domain != self.codomain:
+            raise ValueError("a rose map is a self-map: domain and codomain differ")
         if self.vertex_map != (0,):
             raise ValueError("vertex_map of a rose map must be (0,)")
         if len(self.edge_map) != self.domain.num_edges:
@@ -107,9 +110,6 @@ class GraphMap:
         edge); KeyError if ``s`` is no signed edge id."""
         return self.signed_images[s]
 
-    def is_self_map(self) -> bool:
-        return self.domain == self.codomain
-
     @classmethod
     def from_endomorphism(cls, e: Endomorphism) -> "GraphMap":
         """Rose self-map whose edge images spell the generator images."""
@@ -123,13 +123,13 @@ def map_path(f: GraphMap, p: Sequence[int]) -> Path:
     return free_reduce(chain.from_iterable(map(f.edge_image, p)))
 
 
-def _check_immersed_loop(loop: Sequence[int], based: bool) -> None:
+def _check_immersed_loop(loop: Sequence[int]) -> None:
     if not loop:
         raise ValueError("empty loop")
     for a, b in zip(loop, loop[1:]):
         if a == -b:
             raise ValueError("loop backtracks (not immersed)")
-    if not based and loop[0] == -loop[-1] and len(loop) > 1:
+    if loop[0] == -loop[-1] and len(loop) > 1:
         raise ValueError("loop backtracks at the wraparound (not immersed)")
 
 
@@ -149,23 +149,20 @@ def immersed_loop_image(f: GraphMap, loop: Sequence[int]) -> Path:
         raise ValueError(f"no edge {exc.args[0]}") from None
 
 
-def map_loop(f: GraphMap, loop: Sequence[int], based: bool = False) -> Path:
-    """Tightened image of a closed immersed loop.
+def map_loop(f: GraphMap, loop: Sequence[int]) -> Path:
+    """Cyclically tightened image of a closed immersed free loop.
 
-    Free loops (default) are tightened cyclically; based loops are tightened
-    rel the basepoint only, and may backtrack there.  When ``f`` is an
-    immersion (read from the map's cached turn table) the loop and its edge
-    ids are checked and the image is :func:`immersed_loop_image`, which is
-    already tight; other maps free-reduce the image (and cyclically reduce
-    it for a free loop).
+    When ``f`` is an immersion (read from the map's cached turn table) the
+    loop and its edge ids are checked and the image is
+    :func:`immersed_loop_image`, which is already cyclically tight; other
+    maps free-reduce the image and then cyclically reduce it.
     """
-    _check_immersed_loop(loop, based)
+    _check_immersed_loop(loop)
     _, _, immersion = _turn_table(f)
     if immersion:
         _check_edges(f.domain, loop)
         return immersed_loop_image(f, loop)
-    image = map_path(f, loop)
-    return image if based else cyclic_core(image)
+    return cyclic_core(map_path(f, loop))
 
 
 def cyclic_paths_equal(p: Sequence[int], q: Sequence[int]) -> bool:
@@ -194,8 +191,6 @@ def letter_counts(p: Sequence[int], rank: int) -> list[int]:
 def transition_matrix(f: GraphMap) -> Matrix:
     """Entry (i, j): number of times edge e_{i+1} appears (either direction)
     in the image of edge e_{j+1}."""
-    if not f.is_self_map():
-        raise ValueError("transition matrix needs a self-map")
     n = f.domain.num_edges
     return tuple(zip(*(letter_counts(p, n) for p in f.edge_map)))
 
@@ -366,15 +361,14 @@ def crossed_turns(f: GraphMap) -> set[frozenset[int]]:
     return out
 
 
-def _turn_orbit_legal(
-    f: GraphMap, turn: frozenset[int], depth_cap: Optional[int]
-) -> tuple[bool, Optional[int]]:
-    """(legal?, steps to verdict); None steps when the cap was hit."""
+def _turn_orbit_legal(f: GraphMap, turn: frozenset[int]) -> tuple[bool, int]:
+    """(legal?, steps to verdict).  The orbit of a turn under df either
+    degenerates or repeats a turn; there are finitely many turns, so the
+    walk always ends (Bestvina–Handel)."""
     df = direction_map(f)
-    cap = depth_cap if depth_cap is not None else (2 * f.domain.num_edges) ** 2 + 1
     a, b = sorted(turn)
     seen = set()
-    for step in range(1, cap + 1):
+    for step in count(1):
         a, b = df[a], df[b]
         if a == b:
             return False, step
@@ -382,42 +376,31 @@ def _turn_orbit_legal(
         if key in seen:
             return True, step
         seen.add(key)
-    return True, None
 
 
 @dataclass(frozen=True)
 class TrainTrackVerdict:
-    kind: str  # "train_track" | "illegal_turn_found" | "inconclusive"
+    kind: str  # "train_track" | "illegal_turn_found"
     witness: Optional[tuple[int, int]] = None  # degenerating crossed turn
     steps: Optional[int] = None  # iterations to the degeneracy
 
 
-def is_legal_turn(f: GraphMap, turn: frozenset[int], depth_cap: Optional[int] = None) -> bool:
+def is_legal_turn(f: GraphMap, turn: frozenset[int]) -> bool:
     """A turn is legal iff no df-iterate degenerates it (exact orbit check)."""
     if len(turn) != 2:
         raise ValueError("a turn is an unordered pair of distinct directions")
-    legal, _ = _turn_orbit_legal(f, turn, depth_cap)
+    legal, _ = _turn_orbit_legal(f, turn)
     return legal
 
 
-def verify_train_track(f: GraphMap, depth_cap: Optional[int] = None) -> TrainTrackVerdict:
-    """Train track iff every turn crossed by an edge image is legal.
-
-    The turn-orbit computation is exact (finite turn set, cycle detection);
-    ``depth_cap`` only guards pathological inputs, returning ``inconclusive``
-    if hit before a verdict.
-    """
-    if not f.is_self_map():
-        raise ValueError("train-track verification needs a self-map")
-    hit_cap = False
+def verify_train_track(f: GraphMap) -> TrainTrackVerdict:
+    """Train track iff every turn crossed by an edge image is legal; the
+    first illegal one in sorted order is the witness.  Exact: each turn's
+    orbit is walked until it degenerates or repeats."""
     for turn in sorted(crossed_turns(f), key=sorted):
-        legal, steps = _turn_orbit_legal(f, turn, depth_cap)
+        legal, steps = _turn_orbit_legal(f, turn)
         if not legal:
             return TrainTrackVerdict("illegal_turn_found", tuple(sorted(turn)), steps)
-        if steps is None:
-            hit_cap = True
-    if hit_cap:
-        return TrainTrackVerdict("inconclusive")
     return TrainTrackVerdict("train_track")
 
 
@@ -437,8 +420,6 @@ def compose_maps(outer: GraphMap, inner: GraphMap) -> GraphMap:
 
 
 def iterate_map(f: GraphMap, k: int) -> GraphMap:
-    if not f.is_self_map():
-        raise ValueError("iteration needs a self-map")
     if k < 1:
         raise ValueError("power must be >= 1")
     result = f
@@ -461,9 +442,8 @@ def _turn_table(
 ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], bool]:
     """The domain's directions; for each direction s, the directions t that
     may follow it on a legal loop (t ≠ −s and the turn {−s, t} legal), in
-    direction order, or no entries when ``f`` is not a self-map and turn
-    orbits are undefined; and whether ``f`` is an immersion (then every
-    turn is legal).  A pure function of the frozen map, cached per map."""
+    direction order; and whether ``f`` is an immersion (then every turn is
+    legal).  A pure function of the frozen map, cached per map."""
     dirs = f.domain.directions()
     immersion = is_immersion(f)
     successors = {
@@ -471,10 +451,9 @@ def _turn_table(
             t
             for t in dirs
             if t != -s
-            and (immersion or _turn_orbit_legal(f, frozenset((-s, t)), None)[0])
+            and (immersion or _turn_orbit_legal(f, frozenset((-s, t)))[0])
         )
         for s in dirs
-        if f.is_self_map()
     }
     return dirs, successors, immersion
 
@@ -494,8 +473,6 @@ def random_legal_loop(
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if not f.is_self_map():
-        raise ValueError("legal loops need a self-map")
     dirs, successors, _ = _turn_table(f)
     for _ in range(max_attempts):
         path = [rng.choice(dirs)]

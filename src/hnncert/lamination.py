@@ -39,8 +39,6 @@ class LeafSegment:
 
 
 def _require_expanding_train_track(f: GraphMap) -> None:
-    if not f.is_self_map():
-        raise ValueError("lamination diagnostics need a self-map")
     verdict = verify_train_track(f)
     if verdict.kind != "train_track":
         raise ValueError(f"map crosses an illegal turn {verdict.witness}")

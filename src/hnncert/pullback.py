@@ -179,9 +179,7 @@ def _subdivide(g: GraphMap, bounds: Sequence[Sequence[Fraction]]) -> Subdivided:
 
 
 def subdivide_level(f: GraphMap, level: int) -> Subdivided:
-    """Subdivide the domain of the self-map power ``f^level``."""
-    if not f.is_self_map():
-        raise ValueError("filtration levels need a self-map")
+    """Subdivide the domain of the power ``f^level``."""
     if level < 1:
         raise ValueError("level must be >= 1")
     g = iterate_map(f, level)
@@ -195,8 +193,7 @@ def subdivide_level(f: GraphMap, level: int) -> Subdivided:
 
 
 def subdivide_map(f: GraphMap) -> Subdivided:
-    """Subdivide an arbitrary map (not necessarily a self-map) once; for a
-    self-map this is ``subdivide_level(f, 1)``."""
+    """``subdivide_level(f, 1)``, without calling :func:`iterate_map`."""
     return _subdivide(
         f, [[Fraction(k, len(p)) for k in range(len(p) + 1)] for p in f.edge_map]
     )
@@ -263,25 +260,6 @@ def _check_budget(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> None:
     check_product_size(sum(per_label.get(l, 0) for _, _, l in b.edges), max_edges)
 
 
-def product_edges(
-    a: LabeledGraph, b: LabeledGraph, max_edges: int = 500_000
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """The edges of the fiber product of ``a`` and ``b`` over the rose, streamed.
-
-    Vertex (x, y) of the product has id ``x * b.num_vertices + y``.  Each
-    edge comes as ``(u, v, label, i, j)``, pairing edge i of ``a`` with edge
-    j of ``b``, ordered by label, then i, then j.  The budget is checked when
-    this is called, before anything is built: ProductBudgetError if the
-    product would have more than ``max_edges`` edges.
-    """
-    return (
-        (ua + ub, va + vb, l, i, j)
-        for l, block_a, block_b in _label_blocks(a, b, max_edges)
-        for i, ua, va in block_a
-        for j, ub, vb in block_b
-    )
-
-
 def _label_blocks(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> list[tuple]:
     """Per label both factors carry, ascending: ``(label, [(i, ua·nb, va·nb)],
     [(j, ub, vb)])`` over the edges of ``a`` and ``b``; the budget is checked first."""
@@ -305,13 +283,15 @@ def product_components(
     Both factors must be folded, so each has a step table (vertex, signed
     label) -> (neighbour, edge index) with one entry per key, and product
     vertex (x, y) steps along each signed label that x and y share.  Walks
-    are seeded in increasing product-vertex id, as in :func:`product_edges`,
-    and only at pairs whose signed labels meet, so each seed is the least
-    vertex of its component and isolated product vertices are never visited.
-    A component comes as ``(vertices, edges)``: its vertex count, and its
-    edges as ``(label, i, j, u, v)``, each recorded once, from its source u;
-    sorted, they are in :func:`product_edges`' order.  The budget is checked
-    when this is called, as there, before any table is built.
+    are seeded in increasing product-vertex id, as :func:`fiber_product`
+    numbers them, and only at pairs whose signed labels meet, so each seed
+    is the least vertex of its component and isolated product vertices are
+    never visited.  A component comes as ``(vertices, edges)``: its vertex
+    count, and its edges as ``(label, i, j, u, v)``, each recorded once,
+    from its source u; sorted, they are in :func:`fiber_product`'s order.
+    The budget is checked when this is called, before any table is built:
+    ProductBudgetError if the product would have more than ``max_edges``
+    edges.
     """
     _check_budget(a, b, max_edges)
     return _walk_components(a, b)
@@ -388,18 +368,21 @@ def component_tree(
 
 
 def fiber_product(
-    left: Union[Subdivided, LabeledGraph, GraphMap],
-    right: Union[Subdivided, LabeledGraph, GraphMap],
+    left: Union[Subdivided, LabeledGraph],
+    right: Union[Subdivided, LabeledGraph],
     max_edges: int = 500_000,
 ) -> FiberProduct:
     """Fiber product over the common codomain.
 
-    Accepts ready factors, folded labeled graphs over a rose, or graph maps
-    (which are checked to be immersions and subdivided).  Product vertex
-    ``x * nb + y`` is the pair (x, y), with nb the right factor's vertex
-    count, so ``vertex_pairs`` lists the pairs with x major; the edges are
-    :func:`product_edges`, in its order.  If both factors carry basepoints,
-    the product is based at their pair.
+    Accepts ready factors (:func:`subdivide_map`, :func:`subdivide_level`)
+    or folded labeled graphs over a rose.  Product vertex ``x * nb + y`` is
+    the pair (x, y), with nb the right factor's vertex count, so
+    ``vertex_pairs`` lists the pairs with x major.  Each edge pairs edge i
+    of the left factor with edge j of the right one carrying the same
+    label, ordered by label, then i, then j.  The budget is checked before
+    anything is built: ProductBudgetError if the product would have more
+    than ``max_edges`` edges.  If both factors carry basepoints, the
+    product is based at their pair.
     """
     a = _coerce_factor(left)
     b = _coerce_factor(right)
@@ -420,15 +403,11 @@ def fiber_product(
     return FiberProduct(graph, pairs, tuple(edge_pairs), a, b)
 
 
-def _coerce_factor(x: Union[Subdivided, LabeledGraph, GraphMap]) -> Subdivided:
+def _coerce_factor(x: Union[Subdivided, LabeledGraph]) -> Subdivided:
     if isinstance(x, Subdivided):
         return x
     if isinstance(x, LabeledGraph):
         return as_product_factor(x)
-    if isinstance(x, GraphMap):
-        if not is_immersion(x):
-            raise ValueError("input is not an immersion: direction clash at vertex 0")
-        return subdivide_map(x)
     raise TypeError(f"cannot use {type(x).__name__} as a product factor")
 
 

@@ -142,11 +142,6 @@ class _Folder:
                 else:
                     big[s] = t
 
-    def step(self, v: int, s: int) -> Optional[int]:
-        """The class root reached from ``v`` along ``s``, on a folded state."""
-        t = self.out[self.uf.find(v)].get(s)
-        return None if t is None else self.uf.find(t)
-
     def graph(self, rank: int, basepoint: Optional[int]) -> tuple[LabeledGraph, list[int]]:
         """The folded graph, with classes numbered in order of their least
         vertex, and the vertex map."""
@@ -198,24 +193,27 @@ def subgroup_graph(generators: Sequence[Word], rank: int) -> LabeledGraph:
     they stand for, so the result equals folding the whole wedge.
     """
     folder = _Folder(1)  # basepoint is 0
+    find, out = folder.uf.find, folder.out
     for w in generators:
         if w.rank != rank:
             raise ValueError("generator rank mismatch")
         letters = w.letters
         if not letters:
             continue
-        head, p = 0, 0
+        # the state is folded here, so each read steps from a class root to
+        # a class root: one find per letter
+        head, p = find(0), 0
         while p < len(letters) - 1:
-            nxt = folder.step(head, letters[p])
+            nxt = out[head].get(letters[p])
             if nxt is None:
                 break
-            head, p = nxt, p + 1
-        tail, q = 0, len(letters)
+            head, p = find(nxt), p + 1
+        tail, q = find(0), len(letters)
         while q > p + 1:
-            nxt = folder.step(tail, -letters[q - 1])
+            nxt = out[tail].get(-letters[q - 1])
             if nxt is None:
                 break
-            tail, q = nxt, q - 1
+            tail, q = find(nxt), q - 1
         for x in letters[p : q - 1]:
             nxt = folder.add_vertex()
             folder.add_edge(head, nxt, x)

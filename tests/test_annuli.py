@@ -135,18 +135,14 @@ class TestBuildAnnulus:
         with pytest.raises(ValueError, match="rank"):
             build_annulus((1,), AnnulusWord((1,), 1), MAPS)
 
-    def test_based_mode_keeps_conjugators(self):
-        alpha = (1, 2, -1)
-        based = build_annulus(alpha, W(2), MAPS, based=True)
-        free = build_annulus(alpha, W(2), MAPS)
-        assert based.rings[0] == (1, 2, -1)
-        assert free.rings[0] == (2,)
-        assert based.ring_lengths() == (3, 6)
-        assert free.ring_lengths() == (1, 2)
-
     def test_ring_relations_hold_in_both_modes(self):
-        for based in (False, True):
-            a = build_annulus((1, 2, -1), W(1, 1), MAPS, based=based)
+        # rings pushed forward through the maps, and rings read off as
+        # preimages; the starting loop a·b·A is tightened cyclically to b
+        pushed = build_annulus((1, 2, -1), W(1, 1), MAPS)
+        assert pushed.rings[0] == (2,)
+        beta = (1, 2)
+        pulled = build_annulus(map_loop(F1, map_loop(F1, beta)), W(-1, -1), MAPS)
+        for a in (pushed, pulled):
             assert check_ring_relations(a, MAPS)
 
     def test_broken_rings_detected(self):
@@ -206,12 +202,6 @@ class TestAudit:
         )
         assert report.clean
         assert len(report.words) == 8
-
-    def test_based_mode_also_clean(self):
-        report = audit_31_hyperbolicity(
-            certified(MAPS), LoopSample(count=15, max_length=10, seed=3), based=True
-        )
-        assert report.clean
 
     def test_uncertified_maps_yield_witnessed_violations(self):
         report = audit_31_hyperbolicity(

@@ -745,12 +745,12 @@ def test_wide_growth_report_digest():
     )
 
 
-def slow_image_pair():
-    """Rank 2: a -> a, b -> bab, and a -> a, b -> b·w·b with w a reduced
-    200-letter word drawn from ``random.Random(5)``.  The second image grows
-    about 200-fold per power while the first grows 3-fold, so the product
-    budget trips at power 3, where the second image would be a 1.9-million
-    edge graph."""
+def slow_image_pair(first=("a", "bab")):
+    """Rank 2: ``first`` (a -> a, b -> bab by default), and a -> a,
+    b -> b·w·b with w a reduced 200-letter word drawn from
+    ``random.Random(5)``.  The second image grows about 200-fold per power
+    while the first grows 3-fold, so the product budget trips at power 3,
+    where the second image would be a 1.9-million edge graph."""
     rng = random.Random(5)
     w = []
     while len(w) < 200:
@@ -758,7 +758,7 @@ def slow_image_pair():
         if not w or x != -w[-1]:
             w.append(x)
     b_image = word_to_string(Word(free_reduce((2, *w, 2)), 2))
-    return config_bytes(rank=2, endos=[["a", "bab"], ["a", b_image]])
+    return config_bytes(rank=2, endos=[list(first), ["a", b_image]])
 
 
 def test_disjointness_budget_is_decided_before_the_images():
@@ -772,6 +772,22 @@ def test_disjointness_budget_is_decided_before_the_images():
     )
     assert hashlib.sha256(report).hexdigest() == (
         "d38b9f1ae7a41c2588fcc483754e2adb6bfef632ccd715d68d68a3a47035d134"
+    )
+
+
+def test_mixed_family_budget_is_decided_before_the_immersions_image():
+    # a -> ab, b -> abb is no immersion (both images start with a), so its
+    # image is built and counted; the immersion's third power is not built
+    t0 = time.monotonic()
+    cert = certify(parse_config(slow_image_pair(first=("ab", "abb"))))
+    report = emit_report(cert)
+    assert time.monotonic() - t0 < 10.0
+    assert cert.verdict == "obstruction_BS"
+    assert cert.evidence["disjointness"]["note"] == (
+        "search budget exhausted at power 3; verdict covers powers 1..2"
+    )
+    assert hashlib.sha256(report).hexdigest() == (
+        "e6e2ce762b47368dadf522dba8015a7825d705a12e723d25be2ce9b16ffc3cc2"
     )
 
 

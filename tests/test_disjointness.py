@@ -364,7 +364,8 @@ def label_counts(g):
 
 class TestCountDecidedBudget:
     """The product budget decided from M^n·1 before an immersion's image is
-    built, against the gate that built every image first."""
+    built, and from the built core of any other image, against the gate
+    that built every image first."""
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_counts_are_the_free_core_labels(self, rank):
@@ -440,6 +441,24 @@ class TestCountDecidedBudget:
         assert verdict == eager_gate([SAPIR, SAPIR], 6, 160)
         alone = essential_disjointness_power([SAPIR, big], cap=6, max_edges=160)
         assert (alone.kind, alone.n) == ("cap_exceeded", 1)
+
+    def test_a_mixed_pair_never_builds_the_immersion_over_budget(self, monkeypatch):
+        # a -> ab, b -> abb is an automorphism whose images both start with
+        # a: its image is built and its core, the rose, counted; big's free
+        # core has 81 + 81 edges at power 1 and 13,122 at power 2
+        auto = endo("ab", "abb")
+        big = endo("a" + "ba" * 40, "b" + "ab" * 40)
+        assert block_table(auto) is None and block_table(big) is not None
+        built = []
+        real = disjointness.image_subgroup
+        monkeypatch.setattr(
+            disjointness, "image_subgroup", lambda e, n: built.append((e, n)) or real(e, n)
+        )
+        verdict = essential_disjointness_power([auto, big], cap=4, max_edges=1000)
+        assert (verdict.kind, verdict.n) == ("not_disjoint_at_cap", 1)
+        assert verdict.note == "search budget exhausted at power 2; verdict covers powers 1..1"
+        assert built == [(auto, 1), (big, 1), (auto, 2)]
+        assert verdict == eager_gate([auto, big], 4, 1000)
 
 
 # --- the streamed gate and witness against the whole product ---

@@ -38,13 +38,10 @@ class TestExpansionPower:
         assert verdict.kind == "power"
         assert verdict.n == 3
         assert verdict.per_edge == ((1, 2), (2, 3))
-        assert verdict.strict is False  # the b edge lands exactly on 3
 
     def test_doubling_example(self):
         verdict = expansion_power(DOUBLE, cap=8)
-        assert verdict == ExpansionVerdict(
-            "power", n=2, strict=True, per_edge=((1, 2),)
-        )
+        assert verdict == ExpansionVerdict("power", n=2, per_edge=((1, 2),))
 
     def test_per_edge_matches_direct_iteration(self):
         verdict = expansion_power(FIB, cap=8)
@@ -82,9 +79,9 @@ class TestExpansionPower:
         assert expansion_power(DOUBLE, cap=20, target_factor=5).n == 3
 
     def test_needs_self_map(self):
-        f = GraphMap(rose(2), rose(3), (0,), ((1,), (2, 3)))
+        # a map between roses of different ranks is refused when it is built
         with pytest.raises(ValueError, match="self-map"):
-            expansion_power(f)
+            expansion_power(GraphMap(rose(2), rose(3), (0,), ((1,), (2, 3))))
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="cap"):
@@ -146,11 +143,7 @@ def composed_expansion_power(f, cap, target_factor):
             if n > max(first_power.values()):
                 note = "per-edge powers not simultaneous; certified at first common power"
             return ExpansionVerdict(
-                "power",
-                n=n,
-                strict=all(lens[e] > target_factor for e in edges),
-                per_edge=tuple(sorted(first_power.items())),
-                note=note,
+                "power", n=n, per_edge=tuple(sorted(first_power.items())), note=note
             )
     stuck = [e for e in edges if e not in first_power]
     if stuck:

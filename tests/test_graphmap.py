@@ -1,5 +1,6 @@
 """Graph maps: tightening, loop images, transition matrices, PF data, turns."""
 
+import collections
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ from hnncert.certify import ConfigError, MarkingPair, parse_config
 from hnncert.graphmap import (
     GraphMap,
     PowerIterationError,
+    TrainTrackVerdict,
     compose_maps,
     crossed_turns,
     cyclic_paths_equal,
@@ -90,12 +92,6 @@ class TestMapLoop:
     def test_missing_edge_rejected(self):
         with pytest.raises(ValueError, match="no edge 3"):
             map_loop(F_AB_A, (1, 3))
-
-    def test_based_loop_may_backtrack_at_basepoint(self):
-        loop = (1, 2, -1)
-        with pytest.raises(ValueError):
-            map_loop(F_AB_A, loop, based=False)
-        assert map_loop(F_AB_A, loop, based=True) == (1, 2, 1, -2, -1)
 
     def test_free_loop_tightened_cyclically(self):
         # f(bA) with f: a->ab, b->a is a·(ab)^{-1} = a·B·A, whose cyclic
@@ -302,6 +298,45 @@ class TestTrainTrack:
         assert not is_legal_turn(F_AB_A, frozenset((1, 2)))
         assert is_legal_turn(F_AB_A, frozenset((-1, 2)))
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_the_bounded_turn_walk(self, rank):
+        # a turn {a, b} is illegal iff df^k(a) = df^k(b) for some
+        # k <= (2n)^2: there are fewer turns than that, so a longer walk
+        # repeats one
+        rng = random.Random(rank)
+        bound = (2 * rank) ** 2
+        kinds = collections.Counter()
+        for _ in range(300):
+            images = [random_word(rng, rank, rng.randint(1, 4)) for _ in range(rank)]
+            f = rose_map(*images, rank=rank)
+            df = {s: f.edge_image(s)[0] for s in f.domain.directions()}
+
+            def degenerates_at(turn):
+                a, b = sorted(turn)
+                for k in range(1, bound + 1):
+                    a, b = df[a], df[b]
+                    if a == b:
+                        return k
+                return None
+
+            dirs = f.domain.directions()
+            for turn in {frozenset(t) for t in itertools.combinations(dirs, 2)}:
+                assert is_legal_turn(f, turn) == (degenerates_at(turn) is None)
+            illegal = sorted(
+                (sorted(t), degenerates_at(t))
+                for t in crossed_turns(f)
+                if degenerates_at(t) is not None
+            )
+            verdict = verify_train_track(f)
+            kinds[verdict.kind] += 1
+            if illegal:
+                (a, b), steps = illegal[0]
+                assert verdict == TrainTrackVerdict("illegal_turn_found", (a, b), steps)
+            else:
+                assert verdict == TrainTrackVerdict("train_track")
+        assert kinds["train_track"] > 0
+        assert (kinds["illegal_turn_found"] > 0) == (rank > 1)
+
 
 class TestImmersion:
     def test_identity(self):
@@ -337,6 +372,16 @@ class TestImmersion:
             return  # unreduced image
         if is_immersion(f):
             assert verify_train_track(f).kind == "train_track"
+
+
+def random_word(rng, rank, length):
+    """A random reduced word of ``length`` letters, as a string."""
+    letters = []
+    while len(letters) < length:
+        x = rng.choice([x for x in range(-rank, rank + 1) if x])
+        if not letters or x != -letters[-1]:
+            letters.append(x)
+    return "".join(chr(96 + x) if x > 0 else chr(64 - x) for x in letters)
 
 
 def random_cyclic_word(rng, rank, length):
@@ -455,9 +500,9 @@ class TestPerMapTables:
         checked = []
         real = graphmap._turn_orbit_legal
 
-        def counted(f, turn, depth_cap):
+        def counted(f, turn):
             checked.append(turn)
-            return real(f, turn, depth_cap)
+            return real(f, turn)
 
         monkeypatch.setattr(graphmap, "_turn_orbit_legal", counted)
         rng = random.Random(5)
@@ -483,15 +528,8 @@ class TestPerMapTables:
     def test_non_immersion_still_reduces(self):
         # f(bA) with f: a->ab, b->a concatenates to a·B·A
         assert map_loop(F_AB_A, (2, -1)) == (-2,)
-        assert map_loop(F_AB_A, (2, -1), based=True) == (1, -2, -1)
-
-    def test_maps_between_different_roses(self):
-        # a -> ab, b -> ac into the rank-3 rose: no turn orbit is defined,
-        # and the non-immersion's images are still reduced
-        f = GraphMap(rose(2), rose(3), (0,), ((1, 2), (1, 3)))
-        assert map_loop(f, (1, -2)) == (2, -3)
-        with pytest.raises(ValueError, match="self-map"):
-            random_legal_loop(f, 3, random.Random(0))
+        with pytest.raises(ValueError, match="wraparound"):
+            map_loop(F_AB_A, (1, 2, -1))
 
     def test_concatenation_branch_still_checks_its_loop(self):
         with pytest.raises(ValueError, match="no edge 3"):
@@ -504,8 +542,6 @@ class TestPerMapTables:
             map_loop(F_AB_BA, (1, 2, -1))
         with pytest.raises(ValueError, match="empty"):
             map_loop(F_AB_BA, ())
-        # a based loop may backtrack at the basepoint: a·ab·ba·BA
-        assert map_loop(F_AB_BA, (1, 2, -1), based=True) == (1, 2, 2, 1, -2, -1)
 
 
 def marking_config(h, h_inv):
@@ -590,6 +626,11 @@ class TestGraphMapValidation:
     def test_rejects_edge_outside_the_codomain(self):
         with pytest.raises(ValueError, match="no edge 3"):
             GraphMap(rose(2), rose(2), (0,), ((1, 3), (2,)))
+
+    def test_rejects_maps_between_different_roses(self):
+        # a -> ab, b -> ac into the rank-3 rose
+        with pytest.raises(ValueError, match="self-map"):
+            GraphMap(rose(2), rose(3), (0,), ((1, 2), (1, 3)))
 
     def test_rejects_vertex_map_other_than_the_rose_vertex(self):
         r = rose(2)

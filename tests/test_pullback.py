@@ -33,7 +33,6 @@ from hnncert.pullback import (
     point_image,
     point_image_power,
     product_components,
-    product_edges,
     pullback_filtration,
     stabilization_power,
     subdivide_level,
@@ -162,7 +161,7 @@ class TestSubdivide:
 
 class TestFiberProduct:
     def test_identity_product_is_diagonal_rose(self):
-        fp = fiber_product(IDENT, IDENT)
+        fp = fiber_product(subdivide_map(IDENT), subdivide_map(IDENT))
         assert fp.graph.num_vertices == 1
         assert len(fp.graph.edges) == 2
         comps = fp.components()
@@ -189,7 +188,7 @@ class TestFiberProduct:
         assert not membership(fp.graph, word_from_string("aaa", 1))
 
     def test_sapir_level_one_census(self):
-        fp = fiber_product(SAPIR, SAPIR)
+        fp = fiber_product(subdivide_map(SAPIR), subdivide_map(SAPIR))
         assert fp.graph.num_vertices == 9
         assert len(fp.graph.edges) == 8
         census = sorted(
@@ -206,7 +205,8 @@ class TestFiberProduct:
 
     def test_product_of_folded_factors_is_folded(self):
         for f in (SAPIR, MIXED, SQUARES):
-            assert is_folded(fiber_product(f, f).graph)
+            sub = subdivide_map(f)
+            assert is_folded(fiber_product(sub, sub).graph)
 
     def test_diagonal_component_copies_the_factor(self):
         for f in (SAPIR, MIXED):
@@ -226,8 +226,10 @@ class TestFiberProduct:
             assert not membership(fp.graph, word_from_string(s, 2))
 
     def test_rejects_non_immersion_map(self):
+        # a map enters as its subdivision; a non-immersion's is not folded
+        g = subdivide_map(NON_IMMERSION).graph
         with pytest.raises(ValueError, match="immersion"):
-            fiber_product(NON_IMMERSION, NON_IMMERSION)
+            fiber_product(g, g)
 
     def test_rejects_unfolded_graph(self):
         g = LabeledGraph(2, 3, ((0, 1, 1), (0, 2, 1)))
@@ -236,18 +238,14 @@ class TestFiberProduct:
 
     def test_rejects_codomain_mismatch(self):
         with pytest.raises(ValueError, match="codomain"):
-            fiber_product(DOUBLE, SAPIR)
+            fiber_product(subdivide_map(DOUBLE), subdivide_map(SAPIR))
 
     def test_budget_guard(self):
         with pytest.raises(ProductBudgetError):
-            fiber_product(SAPIR, SAPIR, max_edges=3)
+            fiber_product(subdivide_map(SAPIR), subdivide_map(SAPIR), max_edges=3)
 
     def test_offender_is_named(self):
-        for build in (
-            lambda f: fiber_product(f, f),
-            lambda f: pullback_filtration(f, 1),
-            stabilization_power,
-        ):
+        for build in (lambda f: pullback_filtration(f, 1), stabilization_power):
             with pytest.raises(ValueError, match="direction clash at vertex 0"):
                 build(NON_IMMERSION)
             build(SAPIR)
@@ -292,14 +290,11 @@ def subgroup_graphs(draw, rank):
 
 
 class TestProductEdgeStream:
-    """product_edges is the one home of the product's edges and their order."""
+    """fiber_product's edges, streamed per label block, and their order."""
 
     def check(self, left, right):
         fp = fiber_product(left, right)
         a, b = fp.left.graph, fp.right.graph
-        streamed = list(product_edges(a, b))
-        assert [s[:3] for s in streamed] == list(fp.graph.edges)
-        assert [s[3:] for s in streamed] == list(fp.edge_pairs)
         pairs, edges, edge_pairs = dict_indexed_product(a, b)
         assert fp.vertex_pairs == pairs
         assert list(fp.graph.edges) == edges
@@ -322,21 +317,21 @@ class TestProductEdgeStream:
             for level in (1, 2, 3):
                 sub = subdivide_level(f, level)
                 self.check(sub, sub)
-        self.check(DOUBLE, DOUBLE)
+        self.check(subdivide_map(DOUBLE), subdivide_map(DOUBLE))
 
     def test_budget_is_checked_on_call(self):
         a = stallings("ab", "ba")
         # two edges of each label on each side: 2·2 + 2·2 product edges
         with pytest.raises(ProductBudgetError, match="8 edges"):
-            product_edges(a, a, max_edges=7)
-        assert len(list(product_edges(a, a, max_edges=8))) == 8
+            fiber_product(a, a, max_edges=7)
+        assert len(fiber_product(a, a, max_edges=8).graph.edges) == 8
         with pytest.raises(ProductBudgetError, match="8 edges"):
             product_components(a, a, max_edges=7)
         assert sum(len(edges) for _, edges in product_components(a, a, max_edges=8)) == 8
 
 
 class TestProductComponents:
-    """product_components walks the components with edges of product_edges'
+    """product_components walks the components with edges of fiber_product's
     product, least vertex first."""
 
     def check(self, a, b):
@@ -345,7 +340,9 @@ class TestProductComponents:
         walked = list(product_components(a, b))
         assert len(walked) == len({labels[u] for u, _, _ in fp.graph.edges})
         edges = sorted(e for _, comp in walked for e in comp)
-        assert edges == [(l, i, j, u, v) for u, v, l, i, j in product_edges(a, b)]
+        assert edges == [
+            (l, i, j, u, v) for (u, v, l), (i, j) in zip(fp.graph.edges, fp.edge_pairs)
+        ]
         least = []
         for vertices, comp in walked:
             (c,) = {labels[u] for _, _, _, u, _ in comp}
@@ -708,7 +705,7 @@ class TestSubdivisionInvariance:
         # subdividing an already-subdivided factor changes nothing
         sub = subdivide_level(SAPIR, 1)
         again = fiber_product(sub, sub)
-        direct = fiber_product(SAPIR, SAPIR)
+        direct = fiber_product(subdivide_map(SAPIR), subdivide_map(SAPIR))
         assert canonical_code(again.graph) == canonical_code(direct.graph)
 
 
@@ -753,8 +750,8 @@ class TestStabilization:
         # an off-diagonal loop at one power exists iff one exists at power 1,
         # checked here directly on the products of iterated maps
         for f, dirty in ((SAPIR, True), (MIXED, False), (SQUARES, True)):
-            g = iterate_map(f, n)
-            fp = fiber_product(g, g)
+            sub = subdivide_map(iterate_map(f, n))
+            fp = fiber_product(sub, sub)
             found = any(
                 c.rank >= 1 and not c.contains_diagonal for c in fp.components()
             )
@@ -1227,8 +1224,8 @@ class TestDoubleCosetOracle:
     )
     def test_scan_matches_product(self, images, rank, dirty):
         assert self._scan(images, rank=rank) == dirty
-        f = rose_map(*images, rank=rank)
-        fp = fiber_product(f, f)
+        sub = subdivide_map(rose_map(*images, rank=rank))
+        fp = fiber_product(sub, sub)
         found = any(
             c.rank >= 1 and not c.contains_diagonal for c in fp.components()
         )
