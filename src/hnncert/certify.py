@@ -203,8 +203,9 @@ def parse_config(text: bytes, lenient: bool = False) -> CertificationConfig:
             raise ConfigError(f"unknown fields: {', '.join(unknown)}")
 
     rank = data.get("rank")
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise ConfigError("rank: must be an integer >= 1")
+    # reports write words in letter syntax, which has 26 letters
+    if not isinstance(rank, int) or isinstance(rank, bool) or not 1 <= rank <= 26:
+        raise ConfigError("rank: must be an integer from 1 to 26")
 
     endos_spec = data.get("endos")
     if not isinstance(endos_spec, list) or not endos_spec:

@@ -27,9 +27,11 @@ from typing import Optional, Sequence
 from .graphmap import GraphMap, letter_counts, transition_matrix
 from .pullback import (
     ProductBudgetError,
+    bfs_tree,
     check_product_size,
     component_tree,
     product_components,
+    tree_path,
 )
 from .stallings import Edge, LabeledGraph, core, is_folded, membership, subgroup_graph
 from .words import Endomorphism, Word, cyclic_reduce, reduce
@@ -90,49 +92,22 @@ class ImageSubgroup:
     graph: LabeledGraph
 
 
-def _bfs_parents(
-    g: LabeledGraph, root: int, target: Optional[int] = None
-) -> dict[int, tuple[int, int]]:
-    """BFS from root over ``sorted`` neighbour lists: vertex → (parent,
-    signed label of the step from it), in discovery order, root first (its
-    own parent, label 0).  Stops once ``target`` is discovered."""
+def _access_word(g: LabeledGraph, v: int) -> tuple[int, ...]:
+    """The labels read along the BFS path of g from its basepoint to ``v``,
+    neighbours taken by signed label; see :func:`_label_tree`."""
+    return tuple(tree_path(_label_tree(g), v))
+
+
+def _label_tree(g: LabeledGraph) -> dict[int, tuple[int, int]]:
+    """The :func:`pullback.bfs_tree` of g from its basepoint, each vertex
+    taking its neighbours sorted by signed label; a step is a signed label."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for u, v, l in g.edges:
         adj.setdefault(u, []).append((l, v))
         adj.setdefault(v, []).append((-l, u))
-    parent = {root: (root, 0)}
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for s, w in sorted(adj.get(v, ())):
-            if w not in parent:
-                parent[w] = (v, s)
-                if w == target:
-                    return parent
-                queue.append(w)
-    return parent
-
-
-def _access_words(g: LabeledGraph, root: int) -> dict[int, tuple[int, ...]]:
-    """Reduced word read along a BFS path from root, per reachable vertex."""
-    out: dict[int, tuple[int, ...]] = {}
-    for v, (u, s) in _bfs_parents(g, root).items():
-        out[v] = out[u] + (s,) if v != root else ()
-    return out
-
-
-def _access_word(g: LabeledGraph, root: int, target: int) -> tuple[int, ...]:
-    """``_access_words(g, root)[target]``, read back along the parent
-    pointers of a BFS that stops at ``target``: linear, not quadratic."""
-    parent = _bfs_parents(g, root, target)
-    word = []
-    v = target
-    while v != root:
-        v, s = parent[v]
-        word.append(s)
-    return tuple(reversed(word))
+    for out in adj.values():
+        out.sort()
+    return bfs_tree(adj, g.basepoint)
 
 
 def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
@@ -192,30 +167,22 @@ class DisjointnessVerdict:
     note: str = ""
 
 
-def _component_cycle(
-    edges: Sequence[Edge], rank: int
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """The least vertex of a component and the label word of a cycle there.
+def _component_cycle(edges: Sequence[Edge]) -> tuple[int, tuple[int, ...]]:
+    """The least vertex of a component of positive rank and the label word
+    of a cycle there, based at that vertex.
 
-    ``edges`` are the component's edges in product order; the cycle is the
-    first non-tree edge met, vertex by vertex in BFS order, from the BFS tree
-    of :func:`pullback.component_tree`.
+    ``edges`` are the component's edges in product order.  The cycle runs
+    down the BFS tree of :func:`pullback.component_tree` to the first
+    non-tree edge met, vertex by vertex in BFS order, across it and back up
+    the tree.  It is a reduced closed path, and the product of two folded
+    graphs is folded, so its label word is reduced and not empty.
     """
-    order, adj, parent = component_tree([(u, v) for u, v, _ in edges])
-    words: dict[int, tuple[int, ...]] = {order[0]: ()}
-    for w in order[1:]:
-        v, k, d = parent[w]
-        words[w] = words[v] + (d * edges[k][2],)
-    tree_edges = {k for _, k, _ in parent.values()}
-    for v in order:
-        for w, k, d in adj[v]:
-            if k in tree_edges:
-                continue
-            cycle = words[v] + (d * edges[k][2],) + tuple(-x for x in reversed(words[w]))
-            letters = reduce(cycle, rank).letters
-            if letters:
-                return order[0], letters
-    return None
+    adj, parent = component_tree([(u, v) for u, v, _ in edges])
+    tree = {abs(s) for _, s in parent.values()}
+    v, k, w = next((v, k, w) for v in parent for k, w in adj[v] if abs(k) not in tree)
+    steps = tree_path(parent, v) + [k] + [-s for s in reversed(tree_path(parent, w))]
+    root = next(iter(parent))
+    return root, tuple(edges[s - 1][2] if s > 0 else -edges[-s - 1][2] for s in steps)
 
 
 def _intersection_witness(
@@ -230,8 +197,11 @@ def _intersection_witness(
     among those of positive rank.  The components are walked least vertex
     first (:func:`pullback.product_components`), so the walk ends at that
     component; its edges, sorted, are in product order.  On an identical
-    pair it is the diagonal, walked first.  None if the product would
-    exceed ``max_edges`` edges.
+    pair it is the diagonal, walked first.  The cycle is read as signed
+    edge ids off the component's tree (:func:`_component_cycle`), at its
+    least vertex (x, y); the access words to x and y are the signed labels
+    of the factors' :func:`_label_tree` paths, and g is ua·ub⁻¹ and w is
+    ua·cycle·ua⁻¹.  None if the product would exceed ``max_edges`` edges.
     """
     ca = core(a, keep_basepoint=True)
     cb = core(b, keep_basepoint=True)
@@ -243,13 +213,10 @@ def _intersection_witness(
         if len(edges) < vertices:
             continue
         comp = [(u, v, l) for l, _, _, u, v in sorted(edges)]
-        found = _component_cycle(comp, a.rank)
-        if found is None:
-            continue
-        anchor, cycle_letters = found
+        anchor, cycle_letters = _component_cycle(comp)
         x, y = divmod(anchor, cb.num_vertices)
-        ua = _access_word(ca, ca.basepoint, x)
-        ub = _access_word(cb, cb.basepoint, y)
+        ua = _access_word(ca, x)
+        ub = _access_word(cb, y)
         g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
         w = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
         return IntersectionWitness(pair, g, w, len(comp) - vertices + 1)
@@ -364,7 +331,7 @@ def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:
     if not alpha.letters:
         return Word((), e.rank)
     based_core = core(subgroup_graph(list(powered.images), e.rank), keep_basepoint=True)
-    access = _access_words(based_core, based_core.basepoint)
+    tree = _label_tree(based_core)
     steps = based_core.step_map
     letters = alpha.letters
     for r in range(len(letters)):
@@ -375,9 +342,9 @@ def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:
                 pos = steps.get((pos, sgn))
                 if pos is None:
                     break
-            if pos != v or v not in access:
+            if pos != v or v not in tree:
                 continue
-            u = access[v]
+            u = tuple(tree_path(tree, v))
             h = reduce(u + rot + tuple(-x for x in reversed(u)), e.rank)
             beta = _decode_blocks(table, h)
             if beta is not None:

@@ -254,10 +254,8 @@ def check_product_size(total: int, max_edges: int) -> None:
 def _check_budget(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> None:
     """ProductBudgetError if the product of ``a`` and ``b`` would have more
     than ``max_edges`` edges: one for each two edges with equal labels."""
-    per_label: dict[int, int] = {}
-    for _, _, l in a.edges:
-        per_label[l] = per_label.get(l, 0) + 1
-    check_product_size(sum(per_label.get(l, 0) for _, _, l in b.edges), max_edges)
+    counts = (letter_counts([l for _, _, l in g.edges], g.rank) for g in (a, b))
+    check_product_size(sum(map(mul, *counts)), max_edges)
 
 
 def _label_blocks(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> list[tuple]:
@@ -342,29 +340,52 @@ def _walk_components(
             yield len(seen) - before, edges
 
 
+def bfs_tree(
+    adj: dict[int, list[tuple[int, int]]], root: int
+) -> dict[int, tuple[int, int]]:
+    """A breadth-first spanning tree of the component of ``root``.
+
+    ``adj`` lists per vertex its ``(step, neighbour)`` pairs in the order
+    the walk takes them; a step is a nonzero signed id whose negation steps
+    back.  Returns vertex -> (parent, step from the parent), in discovery
+    order, the root first as its own parent with step 0.
+    """
+    parent = {root: (root, 0)}
+    queue = [root]
+    for v in queue:  # the loop also visits the vertices appended to queue
+        for s, w in adj.get(v, ()):
+            if w not in parent:
+                parent[w] = (v, s)
+                queue.append(w)
+    return parent
+
+
+def tree_path(parent: dict[int, tuple[int, int]], v: int) -> list[int]:
+    """The steps of the :func:`bfs_tree` path from the root down to ``v``."""
+    steps = []
+    v, s = parent[v]
+    while s:
+        steps.append(s)
+        v, s = parent[v]
+    steps.reverse()
+    return steps
+
+
 def component_tree(
     ends: Sequence[tuple[int, int]],
-) -> tuple[list[int], dict[int, list[tuple[int, int, int]]], dict[int, tuple[int, int, int]]]:
-    """A BFS spanning tree of a connected graph given by its edges ``(u, v)``.
+) -> tuple[dict[int, list[tuple[int, int]]], dict[int, tuple[int, int]]]:
+    """The :func:`bfs_tree` of a connected graph given by its edges ``(u, v)``.
 
-    The tree is rooted at the least vertex, and each vertex lists its
-    incidences ``(neighbour, edge index, direction)`` in edge order, +1 at
-    an edge's source and −1 at its target.  Returns the vertices in BFS
-    order, the incidences, and per non-root vertex the incidence of its
-    parent through which the tree reached it.
+    Edge k is the signed id k + 1 read from u to v and −(k + 1) from v to u.
+    Each vertex lists its ``(signed id, neighbour)`` incidences in edge
+    order, and the tree is rooted at the least vertex.  Returns the
+    incidences and the tree.
     """
-    adj: dict[int, list[tuple[int, int, int]]] = {}
-    for k, (u, v) in enumerate(ends):
-        adj.setdefault(u, []).append((v, k, 1))
-        adj.setdefault(v, []).append((u, k, -1))
-    order = [min(adj)]
-    parent: dict[int, tuple[int, int, int]] = {}
-    for v in order:  # the loop also visits the vertices appended to order
-        for w, k, d in adj[v]:
-            if w != order[0] and w not in parent:
-                parent[w] = (v, k, d)
-                order.append(w)
-    return order, adj, parent
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for k, (u, v) in enumerate(ends, 1):
+        adj.setdefault(u, []).append((k, v))
+        adj.setdefault(v, []).append((-k, u))
+    return adj, bfs_tree(adj, min(adj))
 
 
 def fiber_product(
@@ -651,19 +672,23 @@ WalkedEdge = tuple  # (label, i, j, u, v), as product_components gives it
 
 
 def _project_cycle(
-    sub: Subdivided, edges: list[WalkedEdge], cycle: list[tuple[int, int]], side: int
+    sub: Subdivided, edges: list[WalkedEdge], cycle: list[int], side: int
 ) -> Path:
     """Free homotopy class of a product cycle's projection to one factor
     (``side`` 0 or 1), as a tight cyclic path of full parent edges.
 
-    The projection is tightened in the subdivision first.  The
+    The cycle is signed ids of ``edges`` from the tree's root
+    (:func:`_fundamental_cycles`).  The projection is tightened in the
+    subdivision first, which also drops the path from the root.  The
     subdivision's vertices inside a petal have valence two, so a tight
     cyclic path leaves a petal only at the rose's vertex: it is a cyclic
     sequence of complete petal crossings, and each crossing is read off
     the piece that ends it, one that reaches offset 1 ascending or offset
     0 descending.
     """
-    pieces = cyclic_core(free_reduce(d * (edges[k][1 + side] + 1) for k, d in cycle))
+    pieces = cyclic_core(
+        free_reduce((edges[abs(k) - 1][1 + side] + 1) * (1 if k > 0 else -1) for k in cycle)
+    )
     letters = []
     for signed in pieces:
         e, lo, hi, ascending = sub.edge_meta[abs(signed) - 1]
@@ -675,47 +700,22 @@ def _project_cycle(
     return tuple(letters)
 
 
-def _fundamental_cycles(edges: list[WalkedEdge], limit: int = 8):
-    """Up to ``limit`` fundamental cycles of a walked component, as lists of
-    (edge index, direction), from the BFS tree of :func:`component_tree`
-    and the non-tree edges in product order; ``edges`` are the component's
-    edges sorted into product order."""
-    order, _, parent = component_tree([(u, v) for _, _, _, u, v in edges])
-    root = order[0]
-    tree_edges = {k for _, k, _ in parent.values()}
-
-    def path_to_root(v: int) -> list[tuple[int, int]]:
-        out = []
-        while v != root:
-            p, k, d = parent[v]
-            out.append((k, -d))  # walk from v back to p
-            v = p
-        return out
-
+def _fundamental_cycles(edges: list[WalkedEdge], limit: int = 8) -> list[list[int]]:
+    """Up to ``limit`` fundamental cycles of a walked component, as signed
+    edge ids from the root of :func:`component_tree`, one per non-tree edge
+    in product order; ``edges`` are the component's edges sorted into
+    product order."""
+    _, parent = component_tree([(u, v) for _, _, _, u, v in edges])
+    tree = {abs(s) for _, s in parent.values()}
     cycles = []
-    for k, (_, _, _, u, v) in enumerate(edges):
-        if k in tree_edges:
+    for k, (_, _, _, u, v) in enumerate(edges, 1):
+        if k in tree:
             continue
-        up = path_to_root(u)
-        vp = path_to_root(v)
-        # cycle: root -> u (reverse of up), edge k, v -> root (vp)
-        cycle = [(e, -d) for e, d in reversed(up)] + [(k, 1)] + vp
-        cycles.append(_strip_backtracks(cycle))
+        back = [-s for s in reversed(tree_path(parent, v))]
+        cycles.append(tree_path(parent, u) + [k] + back)
         if len(cycles) >= limit:
             break
     return cycles
-
-
-def _strip_backtracks(cycle: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for item in cycle:
-        if out and out[-1][0] == item[0] and out[-1][1] == -item[1]:
-            out.pop()
-        else:
-            out.append(item)
-    while len(out) >= 2 and out[0][0] == out[-1][0] and out[0][1] == -out[-1][1]:
-        out = out[1:-1]
-    return out
 
 
 def _least_rotated(p: Path) -> Path:
@@ -820,8 +820,6 @@ def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) ->
     seen_classes: set[Path] = set()
     for _, edges in dirty:
         for cycle in _fundamental_cycles(edges):
-            if not cycle:
-                continue
             for side in (0, 1):
                 loop = _project_cycle(sub, edges, cycle, side)
                 if loop:

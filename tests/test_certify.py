@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -777,11 +778,19 @@ def test_disjointness_budget_is_decided_before_the_images():
 
 def test_mixed_family_budget_is_decided_before_the_immersions_image():
     # a -> ab, b -> abb is no immersion (both images start with a), so its
-    # image is built and counted; the immersion's third power is not built
+    # image is built and counted; the immersion's third power is not built.
+    # The witness cycle is read off parent pointers, not a word per product
+    # vertex, which took 773 MB here
     t0 = time.monotonic()
-    cert = certify(parse_config(slow_image_pair(first=("ab", "abb"))))
-    report = emit_report(cert)
+    tracemalloc.start()
+    try:
+        cert = certify(parse_config(slow_image_pair(first=("ab", "abb"))))
+        report = emit_report(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.monotonic() - t0 < 10.0
+    assert peak < 150 * 2**20
     assert cert.verdict == "obstruction_BS"
     assert cert.evidence["disjointness"]["note"] == (
         "search budget exhausted at power 3; verdict covers powers 1..2"

@@ -69,6 +69,16 @@ class TestExitCodes:
         assert main(["--input", path]) == EXIT_USAGE
         assert "bogus" in capsys.readouterr().err
 
+    def test_rank_beyond_letter_syntax_is_one(self, tmp_path, capsys):
+        # integer-list images parse at any rank, but a report spells words
+        # in letters a-z
+        rank = 27
+        config = {"rank": rank, "endos": [[[i, i] for i in range(1, rank + 1)]]}
+        assert main(["--input", write(tmp_path, config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "rank" in err
+        assert "Traceback" not in err
+
     def test_bad_flag_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--frobnicate"])

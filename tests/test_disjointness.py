@@ -507,6 +507,55 @@ def _whole_product_cycle(g, verts):
     return None
 
 
+def access_words(g, root):
+    """The labels read along a BFS path from root, per reachable vertex:
+    neighbours taken in ``sorted`` (signed label, vertex) order, each word
+    built from its parent's."""
+    adj = {}
+    for u, v, l in g.edges:
+        adj.setdefault(u, []).append((l, v))
+        adj.setdefault(v, []).append((-l, u))
+    out = {root: ()}
+    queue = [root]
+    for v in queue:
+        for s, x in sorted(adj.get(v, ())):
+            if x not in out:
+                out[x] = out[v] + (s,)
+                queue.append(x)
+    return out
+
+
+def quadratic_component_cycle(edges, rank):
+    """``_component_cycle`` as it was first written: a label word per
+    vertex of the BFS tree, then the first non-tree incidence, vertex by
+    vertex in BFS order, whose cycle reduces to a nonempty word."""
+    adj = {}
+    for k, (u, v, _) in enumerate(edges):
+        adj.setdefault(u, []).append((v, k, 1))
+        adj.setdefault(v, []).append((u, k, -1))
+    order = [min(adj)]
+    parent = {}
+    for v in order:
+        for x, k, d in adj[v]:
+            if x != order[0] and x not in parent:
+                parent[x] = (v, k, d)
+                order.append(x)
+    words = {order[0]: ()}
+    for x in order[1:]:
+        v, k, d = parent[x]
+        words[x] = words[v] + (d * edges[k][2],)
+    tree_edges = {k for _, k, _ in parent.values()}
+    for v in order:
+        for x, k, d in adj[v]:
+            if k in tree_edges:
+                continue
+            cycle = words[v] + (d * edges[k][2],) + tuple(-y for y in reversed(words[x]))
+            letters = reduce(cycle, rank).letters
+            if letters:
+                return order[0], letters
+    return None
+
+
 def whole_product_witness(a, b, pair):
     """The witness as it was found before streaming: build the based cores'
     whole fiber product, number its components, and take the first one of
@@ -526,8 +575,8 @@ def whole_product_witness(a, b, pair):
             continue
         anchor, cycle_letters = found
         x, y = fp.vertex_pairs[anchor]
-        ua = disjointness._access_words(ca, ca.basepoint)[x]
-        ub = disjointness._access_words(cb, cb.basepoint)[y]
+        ua = access_words(ca, ca.basepoint)[x]
+        ub = access_words(cb, cb.basepoint)[y]
         g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
         elem = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
         return IntersectionWitness(pair, g, elem, len(edges) - len(verts) + 1)
@@ -574,9 +623,44 @@ class TestAccessWord:
     @settings(max_examples=150, deadline=None)
     def test_matches_every_access_word(self, g):
         c = core(g, keep_basepoint=True)
-        words = disjointness._access_words(c, c.basepoint)
+        words = access_words(c, c.basepoint)
+        assert list(disjointness._label_tree(c)) == list(words)
         for v, word in words.items():
-            assert disjointness._access_word(c, c.basepoint, v) == word
+            assert disjointness._access_word(c, v) == word
+
+
+def positive_rank_components(a, b):
+    """The edges, in product order, of each component of positive rank of
+    the based cores' product."""
+    ca = core(a, keep_basepoint=True)
+    cb = core(b, keep_basepoint=True)
+    return [
+        [(u, v, l) for l, _, _, u, v in sorted(edges)]
+        for vertices, edges in pullback.product_components(ca, cb)
+        if len(edges) >= vertices
+    ]
+
+
+class TestComponentCycle:
+    """The cycle read off the parent pointers is the one the quadratic
+    version, which builds a word per vertex, finds."""
+
+    @given(st.data(), st.sampled_from([2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_quadratic_cycle(self, data, rank):
+        h = data.draw(small_subgroup(rank))
+        k = data.draw(st.one_of(st.just(h), small_subgroup(rank)))
+        for comp in positive_rank_components(h, k):
+            assert disjointness._component_cycle(comp) == quadratic_component_cycle(comp, rank)
+
+    @pytest.mark.parametrize("e", [LAMINATED, RANK3_CYCLE, HANGING], ids=["rank2", "rank3", "hanging"])
+    def test_matches_the_quadratic_cycle_on_identical_pairs(self, e):
+        for n in range(1, 4):
+            g = image_subgroup(e, n).graph
+            comps = positive_rank_components(g, g)
+            assert comps
+            for comp in comps:
+                assert disjointness._component_cycle(comp) == quadratic_component_cycle(comp, e.rank)
 
 
 class TestStreamedProduct:
@@ -802,7 +886,7 @@ def _uncached_preimage(e, s, alpha):
     graph = subgroup_graph(list(powered.images), e.rank)
     based_core = core(graph, keep_basepoint=True)
     steps = based_core.step_map
-    access = disjointness._access_words(based_core, based_core.basepoint)
+    access = access_words(based_core, based_core.basepoint)
     letters = alpha.letters
     for r in range(len(letters)):
         rot = letters[r:] + letters[:r]

@@ -982,6 +982,19 @@ class TestInvariantLoopSearch:
         assert max(lengths) == 160_000
 
 
+def strip_backtracks(cycle):
+    """Free and then cyclic reduction of a cycle of (edge id, direction)."""
+    out = []
+    for item in cycle:
+        if out and out[-1][0] == item[0] and out[-1][1] == -item[1]:
+            out.pop()
+        else:
+            out.append(item)
+    while len(out) >= 2 and out[0][0] == out[-1][0] and out[0][1] == -out[-1][1]:
+        out = out[1:-1]
+    return out
+
+
 def fiber_product_cycles(fp, comp, limit=8):
     """Up to ``limit`` fundamental cycles of a FiberProduct component, as
     (edge id, direction) lists: a BFS tree from the component's first
@@ -1015,7 +1028,7 @@ def fiber_product_cycles(fp, comp, limit=8):
             continue
         u, v, _ = g.edges[i]
         cycle = [(e, -d) for e, d in reversed(path_to_root(u))] + [(i, 1)] + path_to_root(v)
-        cycles.append(pullback._strip_backtracks(cycle))
+        cycles.append(strip_backtracks(cycle))
         if len(cycles) >= limit:
             break
     return cycles
