@@ -4,7 +4,9 @@ The fiber product of two immersions into a common rose is computed
 combinatorially: a map whose edges traverse paths is first subdivided so
 every edge maps onto a single rose edge, and the product then pairs every
 two vertices (all of them map to the rose's one vertex) and every two
-edges with equal image edge.
+edges with equal image edge.  Product vertex x·nb + y is the pair (x, y),
+with nb the right factor's vertex count; a :class:`ProductPairs` reads the
+pairs off the ids, so no tuple is built per product vertex.
 
 Points of a graph are exact values: a vertex ``('v', id)`` or an interior
 edge point ``('e', edge_id, offset)`` with a rational offset in (0, 1).
@@ -21,7 +23,8 @@ vertices, each of which stays inside a single edge on each side and is
 recorded as an exact segment).  Signatures are read from per-factor tables,
 built once per factor, that key each point by integers (its edge and reduced
 offset numerator and denominator), so no rational is built per product
-vertex.  Only the filtration reads signatures.
+vertex, and all of a product's are built in one flat pass over compressed
+integer incidences.  Only the filtration reads signatures.
 
 The stabilization gate needs level 1 alone, and reads it from
 :func:`product_components`, the walk the disjointness gate uses: no whole
@@ -30,12 +33,14 @@ product, component labelling or signature is built there.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from operator import itemgetter, mul
-from typing import Iterator, Optional, Sequence, Union
+from itertools import accumulate, chain, groupby, product, repeat
+from operator import eq, itemgetter, mul
+from typing import NamedTuple, Optional, Union
 
 from .graphmap import (
     GraphMap,
@@ -48,7 +53,7 @@ from .graphmap import (
     rose,
     transition_matrix,
 )
-from .stallings import LabeledGraph, component_labels, label_clash
+from .stallings import LabeledGraph, component_labels, core, label_clash
 from .words import cyclic_core, free_reduce, least_rotation, primitive_root
 
 Point = tuple  # ('v', vertex) | ('e', positive edge id, Fraction offset)
@@ -207,13 +212,14 @@ def as_product_factor(g: LabeledGraph) -> Subdivided:
     return Subdivided(
         rose(g.rank),
         g,
-        tuple(("v", v) for v in range(g.num_vertices)),
-        tuple((i + 1, Fraction(0), Fraction(1), True) for i in range(len(g.edges))),
+        tuple(zip(repeat("v"), range(g.num_vertices))),
+        tuple(
+            zip(range(1, len(g.edges) + 1), repeat(Fraction(0)), repeat(Fraction(1)), repeat(True))
+        ),
     )
 
 
-@dataclass(frozen=True)
-class ProductComponent:
+class ProductComponent(NamedTuple):
     vertex_ids: tuple[int, ...]
     edge_ids: tuple[int, ...]
     rank: int
@@ -229,12 +235,69 @@ class ProductComponent:
         return "higher_rank"
 
 
+class ProductPairs(Sequence):
+    """The pairs (x, y), x < na and y < nb, with x major: the sequence
+    ``tuple(itertools.product(range(na), range(nb)))`` without its tuples.
+
+    Pair v is ``divmod(v, nb)`` and ``index((x, y))`` is ``x * nb + y``;
+    it equals a tuple or list of the same pairs.
+    """
+
+    __slots__ = ("na", "nb")
+
+    def __init__(self, na: int, nb: int) -> None:
+        self.na = na
+        self.nb = nb
+
+    def __len__(self) -> int:
+        return self.na * self.nb
+
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            return tuple(map(divmod, range(len(self))[v], repeat(self.nb)))
+        return divmod(range(len(self))[v], self.nb)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return product(range(self.na), range(self.nb))
+
+    def __contains__(self, pair) -> bool:
+        return (
+            isinstance(pair, tuple)
+            and len(pair) == 2
+            and pair[0] in range(self.na)
+            and pair[1] in range(self.nb)
+        )
+
+    def index(self, pair) -> int:
+        if pair not in self:
+            raise ValueError(f"{pair!r} is not in the product's vertex pairs")
+        return range(self.na).index(pair[0]) * self.nb + range(self.nb).index(pair[1])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ProductPairs):
+            return len(self) == len(other) and (not self or self.nb == other.nb)
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ProductPairs({self.na}, {self.nb})"
+
+
 @dataclass(frozen=True)
 class FiberProduct:
-    """Combinatorial fiber product of two subdivided immersions."""
+    """Combinatorial fiber product of two subdivided immersions.
+
+    ``vertex_pairs`` is a :class:`ProductPairs`: product vertex v is the
+    pair ``divmod(v, nb)`` of a left and a right vertex, with nb the right
+    factor's vertex count.
+    """
 
     graph: LabeledGraph
-    vertex_pairs: tuple[tuple[int, int], ...]
+    vertex_pairs: ProductPairs
     edge_pairs: tuple[tuple[int, int], ...]
     left: Subdivided
     right: Subdivided
@@ -260,7 +323,8 @@ def _check_budget(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> None:
 
 def _label_blocks(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> list[tuple]:
     """Per label both factors carry, ascending: ``(label, [(i, ua·nb, va·nb)],
-    [(j, ub, vb)])`` over the edges of ``a`` and ``b``; the budget is checked first."""
+    (js, ubs, vbs))`` over the edges of ``a``, and the columns of ``b``'s
+    edges (j, ub, vb); the budget is checked first."""
     _check_budget(a, b, max_edges)
     nb = b.num_vertices
     by_label_a: dict[int, list[tuple[int, int, int]]] = {}
@@ -269,7 +333,11 @@ def _label_blocks(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> list[tupl
     by_label_b: dict[int, list[tuple[int, int, int]]] = {}
     for j, (ub, vb, l) in enumerate(b.edges):
         by_label_b.setdefault(l, []).append((j, ub, vb))
-    return [(l, by_label_a[l], by_label_b[l]) for l in sorted(by_label_b) if l in by_label_a]
+    return [
+        (l, by_label_a[l], tuple(zip(*by_label_b[l])))
+        for l in sorted(by_label_b)
+        if l in by_label_a
+    ]
 
 
 def product_components(
@@ -411,11 +479,12 @@ def fiber_product(
         raise ValueError("factors have different codomains")
     edges: list[tuple[int, int, int]] = []
     edge_pairs: list[tuple[int, int]] = []
-    for l, block_a, block_b in _label_blocks(a.graph, b.graph, max_edges):
-        edges += [(ua + ub, va + vb, l) for _, ua, va in block_a for _, ub, vb in block_b]
-        edge_pairs += [(i, j) for i, _, _ in block_a for j, _, _ in block_b]
+    for l, block_a, (js, ubs, vbs) in _label_blocks(a.graph, b.graph, max_edges):
+        for i, ua, va in block_a:
+            edges += zip(map(ua.__add__, ubs), map(va.__add__, vbs), repeat(l))
+            edge_pairs += zip(repeat(i), js)
     nb = b.graph.num_vertices
-    pairs = tuple(product(range(a.graph.num_vertices), range(nb)))
+    pairs = ProductPairs(a.graph.num_vertices, nb)
 
     basepoint = None
     if a.graph.basepoint is not None and b.graph.basepoint is not None:
@@ -435,93 +504,114 @@ def _coerce_factor(x: Union[Subdivided, LabeledGraph]) -> Subdivided:
 # --- component analysis with subdivision-invariant signatures ---
 
 
+def _incidences(n: int, edges: Sequence[tuple[int, int, int]]) -> tuple[array, array]:
+    """Compressed incidences of a graph on ``n`` vertices: vertex v's are
+    ``inc[start[v]:start[v + 1]]``, in edge order, the signed id k + 1 at
+    edge k's source and −(k + 1) at its target."""
+    degree = [0] * n
+    for u, v, _ in edges:
+        degree[u] += 1
+        degree[v] += 1
+    start = array("l", accumulate(degree, initial=0))
+    fill = start.tolist()
+    inc = array("l", [0]) * (2 * len(edges))
+    for k, (u, v, _) in enumerate(edges, 1):
+        inc[fill[u]] = k
+        fill[u] += 1
+        inc[fill[v]] = -k
+        fill[v] += 1
+    return start, inc
+
+
 def _product_components(fp: FiberProduct) -> tuple[ProductComponent, ...]:
-    """Components by least vertex; one without edges has its point pair as
-    signature, so only those with edges get vertex lists and a walk."""
+    """Components by least vertex, with their subdivision-invariant
+    signatures: intrinsic vertices and arcs.
+
+    One flat pass over the product.  Vertices are visited in the order of
+    their point pair keys, x's key major: a vertex without edges is a
+    component, with its point pair as signature, and the intrinsic ones are
+    kept with their keys.  Arcs are then walked from the intrinsic vertices
+    component by component, in key order within each, so each arc is first
+    reached from its endpoint with the lesser key, and the walk meets every
+    other vertex and edge of its component once.  Only the component being
+    walked has containers.
+    """
     g = fp.graph
-    pairs = fp.vertex_pairs
-    key_l, key_r = fp.left.point_keys, fp.right.point_keys
-    labels = component_labels(g)
-    comp_edges: dict[int, list[int]] = {}
-    incident: dict[int, list[tuple[int, int]]] = {}
-    for i, (u, v, _) in enumerate(g.edges):
-        comp_edges.setdefault(labels[u], []).append(i)
-        incident.setdefault(u, []).append((i, 1))
-        incident.setdefault(v, []).append((i, -1))
-    comp_vertices: dict[int, list[int]] = {c: [] for c in comp_edges}
-    for v in sorted(incident):
-        comp_vertices[labels[v]].append(v)
-
-    out: list[ProductComponent] = []
-    for v, c in enumerate(labels):
-        if c < len(out):
-            continue
-        if c in comp_edges:
-            verts, edges = comp_vertices[c], comp_edges[c]
-            signature = _component_signature(fp, verts, incident)
-            rank = len(edges) - len(verts) + 1
-            diag = any(x == y for x, y in (pairs[w] for w in verts))
-            out.append(ProductComponent(tuple(verts), tuple(edges), rank, signature, diag))
-        else:
-            x, y = pairs[v]
-            out.append(ProductComponent((v,), (), 0, (((key_l[x], key_r[y]),), ()), x == y))
-    return tuple(out)
-
-
-def _component_signature(
-    fp: FiberProduct, verts: list[int], incident: dict[int, list[tuple[int, int]]]
-) -> tuple:
-    """Intrinsic vertices and arcs of a component; ``incident`` holds
-    (edge, +1) at an edge's source and (edge, −1) at its target."""
-    g = fp.graph
-    pairs, edge_pairs = fp.vertex_pairs, fp.edge_pairs
+    n, edges = g.num_vertices, g.edges
+    na, nb = fp.vertex_pairs.na, fp.vertex_pairs.nb
+    edge_pairs = fp.edge_pairs
     left, right = fp.left, fp.right
     key_l, key_r = left.point_keys, right.point_keys
     on_l, on_r = left.on_vertex, right.on_vertex
     seg_l_of, seg_r_of = left.segments, right.segments
-    intrinsic = {}  # product vertex -> its point pair key
-    for v in verts:
-        x, y = pairs[v]
-        if on_l[x] or on_r[y] or len(incident[v]) != 2:
-            intrinsic[v] = (key_l[x], key_r[y])
-    if not intrinsic:
-        raise RuntimeError("component without intrinsic vertices; product structure violated")
+    labels = component_labels(g)
+    start, inc = _incidences(n, edges)
 
-    arcs = []
-    walked: set[int] = set()  # edges on arcs already recorded
-    for v0, key0 in intrinsic.items():
-        for eid, d in incident[v0]:
-            # walking away from v0 along the edge runs with its stored
-            # orientation at its source (d = +1), against it at its target
-            if eid in walked:
-                continue
-            i, j = edge_pairs[eid]
-            el, al, bl = seg_l_of[i][d < 0]
-            er, ar, br = seg_r_of[j][d < 0]
-            while True:
-                walked.add(eid)
-                u, w, _ = g.edges[eid]
-                pos = w if d == 1 else u
-                if pos in intrinsic:
-                    break
-                # a non-intrinsic vertex has valence two: continue through
-                # the incidence we did not arrive by, chaining its segments
-                first, second = incident[pos]
-                eid, d = second if first == (eid, -d) else first
-                i, j = edge_pairs[eid]
-                e2, a2, b2 = seg_l_of[i][d < 0]
-                e3, a3, b3 = seg_r_of[j][d < 0]
-                if e2 != el or a2 != bl or e3 != er or a3 != br:
-                    raise RuntimeError("arc left its edge without an intrinsic vertex")
-                bl, br = b2, b3
-            key1 = intrinsic[pos]
-            arcs.append(
-                min(
-                    (key0, key1, (el, al, bl), (er, ar, br)),
-                    (key1, key0, (el, bl, al), (er, br, ar)),
-                )
-            )
-    return (tuple(sorted(intrinsic.values())), tuple(sorted(arcs)))
+    out: list = [None] * (max(labels) + 1 if n else 0)
+    intrinsic = {}  # product vertex -> its point pair key, in key order
+    order_r = sorted(range(nb), key=key_r.__getitem__)
+    for x in sorted(range(na), key=key_l.__getitem__):
+        kx, ox, base = key_l[x], on_l[x], x * nb
+        for y in order_r:
+            v = base + y
+            d = start[v + 1] - start[v]
+            if not d:
+                out[labels[v]] = ProductComponent((v,), (), 0, (((kx, key_r[y]),), ()), x == y)
+            elif ox or on_r[y] or d != 2:
+                intrinsic[v] = (kx, key_r[y])
+
+    diagonal = {labels[v] for v in range(0, min(na, nb) * (nb + 1), nb + 1)}
+    walked = bytearray(len(edges))  # edges on arcs already recorded
+    for c, firsts in groupby(sorted(intrinsic, key=labels.__getitem__), labels.__getitem__):
+        verts, comp_edges, keys, arcs = [], [], [], []
+        for v0 in firsts:
+            key0 = intrinsic[v0]
+            verts.append(v0)
+            keys.append(key0)
+            for s in inc[start[v0] : start[v0 + 1]]:
+                # walking away from v0 along the edge runs with its stored
+                # orientation at its source (s > 0), against it at its target
+                k = abs(s) - 1
+                if walked[k]:
+                    continue
+                i, j = edge_pairs[k]
+                el, al, bl = seg_l_of[i][s < 0]
+                er, ar, br = seg_r_of[j][s < 0]
+                while True:
+                    walked[k] = 1
+                    comp_edges.append(k)
+                    pos = edges[k][s > 0]
+                    if pos in intrinsic:
+                        break
+                    # a non-intrinsic vertex has valence two: continue through
+                    # the incidence we did not arrive by, chaining its segments
+                    verts.append(pos)
+                    first = start[pos]
+                    s = inc[first + 1] if inc[first] == -s else inc[first]
+                    k = abs(s) - 1
+                    i, j = edge_pairs[k]
+                    e2, a2, b2 = seg_l_of[i][s < 0]
+                    e3, a3, b3 = seg_r_of[j][s < 0]
+                    if e2 != el or a2 != bl or e3 != er or a3 != br:
+                        raise RuntimeError("arc left its edge without an intrinsic vertex")
+                    bl, br = b2, b3
+                arc = (key0, intrinsic[pos], (el, al, bl), (er, ar, br))
+                if pos == v0:
+                    arc = min(arc, (key0, key0, (el, bl, al), (er, br, ar)))
+                arcs.append(arc)
+        verts.sort()
+        comp_edges.sort()
+        arcs.sort()
+        out[c] = ProductComponent(
+            tuple(verts),
+            tuple(comp_edges),
+            len(comp_edges) - len(verts) + 1,
+            (tuple(keys), tuple(arcs)),
+            c in diagonal,
+        )
+    if 0 in walked:
+        raise RuntimeError("component without intrinsic vertices; product structure violated")
+    return tuple(out)
 
 
 # --- the filtration and stabilization ---
@@ -562,22 +652,21 @@ def _previous_images(
     return [prev_images[index[point_image(f, p)]] for p in sub.vertex_point]
 
 
-def _level_flags(fp: FiberProduct, comps, images: list[int]) -> tuple[bool, ...]:
-    """Per component: does it lie in the previous level?  A product vertex
-    (x, y) does iff f^(i−1) identifies x and y, i.e. ``images[x] ==
-    images[y]``.
+def _level_flags(comps, images: list[int]) -> tuple[bool, ...]:
+    """Per component of a level's self-product: does it lie in the previous
+    level?  A product vertex (x, y) does iff f^(i−1) identifies x and y,
+    i.e. ``images[x] == images[y]``; ``inside`` holds that per vertex id.
 
     Containment must be all-or-nothing per component; a mixed component
     violates the inclusion structure and raises.
     """
-    pairs = fp.vertex_pairs
+    inside = list(chain.from_iterable(map(image.__eq__, images) for image in images))
     flags = []
     for comp in comps:
         if len(comp.vertex_ids) == 1:
-            x, y = pairs[comp.vertex_ids[0]]
-            flags.append(images[x] == images[y])
+            flags.append(inside[comp.vertex_ids[0]])
             continue
-        votes = {images[x] == images[y] for x, y in (pairs[v] for v in comp.vertex_ids)}
+        votes = set(map(inside.__getitem__, comp.vertex_ids))
         if len(votes) != 1:
             raise RuntimeError(
                 "component mixes points inside and outside the previous level"
@@ -608,7 +697,7 @@ def pullback_filtration(
         previous = (sub, images)
         fp = fiber_product(sub, sub, max_edges=max_edges)
         comps = fp.components()
-        flags = _level_flags(fp, comps, images)
+        flags = _level_flags(comps, images)
         for comp, flag in zip(comps, flags):
             if comp.contains_diagonal and not flag:
                 raise RuntimeError("diagonal component escaped the previous level")
@@ -634,10 +723,11 @@ class ComponentReport:
 
 
 def _core_counts(g: LabeledGraph, comp: ProductComponent) -> tuple[int, int]:
-    from .stallings import core, subgraph_on
-
-    sub, _ = subgraph_on(g, comp.vertex_ids)
-    c = core(sub, keep_basepoint=False)
+    """Vertex and edge counts of the core of a component of ``g``, built
+    from the component's own edges, its vertices renumbered in order."""
+    index = {v: i for i, v in enumerate(comp.vertex_ids)}
+    edges = sorted((index[u], index[v], l) for u, v, l in map(g.edges.__getitem__, comp.edge_ids))
+    c = core(LabeledGraph(g.rank, len(index), tuple(edges)), keep_basepoint=False)
     return c.num_vertices, len(c.edges)
 
 

@@ -4,6 +4,7 @@ import collections
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from operator import mul
@@ -23,8 +24,10 @@ from hnncert.graphmap import (
     transition_matrix,
 )
 from hnncert.pullback import (
+    ComponentReport,
     ProductBudgetError,
     ProductComponent,
+    ProductPairs,
     StabilizationVerdict,
     _subdivision_fractions,
     as_product_factor,
@@ -510,6 +513,156 @@ class TestComponentWalkOracle:
             assert fp.components() == oracle_components(fp)
             checked += len(fp.components())
         assert checked > 1000
+
+
+class TestProductPairs:
+    """ProductPairs is the sequence tuple(product(range(na), range(nb)))."""
+
+    SLICES = (
+        slice(None),
+        slice(1, None),
+        slice(None, -1),
+        slice(None, None, -1),
+        slice(1, 5, 2),
+        slice(-3, None),
+        slice(4, 1, -1),
+        slice(40, 50),
+    )
+
+    def test_matches_the_tuple_of_pairs(self):
+        for na, nb in itertools.product(range(7), repeat=2):
+            pairs = ProductPairs(na, nb)
+            want = tuple(itertools.product(range(na), range(nb)))
+            assert len(pairs) == len(want)
+            for v in range(-len(want), len(want)):
+                assert pairs[v] == want[v]
+            for v in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    pairs[v]
+            for s in self.SLICES:
+                assert pairs[s] == want[s]
+            assert tuple(pairs) == want
+            for v, pair in enumerate(want):
+                assert pair in pairs
+                assert pairs.index(pair) == v
+            for missing in ((na, 0), (0, nb), (-1, 0)):
+                assert missing not in pairs
+                with pytest.raises(ValueError):
+                    pairs.index(missing)
+            assert pairs == want and want == pairs
+            assert pairs == list(want) and list(want) == pairs
+            assert pairs != want + ((na, nb),) and want + ((na, nb),) != pairs
+            assert pairs == ProductPairs(na, nb)
+            assert hash(pairs) == hash(ProductPairs(na, nb)) == hash(want)
+
+    def test_unequal_shapes(self):
+        assert ProductPairs(2, 3) != ProductPairs(3, 2)
+        assert ProductPairs(2, 3) != tuple(itertools.product(range(3), range(2)))
+        assert ProductPairs(0, 3) == ProductPairs(2, 0) == ()
+
+    def test_fiber_product_index_is_the_vertex_id(self):
+        a = core(stallings("aab", "ba"), keep_basepoint=True)
+        b = core(stallings("ab", "bba"), keep_basepoint=True)
+        fp = fiber_product(a, b)
+        assert fp.vertex_pairs == ProductPairs(a.num_vertices, b.num_vertices)
+        assert fp.vertex_pairs.index((a.basepoint, b.basepoint)) == fp.graph.basepoint
+
+
+class TestProductStructureErrors:
+    """The component pass rejects products that no two subdivided
+    immersions give."""
+
+    THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
+
+    def test_component_without_intrinsic_vertices(self):
+        # a 2-cycle of interior points: its self product has two 2-cycles
+        # whose vertices are interior points of valence two
+        graph = LabeledGraph(1, 2, ((0, 1, 1), (1, 0, 1)))
+        points = (("e", 1, self.THIRD), ("e", 1, self.TWO_THIRDS))
+        metas = ((1, self.THIRD, self.TWO_THIRDS, True), (1, self.TWO_THIRDS, self.THIRD, True))
+        sub = pullback.Subdivided(rose(1), graph, points, metas)
+        with pytest.raises(RuntimeError, match="without intrinsic vertices"):
+            fiber_product(sub, sub).components()
+
+    def test_arc_leaving_its_edge(self):
+        # the middle piece of a petal claims another parent edge
+        graph = LabeledGraph(1, 3, ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
+        points = (("v", 0), ("e", 1, self.THIRD), ("e", 1, self.TWO_THIRDS))
+        metas = (
+            (1, Fraction(0), self.THIRD, True),
+            (2, self.THIRD, self.TWO_THIRDS, True),
+            (1, self.TWO_THIRDS, Fraction(1), True),
+        )
+        sub = pullback.Subdivided(rose(1), graph, points, metas)
+        with pytest.raises(RuntimeError, match="arc left its edge"):
+            fiber_product(sub, sub).components()
+
+
+def induced_new_components(filtration, i):
+    """new_components as it was built before it read each component's own
+    edges: the subgraph induced on the component's vertices from the whole
+    product (test-local copy)."""
+    level = filtration.level(i)
+    out = []
+    for comp, old in zip(level.components, level.in_previous):
+        if old:
+            continue
+        sub, _ = subgraph_on(level.product.graph, comp.vertex_ids)
+        c = core(sub, keep_basepoint=False)
+        out.append(
+            ComponentReport(
+                comp.rank,
+                comp.classification,
+                len(comp.vertex_ids),
+                len(comp.edge_ids),
+                c.num_vertices,
+                len(c.edges),
+            )
+        )
+    return tuple(out)
+
+
+def rose_fixture(name):
+    images, depth = ROSE_FIXTURES[name]
+    r = rose(len(images))
+    return GraphMap(r, r, (0,), images), depth
+
+
+class TestNewComponents:
+    def test_matches_the_induced_subgraphs_on_rose_fixtures(self):
+        reported = 0
+        for name in ROSE_FIXTURES:
+            f, depth = rose_fixture(name)
+            filt = pullback_filtration(f, depth)
+            for i in range(1, depth + 1):
+                reps = new_components(filt, i)
+                assert reps == induced_new_components(filt, i), (name, i)
+                reported += len(reps)
+        assert reported > 20_000
+
+    def test_lam1_level_four_is_linear(self):
+        # the induced subgraphs scanned every product edge per component:
+        # 11,448 components against 13,122 edges took 5 s
+        f, _ = rose_fixture("lam1")
+        filt = pullback_filtration(f, 4)
+        t0 = time.perf_counter()
+        reps = new_components(filt, 4)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(reps) == 11_448
+
+
+class TestFiltrationMemory:
+    def test_lam1_depth_four_peak(self):
+        f, depth = rose_fixture("lam1")
+        tracemalloc.start()
+        try:
+            pullback_filtration(f, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 19.5 MB with a vertex pair tuple per product vertex and per-vertex
+        # incidence lists; 13.3 MB with lazy pairs and the flat pass
+        assert peak < 16_000_000
 
 
 def intersection_membership(a, b, letters, rank=2):
@@ -1168,7 +1321,7 @@ class TestLevelOneWalk:
             monkeypatch.setattr(module, name, counted)
 
         count(pullback, "fiber_product")
-        count(pullback, "_component_signature")
+        count(pullback, "_product_components")
         count(pullback, "component_labels")
         count(stallings_module, "component_labels")
         tracemalloc.start()
