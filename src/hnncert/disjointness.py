@@ -33,7 +33,7 @@ from .pullback import (
     product_components,
     tree_path,
 )
-from .stallings import Edge, LabeledGraph, core, is_folded, membership, subgroup_graph
+from .stallings import Edge, LabeledGraph, core, is_folded, subgroup_graph
 from .words import Endomorphism, Word, cyclic_reduce, reduce
 
 
@@ -115,11 +115,7 @@ def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
     if n < 1:
         raise ValueError("power must be >= 1")
     powered = e.power(n)
-    graph = subgroup_graph(list(powered.images), e.rank)
-    for img in powered.images:
-        if not membership(graph, img):
-            raise RuntimeError("generator image is not a closed basepoint loop")
-    return ImageSubgroup(e, n, graph)
+    return ImageSubgroup(e, n, subgroup_graph(list(powered.images), e.rank))
 
 
 def _free_core(g: LabeledGraph) -> LabeledGraph:
@@ -314,8 +310,11 @@ def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:
     alpha must be cyclically reduced, and φ^s block-decodable (see
     :func:`decode_in_image`; every immersion is), else ValueError.  A
     conjugate of alpha lies in the image iff some rotation of alpha is a
-    closed circuit in the core of the image graph; the based element is then
-    decoded into generator blocks.
+    closed circuit in the core of the image graph, and then alpha itself is
+    one: a rotation α[r:]α[:r] closing at w makes α close at the vertex
+    α[r:] reaches from w.  So alpha is walked once from each core vertex, and
+    the first circuit, conjugated to the basepoint along the tree, is an
+    element of the image, decoded into generator blocks.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
@@ -334,19 +333,14 @@ def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:
     tree = _label_tree(based_core)
     steps = based_core.step_map
     letters = alpha.letters
-    for r in range(len(letters)):
-        rot = letters[r:] + letters[:r]
-        for v in range(based_core.num_vertices):
-            pos = v
-            for sgn in rot:
-                pos = steps.get((pos, sgn))
-                if pos is None:
-                    break
-            if pos != v or v not in tree:
-                continue
+    for v in range(based_core.num_vertices):
+        pos = v
+        for sgn in letters:
+            pos = steps.get((pos, sgn))
+            if pos is None:
+                break
+        if pos == v:
             u = tuple(tree_path(tree, v))
-            h = reduce(u + rot + tuple(-x for x in reversed(u)), e.rank)
-            beta = _decode_blocks(table, h)
-            if beta is not None:
-                return beta
+            h = reduce(u + letters + tuple(-x for x in reversed(u)), e.rank)
+            return _decode_blocks(table, h)
     return None

@@ -9,11 +9,13 @@ with nb the right factor's vertex count; a :class:`ProductPairs` reads the
 pairs off the ids, so no tuple is built per product vertex.
 
 Points of a graph are exact values: a vertex ``('v', id)`` or an interior
-edge point ``('e', edge_id, offset)`` with a rational offset in (0, 1).
-Iterating a map on points uses the honest composite (each application moves
-at uniform speed over the image path), which makes the subdivision points of
-successive filtration levels nested and lets cross-level containment be
-decided by exact point arithmetic.
+edge point ``('e', edge_id, offset)`` with a rational offset in (0, 1).  A
+map moves each edge at uniform speed over its image path
+(:func:`point_image`).  The filtration's subdivision for f^i is built from
+the one for f^(i−1) in one step: edge e is cut where level i − 1 cuts the
+letters of f(e), each scaled into its letter's slot.  So the cut points of
+successive levels are nested, and each vertex's f-image in the level below is
+recorded as the vertex is placed, with no point arithmetic.
 
 The filtration matches components across levels and subdivisions by a
 signature built from subdivision-invariant data only: the component's
@@ -34,12 +36,13 @@ product, component labelling or signature is built there.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, groupby, product, repeat
-from operator import eq, itemgetter, mul
+from itertools import accumulate, chain, compress, groupby, product, repeat
+from operator import eq, mul
 from typing import NamedTuple, Optional, Union
 
 from .graphmap import (
@@ -48,7 +51,6 @@ from .graphmap import (
     Path,
     immersed_loop_image,
     is_immersion,
-    iterate_map,
     letter_counts,
     rose,
     transition_matrix,
@@ -135,73 +137,81 @@ class Subdivided:
         return tuple(out)
 
 
-def _subdivision_fractions(f: GraphMap, level: int) -> list[list[Fraction]]:
-    """Interior subdivision points per edge for the ``level``-fold composite."""
-    pts: list[list[Fraction]] = [[] for _ in range(f.domain.num_edges)]
-    for _ in range(level):
-        new = []
-        for e in range(1, f.domain.num_edges + 1):
-            path = f.edge_map[e - 1]
-            length = len(path)
-            acc: list[Fraction] = []
-            for j, s in enumerate(path):
-                lo = Fraction(j, length)
-                if j > 0:
-                    acc.append(lo)
-                width = Fraction(1, length)
-                for t in pts[abs(s) - 1]:
-                    tau = t if s > 0 else 1 - t
-                    acc.append(lo + tau * width)
-            new.append(sorted(acc))
-        pts = new
-    return pts
+def _rose_level(rank: int) -> Subdivided:
+    """The bare rose as level 0: one piece per edge and no inner vertex."""
+    return as_product_factor(
+        LabeledGraph(rank, 1, tuple((0, 0, e) for e in range(1, rank + 1)))
+    )
 
 
-def _subdivide(g: GraphMap, bounds: Sequence[Sequence[Fraction]]) -> Subdivided:
-    """Cut each edge e of ``g``'s domain at ``bounds[e - 1]`` (from 0 to 1,
-    one piece per letter of e's image) into pieces labelled by the letters."""
+def _refine(f: GraphMap, previous: Subdivided) -> tuple[Subdivided, list[int]]:
+    """The subdivision one level above ``previous``, and per vertex the id
+    of its f-image in ``previous``.
+
+    Edge e is the concatenation, over the letters s of f(e) (slot j of L),
+    of ``previous``'s pieces of edge |s|, reversed when s < 0 and scaled
+    into [j/L, (j+1)/L]; those pieces are contiguous in edge order.  A
+    vertex inside slot j maps onto the matching inner vertex of |s|, one at
+    a slot boundary onto the rose's vertex 0.  RuntimeError where two
+    concatenated pieces cancel: the composite backtracks there.
+    """
+    # per direction: its signed piece labels, cut points and the vertices
+    # at those points, from offset 0 to 1
+    blocks: dict[int, tuple[list[int], list[Fraction], list[int]]] = {}
+    for (u, v, l), (e, _, hi, ascending) in zip(previous.graph.edges, previous.edge_meta):
+        labels, cuts, ends = blocks.setdefault(e, ([], [Fraction(0)], [0]))
+        labels.append(l if ascending else -l)
+        cuts.append(hi)
+        ends.append(v if ascending else u)
+    for e, (labels, cuts, ends) in list(blocks.items()):
+        # 1 − t, and below (j + t)/L, each built as one Fraction: half the
+        # cost of Fraction arithmetic
+        flipped = [Fraction(t.denominator - t.numerator, t.denominator) for t in reversed(cuts)]
+        blocks[-e] = ([-l for l in reversed(labels)], flipped, ends[::-1])
+
     vertex_point: list[Point] = [("v", 0)]
+    images = [0]
     edges: list[tuple[int, int, int]] = []
     metas: list[tuple[int, Fraction, Fraction, bool]] = []
-    for e in range(1, g.domain.num_edges + 1):
-        seq = g.edge_map[e - 1]
-        cuts = bounds[e - 1]
-        nodes = [0]
-        for k in range(1, len(seq)):
-            nodes.append(len(vertex_point))
-            vertex_point.append(("e", e, cuts[k]))
-        nodes.append(0)
-        for m, s in enumerate(seq):
-            a, b = nodes[m], nodes[m + 1]
-            if s > 0:
-                edges.append((a, b, s))
-                metas.append((e, cuts[m], cuts[m + 1], True))
-            else:
-                edges.append((b, a, -s))
-                metas.append((e, cuts[m], cuts[m + 1], False))
-    graph = LabeledGraph(g.codomain.num_edges, len(vertex_point), tuple(edges))
-    return Subdivided(g.codomain, graph, tuple(vertex_point), tuple(metas))
+    for e, path in enumerate(f.edge_map, 1):
+        labels, cuts, ends = [], [Fraction(0)], [0]
+        width = len(path)
+        for j, s in enumerate(path):
+            block_labels, block_cuts, block_ends = blocks[s]
+            if labels and labels[-1] == -block_labels[0]:
+                raise RuntimeError("subdivision points do not match the image path")
+            labels += block_labels
+            cuts += [
+                Fraction(j * t.denominator + t.numerator, width * t.denominator)
+                for t in block_cuts[1:]
+            ]
+            ends += block_ends[1:]
+        first = len(vertex_point)
+        nodes = [0, *range(first, first + len(labels) - 1), 0]
+        vertex_point += [("e", e, t) for t in cuts[1:-1]]
+        images += ends[1:-1]
+        for a, b, l, lo, hi in zip(nodes, nodes[1:], labels, cuts, cuts[1:]):
+            edges.append((a, b, l) if l > 0 else (b, a, -l))
+            metas.append((e, lo, hi, l > 0))
+    graph = LabeledGraph(f.codomain.num_edges, len(vertex_point), tuple(edges))
+    return Subdivided(f.codomain, graph, tuple(vertex_point), tuple(metas)), images
 
 
 def subdivide_level(f: GraphMap, level: int) -> Subdivided:
-    """Subdivide the domain of the power ``f^level``."""
+    """Subdivide the domain of the power ``f^level``: ``level`` steps of
+    :func:`_refine` from the bare rose.  RuntimeError if the composite
+    backtracks."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    g = iterate_map(f, level)
-    bounds = [
-        [Fraction(0)] + inner + [Fraction(1)]
-        for inner in _subdivision_fractions(f, level)
-    ]
-    if any(len(p) + 1 != len(b) for p, b in zip(g.edge_map, bounds)):
-        raise RuntimeError("subdivision points do not match the image path")
-    return _subdivide(g, bounds)
+    sub = _rose_level(f.domain.num_edges)
+    for _ in range(level):
+        sub, _ = _refine(f, sub)
+    return sub
 
 
 def subdivide_map(f: GraphMap) -> Subdivided:
-    """``subdivide_level(f, 1)``, without calling :func:`iterate_map`."""
-    return _subdivide(
-        f, [[Fraction(k, len(p)) for k in range(len(p) + 1)] for p in f.edge_map]
-    )
+    """Subdivide the domain of ``f``: one step from the bare rose."""
+    return subdivide_level(f, 1)
 
 
 def as_product_factor(g: LabeledGraph) -> Subdivided:
@@ -636,22 +646,6 @@ class PullbackFiltration:
         return self.levels[i - 1]
 
 
-def _previous_images(
-    f: GraphMap, sub: Subdivided, previous: Optional[tuple[Subdivided, list[int]]]
-) -> list[int]:
-    """Per vertex of the level-i subdivision, an id of its f^(i−1) image.
-
-    Level 1 maps by the identity, so each vertex is its own id.  A level-i
-    vertex maps under f onto a vertex of level i − 1, whose ids are
-    ``previous``; so each level takes one :func:`point_image` per vertex.
-    """
-    if previous is None:
-        return list(range(sub.graph.num_vertices))
-    prev_sub, prev_images = previous
-    index = {p: k for k, p in enumerate(prev_sub.vertex_point)}
-    return [prev_images[index[point_image(f, p)]] for p in sub.vertex_point]
-
-
 def _level_flags(comps, images: list[int]) -> tuple[bool, ...]:
     """Per component of a level's self-product: does it lie in the previous
     level?  A product vertex (x, y) does iff f^(i−1) identifies x and y,
@@ -680,34 +674,36 @@ def pullback_filtration(
 ) -> PullbackFiltration:
     """Levels Γ×_{f^i}Γ for i = 1..i_max with inclusion bookkeeping.
 
-    Asserts structurally that every component of a level reappears in the
-    next one (signature match), and that the diagonal is a union of
-    components isomorphic to the domain.
+    Each level's subdivision is one :func:`_refine` step from the one
+    before, which also gives each vertex's f-image there; composed with the
+    level below's, those give the f^(i−1) image ids that decide which
+    components lie in the previous level.  Asserts structurally that every
+    component of a level reappears in the next one (the carried signatures
+    equal the previous level's as multisets), and that the diagonal is a
+    union of components isomorphic to the domain.
     """
     if not is_immersion(f):
         raise ValueError("map is not an immersion: direction clash at vertex 0")
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     levels = []
-    prev_signatures: Optional[list] = None
-    previous: Optional[tuple[Subdivided, list[int]]] = None
+    prev_signatures: Optional[Counter] = None
+    sub = _rose_level(f.domain.num_edges)
+    images: list[int] = []
     for i in range(1, i_max + 1):
-        sub = subdivide_level(f, i)
-        images = _previous_images(f, sub, previous)
-        previous = (sub, images)
+        sub, f_images = _refine(f, sub)
+        # f^0 is the identity; f^(i−1)(v) is f^(i−2) of v's f-image
+        images = list(range(len(f_images))) if i == 1 else [images[k] for k in f_images]
         fp = fiber_product(sub, sub, max_edges=max_edges)
         comps = fp.components()
         flags = _level_flags(comps, images)
         for comp, flag in zip(comps, flags):
             if comp.contains_diagonal and not flag:
                 raise RuntimeError("diagonal component escaped the previous level")
-        ordered = sorted(zip([c.signature for c in comps], flags), key=itemgetter(0))
-        if prev_signatures is not None:
-            if [s for s, fl in ordered if fl] != prev_signatures:
-                raise RuntimeError(
-                    f"level {i - 1} components do not persist into level {i}"
-                )
-        prev_signatures = [s for s, _ in ordered]
+        signatures = [c.signature for c in comps]
+        if prev_signatures is not None and Counter(compress(signatures, flags)) != prev_signatures:
+            raise RuntimeError(f"level {i - 1} components do not persist into level {i}")
+        prev_signatures = Counter(signatures)
         levels.append(PullbackLevel(i, fp, comps, flags))
     return PullbackFiltration(f, tuple(levels))
 

@@ -26,10 +26,11 @@ from hnncert.certify import (
     parse_config,
     parse_report,
 )
-from hnncert.disjointness import DisjointnessVerdict
+from hnncert.disjointness import DisjointnessVerdict, image_subgroup
 from hnncert.expansion import ExpansionVerdict
 from hnncert.graphmap import PowerIterationError, TrainTrackVerdict
 from hnncert.pullback import StabilizationVerdict
+from hnncert.stallings import membership
 from hnncert.words import Endomorphism, Word, free_reduce, word_from_string, word_to_string
 
 
@@ -843,6 +844,24 @@ def test_seeded_corpus_digest():
     assert digest.hexdigest() == (
         "24428bc53d4f53208d76e31f6771625bf159c7f389f4437aa3802b426cd0328e"
     )
+
+
+def test_seeded_corpus_image_generators_are_basepoint_loops():
+    # folding keeps each generator image a closed loop at the basepoint,
+    # the invariant image_subgroup once re-checked on every call
+    checked = 0
+    for config in seeded_corpus(1000):
+        for e in config.endomorphisms:
+            for n in (1, 2, 3):
+                try:
+                    images = e.power(n).images
+                except ValueError:  # φ^n kills a generator: no image is built
+                    break
+                graph = image_subgroup(e, n).graph
+                for word in images:
+                    assert membership(graph, word)
+                    checked += 1
+    assert checked > 10_000
 
 
 def certified_configs():

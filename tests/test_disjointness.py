@@ -128,6 +128,16 @@ class TestImageSubgroup:
         for word in e.power(n).images:
             assert membership(img.graph, word)
 
+    @given(st.integers(min_value=0), st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_folding_keeps_random_generator_images_as_basepoint_loops(self, seed, rank):
+        # the invariant image_subgroup once re-checked on every call
+        e = seeded_endos(random.Random(seed), rank, 4)
+        for n in (1, 2, 3):
+            img = image_subgroup(e, n)
+            for word in e.power(n).images:
+                assert membership(img.graph, word)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_images_nest_downward(self, n):
         lower = image_subgroup(SAPIR, n)
@@ -904,6 +914,68 @@ def _uncached_preimage(e, s, alpha):
             if beta is not None:
                 return beta
     return None
+
+
+def rotating_preimage(e, s, alpha):
+    """preimage_in_image as it walked every rotation of alpha from every
+    core vertex (test-local copy; inputs assumed valid)."""
+    powered = e.power(s)
+    table = block_table(powered)
+    if not alpha.letters:
+        return Word((), e.rank)
+    based_core = core(subgroup_graph(list(powered.images), e.rank), keep_basepoint=True)
+    tree = disjointness._label_tree(based_core)
+    steps = based_core.step_map
+    letters = alpha.letters
+    for r in range(len(letters)):
+        rot = letters[r:] + letters[:r]
+        for v in range(based_core.num_vertices):
+            pos = v
+            for sgn in rot:
+                pos = steps.get((pos, sgn))
+                if pos is None:
+                    break
+            if pos != v or v not in tree:
+                continue
+            u = tuple(pullback.tree_path(tree, v))
+            h = reduce(u + rot + tuple(-x for x in reversed(u)), e.rank)
+            beta = disjointness._decode_blocks(table, h)
+            if beta is not None:
+                return beta
+    return None
+
+
+class TestSingleWalkPreimage:
+    """One walk of alpha per core vertex against the search over every
+    rotation: a rotation that closes at w makes alpha close where its tail
+    leads from w, so the later rotations never answered."""
+
+    @given(
+        st.integers(min_value=0),
+        st.sampled_from([2, 3]),
+        st.integers(min_value=1, max_value=2),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_rotation_search(self, seed, rank, s, from_image):
+        rng = random.Random(seed)
+        e = seeded_endos(rng, rank, 3, powers=s, immersion=True)
+        letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+        word = [rng.choice(letters)]
+        while len(word) < rng.randint(1, 6 if from_image else 10):
+            word.append(rng.choice([x for x in letters if x != -word[-1]]))
+        alpha = Word(tuple(word), rank)
+        if from_image:
+            alpha = apply_endo(e.power(s), alpha)
+        alpha = cyclic_reduce(alpha)[0]
+        r = rng.randrange(len(alpha.letters) or 1)
+        alpha = Word(alpha.letters[r:] + alpha.letters[:r], rank)
+        got = preimage_in_image(e, s, alpha)
+        assert got == rotating_preimage(e, s, alpha)
+        if from_image:
+            assert got is not None
+        if got is not None:
+            assert conjugate_in_free_group(apply_endo(e.power(s), got), alpha)
 
 
 class TestCachedPreimageTables:

@@ -24,6 +24,7 @@ LIBRARY = {
     "graphmap.is_legal_turn": "oracle for the turn walk of verify_train_track in tests",
     "stallings.canonical_code": "isomorphism oracle for folded graphs in tests",
     "stallings.fold": "the whole-graph fold that subgroup_graph's incremental fold is checked against",
+    "stallings.membership": "named API for subgroup membership, and the oracle that checks folding keeps each generator a basepoint loop",
 }
 
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

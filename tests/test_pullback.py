@@ -29,7 +29,7 @@ from hnncert.pullback import (
     ProductComponent,
     ProductPairs,
     StabilizationVerdict,
-    _subdivision_fractions,
+    Subdivided,
     as_product_factor,
     fiber_product,
     new_components,
@@ -113,20 +113,17 @@ class TestPointImage:
     @pytest.mark.parametrize("f", [SAPIR, MIXED, DOUBLE, FLIP])
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_subdivision_points_map_to_vertices(self, f, level):
-        # the interior points of level i are exactly the i-fold preimages of
+        # the vertices of level i are exactly the i-fold preimages of
         # vertices, so each must land on a vertex after i applications
-        for e, fracs in enumerate(_subdivision_fractions(f, level), start=1):
-            for t in fracs:
-                image = point_image_power(f, ("e", e, t), level)
-                assert image[0] == "v"
+        for p in subdivide_level(f, level).vertex_point:
+            assert point_image_power(f, p, level)[0] == "v"
 
     @pytest.mark.parametrize("f", [SAPIR, MIXED, DOUBLE, FLIP])
     def test_subdivision_points_are_nested(self, f):
-        previous = _subdivision_fractions(f, 1)
+        previous = set(subdivide_level(f, 1).vertex_point)
         for level in (2, 3):
-            current = _subdivision_fractions(f, level)
-            for prev_e, cur_e in zip(previous, current):
-                assert set(prev_e) <= set(cur_e)
+            current = set(subdivide_level(f, level).vertex_point)
+            assert previous <= current
             previous = current
 
 
@@ -470,6 +467,132 @@ ROSE_FIXTURES = {
 }
 
 
+def oracle_subdivision_fractions(f, level):
+    """Interior subdivision points per edge for the ``level``-fold
+    composite, each level re-derived from level 1 (test-local copy of the
+    table the one-step refinement replaced)."""
+    pts = [[] for _ in range(f.domain.num_edges)]
+    for _ in range(level):
+        new = []
+        for e in range(1, f.domain.num_edges + 1):
+            path = f.edge_map[e - 1]
+            length = len(path)
+            acc = []
+            for j, s in enumerate(path):
+                lo = Fraction(j, length)
+                if j > 0:
+                    acc.append(lo)
+                width = Fraction(1, length)
+                for t in pts[abs(s) - 1]:
+                    tau = t if s > 0 else 1 - t
+                    acc.append(lo + tau * width)
+            new.append(sorted(acc))
+        pts = new
+    return pts
+
+
+def oracle_subdivide_level(f, level):
+    """The subdivision of f^level with its piece labels taken from
+    iterate_map and its cuts from oracle_subdivision_fractions,
+    RuntimeError where their counts disagree (test-local copy)."""
+    g = iterate_map(f, level)
+    bounds = [
+        [Fraction(0)] + inner + [Fraction(1)]
+        for inner in oracle_subdivision_fractions(f, level)
+    ]
+    if any(len(p) + 1 != len(b) for p, b in zip(g.edge_map, bounds)):
+        raise RuntimeError("subdivision points do not match the image path")
+    vertex_point = [("v", 0)]
+    edges, metas = [], []
+    for e in range(1, g.domain.num_edges + 1):
+        seq = g.edge_map[e - 1]
+        cuts = bounds[e - 1]
+        nodes = [0]
+        for k in range(1, len(seq)):
+            nodes.append(len(vertex_point))
+            vertex_point.append(("e", e, cuts[k]))
+        nodes.append(0)
+        for m, s in enumerate(seq):
+            a, b = nodes[m], nodes[m + 1]
+            if s > 0:
+                edges.append((a, b, s))
+                metas.append((e, cuts[m], cuts[m + 1], True))
+            else:
+                edges.append((b, a, -s))
+                metas.append((e, cuts[m], cuts[m + 1], False))
+    graph = LabeledGraph(g.codomain.num_edges, len(vertex_point), tuple(edges))
+    return Subdivided(g.codomain, graph, tuple(vertex_point), tuple(metas))
+
+
+def oracle_previous_images(f, sub, previous):
+    """Per vertex of the level-i subdivision, an id of its f^(i−1) image,
+    found by one point_image per vertex and a dict of the level below's
+    points (test-local copy)."""
+    if previous is None:
+        return list(range(sub.graph.num_vertices))
+    prev_sub, prev_images = previous
+    index = {p: k for k, p in enumerate(prev_sub.vertex_point)}
+    return [prev_images[index[point_image(f, p)]] for p in sub.vertex_point]
+
+
+class TestRefineOracle:
+    """Each level built in one step from the one before, against the
+    cut-point table, the iterate and the point-image index it replaced."""
+
+    def check_levels(self, f, depth):
+        """Levels 1..depth of _refine equal the oracle's subdivisions, and
+        each recorded f-image is the vertex point_image gives."""
+        sub = pullback._rose_level(f.domain.num_edges)
+        for level in range(1, depth + 1):
+            below = sub
+            sub, f_images = pullback._refine(f, below)
+            assert sub == oracle_subdivide_level(f, level), level
+            assert subdivide_level(f, level) == sub
+            assert len(f_images) == sub.graph.num_vertices
+            for p, k in zip(sub.vertex_point, f_images):
+                assert point_image(f, p) == below.vertex_point[k]
+        assert subdivide_map(f) == oracle_subdivide_level(f, 1)
+
+    def check_filtration(self, f, depth):
+        """Every level of the filtration equals the product, components and
+        flags built from the oracle's subdivisions and image ids."""
+        previous = None
+        for level in pullback_filtration(f, depth).levels:
+            sub = oracle_subdivide_level(f, level.index)
+            images = oracle_previous_images(f, sub, previous)
+            previous = (sub, images)
+            fp = fiber_product(sub, sub)
+            assert level.product == fp
+            comps = fp.components()
+            assert level.components == comps
+            assert level.in_previous == oracle_level_flags(fp, comps, images)
+
+    @pytest.mark.parametrize("name", list(ROSE_FIXTURES))
+    def test_rose_fixtures(self, name):
+        f, depth = rose_fixture(name)
+        self.check_levels(f, depth)
+        self.check_filtration(f, depth)
+
+    def test_random_immersions(self):
+        rng = random.Random(23)
+        for rank in (2, 3):
+            for f in seeded_immersions(rank, rank, 20, 3):
+                depth = rng.randint(1, 4)
+                self.check_levels(f, depth)
+                self.check_filtration(f, depth)
+
+    def test_train_track_non_immersion(self):
+        # a→ab, b→a folds a with b, but f^3 does not backtrack
+        self.check_levels(NON_IMMERSION, 3)
+
+    def test_backtracking_composite_raises(self):
+        f = rose_map("ab", "Ba")  # f^2(a) = ab·Ba backtracks
+        self.check_levels(f, 1)
+        for build in (oracle_subdivide_level, subdivide_level):
+            with pytest.raises(RuntimeError, match="do not match the image path"):
+                build(f, 2)
+
+
 class TestComponentWalkOracle:
     """Components and flags equal the construction that walked every
     component, isolated product vertices included."""
@@ -483,7 +606,7 @@ class TestComponentWalkOracle:
             for level in pullback_filtration(f, depth).levels:
                 fp = level.product
                 sub = fp.left
-                point_images = pullback._previous_images(f, sub, previous)
+                point_images = oracle_previous_images(f, sub, previous)
                 previous = (sub, point_images)
                 comps = oracle_components(fp)
                 assert level.components == comps, (name, level.index)
@@ -838,19 +961,22 @@ class TestFiltrationOracle:
         assert len(partition(new_keys)) < len(new_keys)  # some classes repeat
 
     def test_no_point_image_power_per_product_vertex(self, monkeypatch):
+        # each level records its vertices' f-images as it places them
         calls = collections.Counter()
-        real = pullback.point_image
 
-        def counted(f, p):
-            calls["point_image"] += 1
-            return real(f, p)
+        def counted(name):
+            real = getattr(pullback, name)
 
-        monkeypatch.setattr(pullback, "point_image", counted)
-        monkeypatch.setattr(pullback, "point_image_power", None)
-        filt = pullback_filtration(MIXED, 3)
-        # one one-step image per subdivided vertex of levels 2 and 3
-        sizes = [lv.product.left.graph.num_vertices for lv in filt.levels]
-        assert calls["point_image"] == sizes[1] + sizes[2]
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in ("point_image", "point_image_power"):
+            monkeypatch.setattr(pullback, name, counted(name))
+        pullback_filtration(MIXED, 3)
+        assert not calls
 
 
 class TestSubdivisionInvariance:
