@@ -2,9 +2,10 @@
 
 Given non-surjective endomorphisms of F_n presented as rose self-maps, the
 pipeline verifies the train-track property, uniform expansion, pullback
-stabilization and essential disjointness, audits annuli flaring, and emits a
-certificate naming a power N for which the extension is word-hyperbolic —
-or a concrete obstruction (e.g. a Baumslag–Solitar witness).
+stabilization and essential disjointness (at the emitted power, expansion
+makes annuli flare), and emits a certificate naming a power N for which the
+extension is word-hyperbolic — or a concrete obstruction (e.g. a
+Baumslag–Solitar witness).
 """
 
 __version__ = "0.1.0"

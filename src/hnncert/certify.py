@@ -76,24 +76,22 @@ from .stallings import graph_rank, subgroup_graph
 from .words import Endomorphism, Word, word_from_string, word_to_string
 
 # certify calls none of these; perfbench/spans.py looks them up in this
-# module by name, until certify owns its trace (ROADMAP item 6)
+# module by name, until certify owns its trace (ROADMAP item 3)
 from .annuli import audit_31_hyperbolicity  # noqa: F401
 from .annuli import flaring_audit as _flaring_battery  # noqa: F401
 from .graphmap import iterate_map  # noqa: F401
 
 LCM_CAP = 2**20
 
-# the "caps" object of the JSON schema: each key and the config field it sets.
-# audit_loops, audit_loop_length and flaring_rho_max (like "seed") still
-# parse and enter the config digest, but no verdict reads them.
+# the "caps" object of the JSON schema: each key and the config field it sets
 _CAPS = {
     "pullback": "pullback_cap",
     "disjointness": "disjointness_cap",
     "expansion": "expansion_cap",
-    "audit_loops": "audit_loops",
-    "audit_loop_length": "audit_loop_length",
-    "flaring_rho_max": "flaring_rho_max",
 }
+# the budgets of the sampled annulus audits, which certify no longer runs (see
+# the module docstring); old configs that set them, or "seed", still parse
+_RETIRED_CAPS = ("audit_loops", "audit_loop_length", "flaring_rho_max")
 
 
 class ConfigError(ValueError):
@@ -119,11 +117,7 @@ class CertificationConfig:
     pullback_cap: int = 16
     disjointness_cap: int = 8
     expansion_cap: int = 64
-    audit_loops: int = 200
-    audit_loop_length: int = 20
-    flaring_rho_max: int = 4
     diagnostics: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.rank < 1:
@@ -150,7 +144,7 @@ class Certificate:
     version: str
 
 
-_TOP_KEYS = {"rank", "endos", "caps", "marking_maps", "seed", "diagnostics"}
+_TOP_KEYS = {"rank", "endos", "caps", "marking_maps", "diagnostics"}
 
 
 def _parse_word(spec: Union[str, Sequence[int]], rank: int, where: str) -> Word:
@@ -182,7 +176,9 @@ def parse_config(text: bytes, lenient: bool = False) -> CertificationConfig:
     """Parse the JSON input schema; letter syntax like "aB" is normalized.
 
     Unknown fields are errors unless ``lenient``, which downgrades them to
-    warnings.
+    warnings.  The retired settings (``seed`` and the caps ``audit_loops``,
+    ``audit_loop_length`` and ``flaring_rho_max``) are dropped whatever
+    their value, with one warning that names them.
     """
     try:
         data = json.loads(text.decode("utf-8"))
@@ -195,7 +191,15 @@ def parse_config(text: bytes, lenient: bool = False) -> CertificationConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
 
-    unknown = sorted(set(data) - _TOP_KEYS)
+    caps = data.get("caps", {})
+    retired = ["seed"] if "seed" in data else []
+    if isinstance(caps, dict):  # any other value is rejected below
+        retired += [f"caps.{key}" for key in _RETIRED_CAPS if key in caps]
+        caps = {key: value for key, value in caps.items() if key not in _RETIRED_CAPS}
+    if retired:
+        warnings.warn(f"ignoring retired settings: {', '.join(retired)}")
+
+    unknown = sorted(set(data) - _TOP_KEYS - {"seed"})
     if unknown:
         if lenient:
             warnings.warn(f"ignoring unknown fields: {', '.join(unknown)}")
@@ -214,7 +218,6 @@ def parse_config(text: bytes, lenient: bool = False) -> CertificationConfig:
         _parse_endo(spec, rank, f"endos[{i}]") for i, spec in enumerate(endos_spec)
     )
 
-    caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps: expected an object")
     unknown_caps = sorted(set(caps) - set(_CAPS))
@@ -253,9 +256,6 @@ def parse_config(text: bytes, lenient: bool = False) -> CertificationConfig:
             parsed.append(MarkingPair(h, h_inv))
         markings = tuple(parsed)
 
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed: must be an integer")
     diagnostics = data.get("diagnostics", False)
     if not isinstance(diagnostics, bool):
         raise ConfigError("diagnostics: must be a boolean")
@@ -265,7 +265,6 @@ def parse_config(text: bytes, lenient: bool = False) -> CertificationConfig:
         endomorphisms=endos,
         markings=markings,
         diagnostics=diagnostics,
-        seed=seed,
         **{field: caps[key] for key, field in _CAPS.items() if key in caps},
     )
 
@@ -289,7 +288,6 @@ def _config_echo(config: CertificationConfig) -> dict:
         else None,
         "caps": {key: getattr(config, field) for key, field in _CAPS.items()},
         "diagnostics": config.diagnostics,
-        "seed": config.seed,
     }
 
 

@@ -76,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the expansion power cap",
     )
     parser.add_argument(
-        "--seed", type=int, metavar="S", help="override the sampling seed"
-    )
-    parser.add_argument(
         "--diagnostics", action="store_true", default=None,
         help="annotate the report with lamination diagnostics",
     )

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from .graphmap import GraphMap, letter_counts, transition_matrix
 from .pullback import (
+    MAX_PRODUCT_EDGES,
     ProductBudgetError,
     bfs_tree,
     check_product_size,
@@ -118,13 +119,8 @@ def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
     return ImageSubgroup(e, n, subgroup_graph(list(powered.images), e.rank))
 
 
-def _free_core(g: LabeledGraph) -> LabeledGraph:
-    unbased = LabeledGraph(g.rank, g.num_vertices, g.edges, None)
-    return core(unbased, keep_basepoint=False)
-
-
 def all_conjugates_trivial_intersection(
-    h: LabeledGraph, k: LabeledGraph, max_edges: int = 500_000
+    h: LabeledGraph, k: LabeledGraph, max_edges: int = MAX_PRODUCT_EDGES
 ) -> bool:
     """True iff H ∩ gKg⁻¹ = {e} for every g in the ambient free group.
 
@@ -137,8 +133,8 @@ def all_conjugates_trivial_intersection(
     ProductBudgetError is raised if the product would exceed ``max_edges``
     edges, before any step table is built.
     """
-    a = _free_core(h)
-    b = _free_core(k)
+    a = core(h, keep_basepoint=False)
+    b = core(k, keep_basepoint=False)
     if a.rank != b.rank:
         raise ValueError("subgroups live in free groups of different ranks")
     if not (is_folded(a) and is_folded(b)):
@@ -185,7 +181,7 @@ def _intersection_witness(
     a: LabeledGraph,
     b: LabeledGraph,
     pair: tuple[int, int],
-    max_edges: int = 500_000,
+    max_edges: int = MAX_PRODUCT_EDGES,
 ) -> Optional[IntersectionWitness]:
     """A conjugator g and nontrivial w ∈ H ∩ gKg⁻¹ from the based product.
 
@@ -220,7 +216,7 @@ def _intersection_witness(
 
 
 def essential_disjointness_power(
-    endos: Sequence[Endomorphism], cap: int = 4, max_edges: int = 500_000
+    endos: Sequence[Endomorphism], cap: int = 4, max_edges: int = MAX_PRODUCT_EDGES
 ) -> DisjointnessVerdict:
     """Smallest N ≤ cap with all pairwise conjugate intersections trivial.
 
@@ -277,7 +273,7 @@ def essential_disjointness_power(
                 for e in (ei, ej):
                     if e not in counts:
                         built[e] = image_subgroup(e, n).graph
-                        labels = [l for _, _, l in _free_core(built[e]).edges]
+                        labels = [l for _, _, l in core(built[e], keep_basepoint=False).edges]
                         counts[e] = letter_counts(labels, e.rank)
                 check_product_size(sum(map(mul, counts[ei], counts[ej])), max_edges)
                 for e in (ei, ej):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, count
 from operator import mul
 from typing import Optional, Sequence
@@ -152,14 +152,12 @@ def immersed_loop_image(f: GraphMap, loop: Sequence[int]) -> Path:
 def map_loop(f: GraphMap, loop: Sequence[int]) -> Path:
     """Cyclically tightened image of a closed immersed free loop.
 
-    When ``f`` is an immersion (read from the map's cached turn table) the
-    loop and its edge ids are checked and the image is
-    :func:`immersed_loop_image`, which is already cyclically tight; other
-    maps free-reduce the image and then cyclically reduce it.
+    When ``f`` is an immersion the loop and its edge ids are checked and
+    the image is :func:`immersed_loop_image`, which is already cyclically
+    tight; other maps free-reduce the image and then cyclically reduce it.
     """
     _check_immersed_loop(loop)
-    _, _, immersion = _turn_table(f)
-    if immersion:
+    if is_immersion(f):
         _check_edges(f.domain, loop)
         return immersed_loop_image(f, loop)
     return cyclic_core(map_path(f, loop))
@@ -436,28 +434,6 @@ def tighten_cyclic(g: MarkedGraph, loop: Sequence[int]) -> Path:
 # --- legal-loop sampling ---
 
 
-@lru_cache(maxsize=32)
-def _turn_table(
-    f: GraphMap,
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], bool]:
-    """The domain's directions; for each direction s, the directions t that
-    may follow it on a legal loop (t ≠ −s and the turn {−s, t} legal), in
-    direction order; and whether ``f`` is an immersion (then every turn is
-    legal).  A pure function of the frozen map, cached per map."""
-    dirs = f.domain.directions()
-    immersion = is_immersion(f)
-    successors = {
-        s: tuple(
-            t
-            for t in dirs
-            if t != -s
-            and (immersion or _turn_orbit_legal(f, frozenset((-s, t)))[0])
-        )
-        for s in dirs
-    }
-    return dirs, successors, immersion
-
-
 def random_legal_loop(
     f: GraphMap, length: int, rng: random.Random, max_attempts: int = 400
 ) -> Path:
@@ -467,13 +443,23 @@ def random_legal_loop(
     For immersions every immersed loop is legal, so this samples immersed
     loops; for train track maps the image lengths of legal loops add without
     cancellation.  Each attempt draws its first direction from all
-    directions and each next one from the legal successors of the last, in
-    a fixed order read from the map's cached turn table, so the loops drawn
-    depend only on ``f``, ``length`` and the state of ``rng``.
+    directions and each next one from the legal successors of the last:
+    the directions t ≠ −s with the turn {−s, t} legal, in direction order.
+    So the loops drawn depend only on ``f``, ``length`` and the state of
+    ``rng``.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    dirs, successors, _ = _turn_table(f)
+    dirs = f.domain.directions()
+    immersion = is_immersion(f)  # then every turn is legal
+    successors = {
+        s: [
+            t
+            for t in dirs
+            if t != -s and (immersion or _turn_orbit_legal(f, frozenset((-s, t)))[0])
+        ]
+        for s in dirs
+    }
     for _ in range(max_attempts):
         path = [rng.choice(dirs)]
         for _ in range(length - 1):

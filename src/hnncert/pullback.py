@@ -62,6 +62,8 @@ Point = tuple  # ('v', vertex) | ('e', positive edge id, Fraction offset)
 PointKey = tuple  # ('v', vertex, 0, 1) | ('e', edge id, numerator, denominator)
 Segment = tuple  # (parent edge, from key, to key), keys (numerator, denominator)
 
+MAX_PRODUCT_EDGES = 500_000  # default edge budget of every fiber product
+
 
 class ProductBudgetError(RuntimeError):
     """The requested product exceeds the configured size budget."""
@@ -351,7 +353,7 @@ def _label_blocks(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> list[tupl
 
 
 def product_components(
-    a: LabeledGraph, b: LabeledGraph, max_edges: int = 500_000
+    a: LabeledGraph, b: LabeledGraph, max_edges: int = MAX_PRODUCT_EDGES
 ) -> Iterator[tuple[int, list[tuple[int, int, int, int, int]]]]:
     """The components with edges of the fiber product of ``a`` and ``b``,
     walked one at a time, least vertex first.
@@ -469,7 +471,7 @@ def component_tree(
 def fiber_product(
     left: Union[Subdivided, LabeledGraph],
     right: Union[Subdivided, LabeledGraph],
-    max_edges: int = 500_000,
+    max_edges: int = MAX_PRODUCT_EDGES,
 ) -> FiberProduct:
     """Fiber product over the common codomain.
 
@@ -670,7 +672,7 @@ def _level_flags(comps, images: list[int]) -> tuple[bool, ...]:
 
 
 def pullback_filtration(
-    f: GraphMap, i_max: int, max_edges: int = 500_000
+    f: GraphMap, i_max: int, max_edges: int = MAX_PRODUCT_EDGES
 ) -> PullbackFiltration:
     """Levels Γ×_{f^i}Γ for i = 1..i_max with inclusion bookkeeping.
 
@@ -855,7 +857,9 @@ def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[Stabilizatio
     return None
 
 
-def stabilization_power(f: GraphMap, cap: int = 16, max_edges: int = 500_000) -> StabilizationVerdict:
+def stabilization_power(
+    f: GraphMap, cap: int = 16, max_edges: int = MAX_PRODUCT_EDGES
+) -> StabilizationVerdict:
     """Decide whether the pullback difference of some power is loop-free.
 
     For an immersion, an off-diagonal loop pair at one power yields one at

@@ -10,7 +10,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ def config_bytes(**kwargs) -> bytes:
     return json.dumps(kwargs).encode("utf-8")
 
 
-# The audit caps no longer reach a verdict; they still enter the config digest.
+# The audit caps are retired settings: parsed with a warning, then dropped.
 GREEN = config_bytes(
     rank=2,
     endos=[["aab", "bba"], ["abb", "baa"]],
@@ -74,7 +75,6 @@ class TestParseConfig:
         assert cfg.pullback_cap == 16
         assert cfg.disjointness_cap == 8
         assert cfg.expansion_cap == 64
-        assert cfg.seed == 0
         assert cfg.diagnostics is False
         assert cfg.markings == ()
 
@@ -166,8 +166,10 @@ class TestParseConfig:
             parse_config(b"[1,2]")
 
     def test_seed_and_diagnostics_types(self):
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(config_bytes(rank=2, endos=[["ab", "ba"]], seed="x"))
+        # seed is retired: any value parses, with a warning, and is dropped
+        with pytest.warns(UserWarning, match="seed"):
+            cfg = parse_config(config_bytes(rank=2, endos=[["ab", "ba"]], seed="x"))
+        assert cfg == parse_config(config_bytes(rank=2, endos=[["ab", "ba"]]))
         with pytest.raises(ConfigError, match="diagnostics"):
             parse_config(config_bytes(rank=2, endos=[["ab", "ba"]], diagnostics=1))
 
@@ -243,9 +245,9 @@ class TestConfigInvariants:
             CertificationConfig(
                 rank=2, endomorphisms=(self.endo("ab", "ba"),), pullback_cap=0
             )
-        with pytest.raises(ConfigError, match="audit"):
+        with pytest.raises(ConfigError, match="disjointness_cap"):
             CertificationConfig(
-                rank=2, endomorphisms=(self.endo("ab", "ba"),), audit_loops=0
+                rank=2, endomorphisms=(self.endo("ab", "ba"),), disjointness_cap=0
             )
 
     def test_marking_count(self):
@@ -589,6 +591,37 @@ print(json.dumps({"verdict": cert.verdict, "counts": dict(tracer.counts)}))
         assert out["counts"].get("annuli.flaring_audit_calls", 0) == 0
         assert out["counts"]["gate.disjointness_calls"] == 1
 
+    # each benchmark config, the verdict the benchmark checks it for, and
+    # the CLI's exit code for that verdict
+    CERTIFY_CONFIGS = {
+        "green_pair": ("certified_hyperbolic", 0),
+        "obstructed_pair": ("obstruction_BS", 2),
+        "identical_rank2": ("not_disjoint", 3),
+        "identical_rank3": ("not_disjoint", 3),
+    }
+
+    def test_certify_configs(self, tmp_path):
+        """Each certify op, untraced: the config parses, the op runs, and
+        its exit code and report give the verdict the benchmark expects."""
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        configs = sorted(path.stem for path in (self.ROOT / "perfbench" / "configs").glob("*.json"))
+        assert configs == sorted(self.CERTIFY_CONFIGS)
+        for name, (verdict, exit_code) in self.CERTIFY_CONFIGS.items():
+            out, report = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+            result = subprocess.run(
+                [sys.executable, str(self.ROOT / "perfbench" / "worker.py"),
+                 "--workload", "certify", "--config", name, "--report", str(report),
+                 "--trace", "0", "--out", str(out)],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            (op,) = json.loads(out.read_text())["ops"]
+            assert op["error"] is None, op
+            assert json.loads(report.read_bytes())["verdict"] == verdict
+            assert op["exit"] == exit_code
+
     def test_primitives_round(self, tmp_path):
         """One primitives round, untraced and traced: every op runs and
         passes its check, and the traced spans still see the product."""
@@ -652,20 +685,20 @@ class TestDeterminismAndDigest:
         assert a == b
 
     def test_digest_tracks_config(self):
+        # the green pair stabilizes at power 1, so a lower pullback cap
+        # moves the config but not the verdict
         base = certify(parse_config(FAST_GREEN))
-        reseeded = certify(
+        capped = certify(
             parse_config(
                 config_bytes(
-                    rank=2,
-                    endos=[["aab", "bba"], ["abb", "baa"]],
-                    caps={"audit_loops": 5, "audit_loop_length": 6},
-                    seed=7,
+                    rank=2, endos=[["aab", "bba"], ["abb", "baa"]], caps={"pullback": 8}
                 )
             )
         )
-        assert base.config_digest != reseeded.config_digest
+        assert base.config_digest != capped.config_digest
         assert len(base.config_digest) == 64
-        assert base.verdict == reseeded.verdict
+        assert base.verdict == capped.verdict
+        assert base.n == capped.n
 
     def test_version_recorded(self, green_cert):
         assert green_cert.version == hnncert.__version__
@@ -681,31 +714,31 @@ GREEN_ENDOS = [["aab", "bba"], ["abb", "baa"]]
 REFERENCE_REPORTS = {
     "green_pair": (
         dict(rank=2, endos=GREEN_ENDOS, caps={"audit_loops": 50}, seed=0),
-        "ff01a9b5146c518714b4585e0388e6e838e16b751dcd5dbcdb100bf180fb1440",
+        "0760392fde701bf17adceb68a2bef8ac42033f1402e49d46c70ae3c35d8e11e8",
     ),
     "identical_rank2": (
         dict(rank=2, endos=[["aab", "bba"], ["aab", "bba"]], seed=0),
-        "43c291a7630e1991038579fb6b018d9c588d1a853fb73cba533f9cf500321939",
+        "835dc39b566449c86c85adb65636396e43f88b03554fa784a63606237114b08a",
     ),
     "identical_rank3": (
         dict(rank=3, endos=[["aab", "bbc", "cca"], ["aab", "bbc", "cca"]], seed=0),
-        "00a7957ec65e25cb2e5b41e31c336fe1a8e69aa86f086b9eeac54ce697b2b907",
+        "b88c531527045437e74f7a8cedd41fd1088ab90288a80e0fe6271cdddd7ee8d5",
     ),
     "obstructed_pair": (
         dict(rank=2, endos=[["ab", "ba"], ["aa", "bb"]], seed=0),
-        "18b92dd590982d11b7bc9f11fb154bf77b051becca6d2c7611b6f8962a43d922",
+        "0a633ced0f598a5431537f5d8a2450ff730cc910be013d3c82144f1a61ff8e81",
     ),
     "green_default_caps": (
         dict(rank=2, endos=GREEN_ENDOS),
-        "63729971feabe3393e96ea1a289ae01b8a13565b1cfdd04113b37ed2fd65cd32",
+        "0760392fde701bf17adceb68a2bef8ac42033f1402e49d46c70ae3c35d8e11e8",
     ),
     "single": (
         dict(rank=2, endos=[["aab", "bba"]]),
-        "43748e566c95b57926cf2b79b0e7368691756008dfe0a36fcab697857ab17548",
+        "cf4ea567af8cbc953a7cafe796e7034f0825331d661fd344ef0121b5cb66789e",
     ),
     "rank3_pair": (
         dict(rank=3, endos=[["aab", "bbc", "cca"], ["abc", "bca", "cab"]]),
-        "fc843e5c28e957477977f949685840cc95a07238b6e524de946f06a6e41ce11c",
+        "26460bb5b6f8598f0c52148115929d88d7ccea52e781172a90d47ded7b8af0ff",
     ),
     "marked_green": (
         dict(
@@ -714,7 +747,7 @@ REFERENCE_REPORTS = {
             marking_maps=[{"map": ["ab", "b"], "inverse": ["aB", "b"]}, None],
             caps={"audit_loops": 20},
         ),
-        "8b758c629659c6ef175f2ba10a211253e755e1e4d0dc4f5843d1616619d2f36a",
+        "b776db84fe7aa208299d0fc7c5c8b2235fd4d8a364dc6b0b1021633facbc9f3c",
     ),
 }
 
@@ -743,7 +776,7 @@ def test_wide_growth_report_digest():
     assert time.monotonic() - t0 < 1.0
     assert cert.evidence["per_endomorphism"][0]["expansion"] == {"kind": "power", "n": 9}
     assert hashlib.sha256(report).hexdigest() == (
-        "90456de7b5183eaf15d07624b4588afdc3a1e0e120e5eb3fd336a81ea424c01d"
+        "8036d982ec10b5a8593de0205f798c45c573a240f731e85c9f58ace2997a45c4"
     )
 
 
@@ -773,7 +806,7 @@ def test_disjointness_budget_is_decided_before_the_images():
         "search budget exhausted at power 3; verdict covers powers 1..2"
     )
     assert hashlib.sha256(report).hexdigest() == (
-        "d38b9f1ae7a41c2588fcc483754e2adb6bfef632ccd715d68d68a3a47035d134"
+        "862e1fd8821ab8e48c26b3f03ccaef568b3fcad97536f4356480469d070492d2"
     )
 
 
@@ -797,7 +830,7 @@ def test_mixed_family_budget_is_decided_before_the_immersions_image():
         "search budget exhausted at power 3; verdict covers powers 1..2"
     )
     assert hashlib.sha256(report).hexdigest() == (
-        "e6e2ce762b47368dadf522dba8015a7825d705a12e723d25be2ce9b16ffc3cc2"
+        "8a4d0213748f70b995617612de05dbf7355faebd6b4aa37b4f67f1d7a4d554f9"
     )
 
 
@@ -842,7 +875,7 @@ def test_seeded_corpus_digest():
         "certified_hyperbolic": 13,
     }
     assert digest.hexdigest() == (
-        "24428bc53d4f53208d76e31f6771625bf159c7f389f4437aa3802b426cd0328e"
+        "dca7da29188d56b23540eb1a7368641b8016e659f47f325a927e3ecdf13e1e02"
     )
 
 
@@ -899,13 +932,109 @@ def test_certified_power_triples_every_edge():
 )
 @pytest.mark.parametrize("name", ["green_pair", "single"])
 def test_audit_caps_and_seed_reach_only_the_config(name, field, value):
-    config = parse_config(config_bytes(**REFERENCE_REPORTS[name][0]))
-    base = json.loads(emit_report(certify(config)))
-    moved = json.loads(emit_report(certify(replace(config, **{field: value}))))
-    assert moved["config_digest"] != base["config_digest"]
-    for report in (base, moved):
-        del report["evidence"]["config"], report["config_digest"]
+    # retired: setting one moves no byte of the report, the digest included
+    config = without_retired(REFERENCE_REPORTS[name][0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = emit_report(certify(parse_config(config_bytes(**config))))
+    with pytest.warns(UserWarning, match=field):
+        moved = emit_report(certify(parse_config(config_bytes(**with_setting(config, field, value)))))
     assert moved == base
+
+
+RETIRED_CAPS = ("audit_loops", "audit_loop_length", "flaring_rho_max")
+
+
+def without_retired(config: dict) -> dict:
+    """``config`` without the retired settings: seed and the audit caps."""
+    config = {key: value for key, value in config.items() if key != "seed"}
+    if "caps" in config:
+        config["caps"] = {
+            key: value for key, value in config["caps"].items() if key not in RETIRED_CAPS
+        }
+    return config
+
+
+def with_setting(config: dict, key: str, value) -> dict:
+    """``config`` with the top-level ``seed`` or the cap ``key`` set."""
+    if key == "seed":
+        return {**config, "seed": value}
+    return {**config, "caps": {**config.get("caps", {}), key: value}}
+
+
+class TestRetiredSettings:
+    """The budgets and seed of the sampled annulus audits, which certify no
+    longer runs, parse in strict and lenient mode whatever their value,
+    with one warning that names them, and move no byte of a report."""
+
+    PLAIN = dict(rank=2, endos=GREEN_ENDOS, caps={"pullback": 8})
+    RETIRED = (*RETIRED_CAPS, "seed")
+
+    @pytest.mark.parametrize("value", [0, "x", None, [1]], ids=["zero", "str", "null", "list"])
+    @pytest.mark.parametrize("key", RETIRED)
+    @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+    def test_any_value_is_dropped(self, lenient, key, value):
+        text = config_bytes(**with_setting(self.PLAIN, key, value))
+        with pytest.warns(UserWarning) as record:
+            config = parse_config(text, lenient=lenient)
+        name = key if key == "seed" else f"caps.{key}"
+        assert [str(w.message) for w in record] == [f"ignoring retired settings: {name}"]
+        assert config == parse_config(config_bytes(**self.PLAIN))
+
+    @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+    def test_one_warning_names_them_all(self, lenient):
+        config = self.PLAIN
+        for key in self.RETIRED:
+            config = with_setting(config, key, 1)
+        with pytest.warns(UserWarning) as record:
+            parse_config(config_bytes(**config), lenient=lenient)
+        assert [str(w.message) for w in record] == [
+            "ignoring retired settings: seed, caps.audit_loops, "
+            "caps.audit_loop_length, caps.flaring_rho_max"
+        ]
+
+    def test_report_is_the_report_without_them(self):
+        config = self.PLAIN
+        for key in self.RETIRED:
+            config = with_setting(config, key, "x")
+        with pytest.warns(UserWarning, match="retired"):
+            moved = emit_report(certify(parse_config(config_bytes(**config))))
+        assert moved == emit_report(certify(parse_config(config_bytes(**self.PLAIN))))
+
+    def test_green_pair_is_the_default_caps_green_pair(self):
+        # one computation, one report: the audit cap the first sets is gone
+        green_pair, default_caps = (
+            emit_report(certify(parse_config(config_bytes(**REFERENCE_REPORTS[name][0]))))
+            for name in ("green_pair", "green_default_caps")
+        )
+        assert green_pair == default_caps
+
+    def test_they_are_in_no_config_or_echo(self):
+        assert [field.name for field in fields(CertificationConfig)] == [
+            "rank",
+            "endomorphisms",
+            "markings",
+            "pullback_cap",
+            "disjointness_cap",
+            "expansion_cap",
+            "diagnostics",
+        ]
+        echo = json.loads(emit_report(certify(parse_config(GREEN))))["evidence"]["config"]
+        assert set(echo) == {"rank", "endos", "marking_maps", "caps", "diagnostics"}
+        assert set(echo["caps"]) == {"pullback", "disjointness", "expansion"}
+
+    def test_other_faults_are_still_reported(self):
+        seeded = dict(self.PLAIN, seed=0)
+        with pytest.warns(UserWarning, match="seed"):
+            with pytest.raises(ConfigError, match="caps: expected an object"):
+                parse_config(config_bytes(**dict(seeded, caps=5)))
+        audited = with_setting(seeded, "audit_loops", 1)
+        with pytest.warns(UserWarning, match="audit_loops"):
+            with pytest.raises(ConfigError, match="unknown keys: depth"):
+                parse_config(config_bytes(**with_setting(audited, "depth", 3)))
+        with pytest.warns(UserWarning, match="audit_loops"):
+            with pytest.raises(ConfigError, match="expansion must be"):
+                parse_config(config_bytes(**with_setting(audited, "expansion", 0)))
 
 
 class TestReports:

@@ -147,14 +147,19 @@ class TestFlags:
         assert caps["disjointness"] == 5
         assert caps["expansion"] == 7
 
-    def test_seed_override_changes_digest(self, tmp_path, capsysbinary):
-        path = write(tmp_path, BS)
-        base = self.report_for(tmp_path, capsysbinary, ["--input", path])
-        reseeded = self.report_for(
-            tmp_path, capsysbinary, ["--input", path, "--seed", "9"]
-        )
-        assert base["config_digest"] != reseeded["config_digest"]
-        assert base["verdict"] == reseeded["verdict"]
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # certify samples nothing, so there is no seed to set
+        with pytest.raises(SystemExit) as exc:
+            main(["--input", write(tmp_path, BS), "--seed", "9"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+
+    def test_retired_settings_warn_and_change_nothing(self, tmp_path, capsysbinary):
+        base = self.report_for(tmp_path, capsysbinary, ["--input", write(tmp_path, BS)])
+        path = write(tmp_path, {**BS, "seed": 9, "caps": {"audit_loops": 0}})
+        with pytest.warns(UserWarning, match="seed, caps.audit_loops"):
+            assert main(["--input", path]) == EXIT_OBSTRUCTION
+        assert json.loads(capsysbinary.readouterr().out) == base
 
     def test_invalid_cap_override_is_one(self, tmp_path, capsys):
         code = main(["--input", write(tmp_path, BS), "--pullback-cap", "0"])

@@ -385,7 +385,7 @@ class TestCountDecidedBudget:
             e = seeded_endos(rng, rank, 3, immersion=True)
             m = transition_matrix(GraphMap.from_endomorphism(e))
             for n in (1, 2, 3):
-                free = disjointness._free_core(image_subgroup(e, n).graph)
+                free = core(image_subgroup(e, n).graph, keep_basepoint=False)
                 assert label_counts(free) == [sum(row) for row in mat_power(m, n)]
             checked += 1
 
@@ -613,7 +613,7 @@ def count_walks(monkeypatch):
     calls, walked = [], []
     real = disjointness.product_components
 
-    def counted(a, b, max_edges=500_000):
+    def counted(a, b, max_edges=pullback.MAX_PRODUCT_EDGES):
         calls.append(max_edges)
         components = real(a, b, max_edges)
 

@@ -463,11 +463,8 @@ NO_LEGAL_TURN = rose_map("abA", "abA")
 
 
 class TestPerMapTables:
-    """random_legal_loop and map_loop read one cached table per map."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self):
-        graphmap._turn_table.cache_clear()
+    """random_legal_loop builds one successor table per call, and map_loop
+    concatenates edge images exactly when the map is an immersion."""
 
     @staticmethod
     def draws(sampler, f, seed):
@@ -508,8 +505,10 @@ class TestPerMapTables:
         rng = random.Random(5)
         for _ in range(50):
             random_legal_loop(F_AB_A, rng.randint(1, 8), rng)
-        # each ordered pair of distinct, non-inverse directions once
-        assert len(checked) == 4 * 3
+            # each ordered pair of distinct, non-inverse directions once per
+            # call, however long the loop and however many attempts it takes
+            assert len(checked) == 4 * 3
+            checked.clear()
 
     def test_immersion_images_concatenate(self, monkeypatch):
         decided = []
@@ -523,7 +522,8 @@ class TestPerMapTables:
             image = map_loop(F_AB_BA, loop)
             assert image == tuple(x for s in loop for x in F_AB_BA.edge_image(s))
             assert image == cyclic_core(map_path(F_AB_BA, loop))
-        assert decided == [F_AB_BA]
+        # decided afresh on each call: no table outlives a call
+        assert decided == [F_AB_BA] * 50
 
     def test_non_immersion_still_reduces(self):
         # f(bA) with f: a->ab, b->a concatenates to a·B·A
