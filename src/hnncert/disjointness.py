@@ -93,12 +93,6 @@ class ImageSubgroup:
     graph: LabeledGraph
 
 
-def _access_word(g: LabeledGraph, v: int) -> tuple[int, ...]:
-    """The labels read along the BFS path of g from its basepoint to ``v``,
-    neighbours taken by signed label; see :func:`_label_tree`."""
-    return tuple(tree_path(_label_tree(g), v))
-
-
 def _label_tree(g: LabeledGraph) -> dict[int, tuple[int, int]]:
     """The :func:`pullback.bfs_tree` of g from its basepoint, each vertex
     taking its neighbours sorted by signed label; a step is a signed label."""
@@ -119,6 +113,21 @@ def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
     return ImageSubgroup(e, n, subgroup_graph(list(powered.images), e.rank))
 
 
+def _free_core_factor(g: LabeledGraph) -> LabeledGraph:
+    """The basepoint-free core of ``g``, as a factor of the core product;
+    ValueError if it is not folded."""
+    c = core(g, keep_basepoint=False)
+    if not is_folded(c):
+        raise ValueError("input is not an immersion: graph is not folded")
+    return c
+
+
+def _cores_disjoint(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> bool:
+    """True iff no component of the product of the free cores ``a`` and
+    ``b`` has as many edges as vertices; the walk stops at the first."""
+    return all(len(edges) < vertices for vertices, edges in product_components(a, b, max_edges))
+
+
 def all_conjugates_trivial_intersection(
     h: LabeledGraph, k: LabeledGraph, max_edges: int = MAX_PRODUCT_EDGES
 ) -> bool:
@@ -133,14 +142,9 @@ def all_conjugates_trivial_intersection(
     ProductBudgetError is raised if the product would exceed ``max_edges``
     edges, before any step table is built.
     """
-    a = core(h, keep_basepoint=False)
-    b = core(k, keep_basepoint=False)
-    if a.rank != b.rank:
+    if h.rank != k.rank:
         raise ValueError("subgroups live in free groups of different ranks")
-    if not (is_folded(a) and is_folded(b)):
-        raise ValueError("input is not an immersion: graph is not folded")
-    components = product_components(a, b, max_edges)
-    return all(len(edges) < vertices for vertices, edges in components)
+    return _cores_disjoint(_free_core_factor(h), _free_core_factor(k), max_edges)
 
 
 @dataclass(frozen=True)
@@ -193,10 +197,11 @@ def _intersection_witness(
     edge ids off the component's tree (:func:`_component_cycle`), at its
     least vertex (x, y); the access words to x and y are the signed labels
     of the factors' :func:`_label_tree` paths, and g is ua·ub⁻¹ and w is
-    ua·cycle·ua⁻¹.  None if the product would exceed ``max_edges`` edges.
+    ua·cycle·ua⁻¹.  Equal factors share one core and one tree.  None if
+    the product would exceed ``max_edges`` edges.
     """
     ca = core(a, keep_basepoint=True)
-    cb = core(b, keep_basepoint=True)
+    cb = ca if b == a else core(b, keep_basepoint=True)
     try:
         components = product_components(ca, cb, max_edges)
     except ProductBudgetError:
@@ -207,12 +212,20 @@ def _intersection_witness(
         comp = [(u, v, l) for l, _, _, u, v in sorted(edges)]
         anchor, cycle_letters = _component_cycle(comp)
         x, y = divmod(anchor, cb.num_vertices)
-        ua = _access_word(ca, x)
-        ub = _access_word(cb, y)
+        tree_a = _label_tree(ca)
+        tree_b = tree_a if cb is ca else _label_tree(cb)
+        ua = tuple(tree_path(tree_a, x))
+        ub = tuple(tree_path(tree_b, y))
         g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
         w = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
         return IntersectionWitness(pair, g, w, len(comp) - vertices + 1)
     return None
+
+
+def _image_and_core(e: Endomorphism, n: int) -> tuple[LabeledGraph, LabeledGraph]:
+    """The based graph of φ^n(F_n) and its :func:`_free_core_factor`."""
+    g = image_subgroup(e, n).graph
+    return g, _free_core_factor(g)
 
 
 def essential_disjointness_power(
@@ -233,15 +246,15 @@ def essential_disjointness_power(
     None.
 
     At each power the pairs are tested in order, up to the first that is
-    not disjoint, and an image is built when a pair first needs it (equal
-    endomorphisms share one).  The budget of each pair is decided from the
-    per-label edge counts of the two free cores before an immersion's image
-    is built.  For an immersion φ (:func:`block_table` is not None), φ^n is
-    an immersion too, so its generator loops fold nowhere and the free core
-    of φ^n(F_n) has exactly (M^n·1)_l edges labelled l, with M the
-    transition matrix of φ; every letter starts the image of some
-    direction, so each count is at least 1 and no image built has more
-    than ``max_edges`` edges.  Any other endomorphism's image is built and
+    not disjoint, and an image and its checked free core are built when a
+    pair first needs them, once per power (equal endomorphisms share them).
+    The budget of each pair is decided from the per-label edge counts of
+    the two free cores before an immersion's image is built.  For an
+    immersion φ (:func:`block_table` is not None), φ^n is an immersion
+    too, so its generator loops fold nowhere and the free core of φ^n(F_n)
+    has exactly (M^n·1)_l edges labelled l, with M the transition matrix
+    of φ; every letter starts the image of some direction, so each count
+    is at least 1 and no image built has more than ``max_edges`` edges.  Any other endomorphism's image is built and
     its core counted.  A pair over the budget raises the same
     ProductBudgetError as the product would, without forming a letter of
     an immersion's φ^n.
@@ -266,23 +279,21 @@ def essential_disjointness_power(
     for n in range(1, cap + 1):
         powered = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in powered.items()}
         counts = dict(powered)  # per-label free-core edge counts at power n
-        built: dict[Endomorphism, LabeledGraph] = {}
+        built: dict[Endomorphism, tuple[LabeledGraph, LabeledGraph]] = {}
         try:
             for pair in pairs:
                 ei, ej = (endos[k] for k in pair)
                 for e in (ei, ej):
                     if e not in counts:
-                        built[e] = image_subgroup(e, n).graph
-                        labels = [l for _, _, l in core(built[e], keep_basepoint=False).edges]
-                        counts[e] = letter_counts(labels, e.rank)
+                        built[e] = _image_and_core(e, n)
+                        counts[e] = letter_counts([l for _, _, l in built[e][1].edges], e.rank)
                 check_product_size(sum(map(mul, counts[ei], counts[ej])), max_edges)
                 for e in (ei, ej):
                     if e not in built:
-                        built[e] = image_subgroup(e, n).graph
-                if not all_conjugates_trivial_intersection(
-                    built[ei], built[ej], max_edges=max_edges
-                ):
-                    last_failure = (n, built[ei], built[ej], pair)
+                        built[e] = _image_and_core(e, n)
+                (gi, ci), (gj, cj) = built[ei], built[ej]
+                if not _cores_disjoint(ci, cj, max_edges):
+                    last_failure = (n, gi, gj, pair)
                     break
             else:
                 return DisjointnessVerdict("disjoint_at", n=n)

@@ -49,7 +49,6 @@ from .graphmap import (
     GraphMap,
     MarkedGraph,
     Path,
-    immersed_loop_image,
     is_immersion,
     letter_counts,
     rose,
@@ -817,40 +816,83 @@ def _canonical_loop(p: Path) -> Path:
     return min(_least_rotated(p), _least_rotated(tuple(-x for x in reversed(p))))
 
 
-def _invariant_loop(f: GraphMap, gamma: Path, cap: int) -> Optional[StabilizationVerdict]:
+LENGTH_GUARD = 200_000  # letters in the longest iterate the search builds
+TABLE_LEVELS = 8  # the deepest power f^j the search tables
+TABLE_ENTRY_BOUND = 4_096  # letters in the longest entry of a table above f's
+
+
+def _power_tables(f: GraphMap) -> list[dict[str, str]]:
+    """Tables T_1..T_J for the invariant-loop search: T_j maps each signed
+    letter s, encoded as ``chr(s + rank + 1)``, to f^j(s) encoded the same way.
+
+    T_1 is f itself.  T_j for j > 1 is joined from T_(j−1) and T_1, and is
+    built only while j ≤ :data:`TABLE_LEVELS`, its longest entry has at
+    most :data:`TABLE_ENTRY_BOUND` letters and all its entries together at
+    most :data:`LENGTH_GUARD`, so no level outgrows the longest iterate.
+    Those lengths are decided before the level is built: an immersion's
+    images do not cancel, so f^j(e) and its reverse have as many letters
+    as column e of M^j sums to, with M the :func:`transition_matrix`, and
+    that column sum is the sum over the letters x of f(e) of |f^(j−1)(x)|.
+    """
+    offset = f.domain.num_edges + 1
+    first = {
+        chr(s + offset): "".join(chr(x + offset) for x in image)
+        for s, image in f.signed_images.items()
+    }
+    tables = [first]
+    lengths = [len(image) for image in f.edge_map]  # column sums of M^j
+    while len(tables) < TABLE_LEVELS:
+        lengths = [sum(lengths[abs(x) - 1] for x in image) for image in f.edge_map]
+        if max(lengths) > TABLE_ENTRY_BOUND or 2 * sum(lengths) > LENGTH_GUARD:
+            break
+        below = tables[-1]
+        tables.append({c: "".join(map(below.__getitem__, image)) for c, image in first.items()})
+    return tables
+
+
+def _image_through(table: dict[str, str], loop: str) -> str:
+    """The image of an encoded loop under the power of f that ``table``
+    holds: one C-level copy per letter, and no cancellation to undo."""
+    return "".join(map(table.__getitem__, loop))
+
+
+def _invariant_loop(
+    f: GraphMap, gamma: Path, cap: int, tables: list[dict[str, str]]
+) -> Optional[StabilizationVerdict]:
     """The first pair k < kp ≤ cap, in (kp, k) order, with f^kp(γ) a
     rotation of (f^k(γ))^d, as an invariant-loop verdict; see
     :func:`stabilization_power`.
 
-    The search gives up at the first iterate longer than 200,000 letters,
-    and checks that before the iterate is built: an immersion's images do
-    not cancel, so f(γ) has 1ᵀ·M·c letters, where c counts γ's letters per
-    edge and M is the :func:`transition_matrix`.
+    Iterates are strings in the encoding of :func:`_power_tables`, and
+    iterate kp is built through T_j from iterate kp − j, with j the smaller
+    of kp and the deepest table level.  The search gives up at the first
+    iterate longer than :data:`LENGTH_GUARD` letters, and checks that
+    before the iterate is built: f^kp(γ) has 1ᵀ·M^kp·c letters, where c
+    counts γ's letters per edge.  Only the witness loop is decoded to a
+    path.
     """
-    length_guard = 200_000
     m = transition_matrix(f)
+    offset = len(m) + 1
     counts = letter_counts(gamma, len(m))
-    iterates = [gamma]
-    roots = [primitive_root(gamma)]
-    keys: dict[int, Path] = {}
+    iterates = ["".join(chr(s + offset) for s in gamma)]
+    roots = [primitive_root(iterates[0])]
     for kp in range(1, cap + 1):
         counts = [sum(map(mul, row, counts)) for row in m]
-        if not 0 < sum(counts) <= length_guard:
+        if not 0 < sum(counts) <= LENGTH_GUARD:
             return None
-        nxt = immersed_loop_image(f, iterates[-1])
+        j = min(kp, len(tables))
+        nxt = _image_through(tables[j - 1], iterates[kp - j])
         iterates.append(nxt)
         period, exponent = primitive_root(nxt)
         roots.append((period, exponent))
         for k in range(kp):
             if roots[k][0] != period or exponent % roots[k][1]:
                 continue
-            for i in (k, kp):
-                if i not in keys:
-                    keys[i] = _least_rotated(iterates[i][:period])
-            if keys[k] == keys[kp]:
+            root = iterates[k][:period]
+            if nxt[:period] in root + root:
                 return StabilizationVerdict(
                     "invariant_loop",
-                    loop=iterates[k],
+                    loop=tuple(ord(c) - offset for c in iterates[k]),
                     degree=exponent // roots[k][1],
                     power=kp - k,
                 )
@@ -878,16 +920,19 @@ def stabilization_power(
     fundamental cycles per dirty component (:func:`_fundamental_cycles`),
     then each single edge.
 
-    The search works on whole iterates, with no Python step per letter.  A
-    cyclic word p is a rotation of q^d exactly when their primitive roots
-    have the same length, exp(p) = d·exp(q), and the roots are rotations of
-    each other (Lyndon–Schützenberger).  So each iterate is built by one
-    table map (:func:`immersed_loop_image`) and reduced once to its
-    (period, exponent) by slice comparisons (:func:`primitive_root`), and
-    only a pair that passes both integer tests compares least-rotated
-    roots, each built once.  Pairs are scanned in (kp, k) order as each
-    iterate is built, and the search maps no further than its first
-    witness.
+    The search works on whole iterates, as strings with one code point per
+    signed letter, with no Python step per letter of an iterate.  A cyclic
+    word p is a rotation of q^d exactly when their primitive roots have the
+    same length, exp(p) = d·exp(q), and the roots are rotations of each
+    other (Lyndon–Schützenberger).  Tables of f^j for j up to eight
+    (:func:`_power_tables`) are built once per call, so each iterate is
+    joined from the table entries of the letters of an iterate up to eight
+    powers below it (:func:`_image_through`).  Each iterate is reduced once
+    to its (period, exponent) by slice comparisons (:func:`primitive_root`),
+    and only a pair that passes both integer tests compares its roots: r' is
+    a rotation of r, of equal length, exactly when r' is a substring of rr.
+    Pairs are scanned in (kp, k) order as each iterate is built, and the
+    search maps no further than its first witness.
     """
     if not is_immersion(f):
         raise ValueError("map is not an immersion: direction clash at vertex 0")
@@ -923,8 +968,9 @@ def stabilization_power(
             seen_classes.add(key)
             candidates.append((e,))
 
+    tables = _power_tables(f)
     for gamma in candidates:
-        found = _invariant_loop(f, gamma, cap)
+        found = _invariant_loop(f, gamma, cap, tables)
         if found is not None:
             return found
     surviving = tuple(

@@ -20,6 +20,7 @@ MODULES = {path.stem for path in SRC.glob("*.py")}
 LIBRARY = {
     "annuli.check_ring_relations": "reference check of the ring constructions, run by the annulus tests",
     "certify.parse_report": "exported by the package as the inverse of emit_report",
+    "disjointness.all_conjugates_trivial_intersection": "named API for the universal conjugate-intersection decision that essential_disjointness_power makes on free cores it builds once per power, and the oracle of the gate's tests",
     "disjointness.decode_in_image": "named API for block decoding, and a test oracle",
     "graphmap.is_legal_turn": "oracle for the turn walk of verify_train_track in tests",
     "stallings.canonical_code": "isomorphism oracle for folded graphs in tests",

@@ -20,6 +20,7 @@ from hnncert.graphmap import (
     is_immersion,
     iterate_map,
     letter_counts,
+    mat_power,
     rose,
     transition_matrix,
 )
@@ -1046,10 +1047,10 @@ class TestStabilization:
         assert cyclic_paths_equal(image, v.loop * v.degree)
 
 
-def booth_scan(f, gamma, cap):
+def booth_scan(f, gamma, cap, tables=None):
     """Oracle for ``pullback._invariant_loop``: build every iterate up to the
     cap, then test each pair k < kp in (kp, k) order by Booth-rotating
-    f^kp(γ) and (f^k(γ))^d whole."""
+    f^kp(γ) and (f^k(γ))^d whole.  ``tables`` is ignored."""
     from hnncert.graphmap import cyclic_paths_equal, map_loop
 
     iterates = [gamma]
@@ -1091,11 +1092,12 @@ def kmp_primitive_root(seq):
     return period, n // period
 
 
-def per_letter_scan(f, gamma, cap):
+def per_letter_scan(f, gamma, cap, tables=None):
     """Oracle for ``pullback._invariant_loop`` as it was before the
     whole-iterate search: each iterate mapped one ``edge_image`` call per
-    letter and reduced to its root by :func:`kmp_primitive_root`, with the
-    same length guard and (kp, k) scan."""
+    letter from the one before and reduced to its root by
+    :func:`kmp_primitive_root`, with the same length guard and (kp, k) scan,
+    and roots compared by their least rotations.  ``tables`` is ignored."""
     m = transition_matrix(f)
     counts = letter_counts(gamma, len(m))
     iterates = [gamma]
@@ -1139,6 +1141,53 @@ def seeded_immersions(seed, rank, count, max_image):
         f = GraphMap(rose(rank), rose(rank), (0,), tuple(images))
         if is_immersion(f):
             out.append(f)
+    return out
+
+
+def long_image_immersion(length, seed):
+    """A rank-2 immersion whose generators map to seeded random reduced
+    words of ``length`` letters, a's image opening and closing with a and
+    b's with b (so the four directions have distinct images)."""
+    rng = random.Random(seed)
+    images = []
+    for first in (1, 2):
+        w = [first]
+        while len(w) < length - 1:
+            x = rng.choice((1, -1, 2, -2))
+            if x != -w[-1] and (len(w) < length - 2 or x != -first):
+                w.append(x)
+        images.append(Word(tuple(w) + (first,), 2))
+    f = GraphMap.from_endomorphism(Endomorphism(2, tuple(images)))
+    assert is_immersion(f)
+    return f
+
+
+def seeded_wide_immersions(seed, rank, count, max_image, doubled=0):
+    """``count`` immersions of the rank-``rank`` rose drawn from
+    ``random.Random(seed)``, for ranks where random images are almost never
+    an immersion: a random bijection of the signed letters picks the letter
+    each direction's image starts with, and the letters between are random,
+    2..``max_image`` letters in all.  ``doubled`` petals, drawn at random,
+    map to their own square instead."""
+    rng = random.Random(seed)
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    out = []
+    for _ in range(count):
+        starts = dict(zip(letters, rng.sample(letters, len(letters))))
+        squares = rng.sample(range(1, rank + 1), doubled)
+        for i in squares:
+            for d in (i, -i):
+                other = next(x for x, y in starts.items() if y == d)
+                starts[other], starts[d] = starts[d], d
+        images = []
+        for i in range(1, rank + 1):
+            w, last = [starts[i]], -starts[-i]
+            for _ in range(0 if i in squares else rng.randint(0, max_image - 2)):
+                w.append(rng.choice([x for x in letters if x not in (-w[-1], -last)]))
+            images.append(tuple(w) + (last,))
+        f = GraphMap(rose(rank), rose(rank), (0,), tuple(images))
+        assert is_immersion(f)
+        out.append(f)
     return out
 
 
@@ -1218,12 +1267,91 @@ class TestInvariantLoopSearch:
                 getattr(module, "least_rotation", None) is least_rotation
             ):
                 self.count(monkeypatch, module, "least_rotation", tally, lambda a: len(a[0]))
-        v = stabilization_power(SAPIR)
+        for f, kind in ((SAPIR, "cap_exceeded"), (SQUARES, "invariant_loop")):
+            tally.clear()
+            assert stabilization_power(f).kind == kind
+            # each candidate class is keyed in both orientations, and the
+            # scan rotates nothing, not even SQUARES' roots of equal length
+            assert tally["_canonical_loop_calls"] > 0
+            assert tally["least_rotation_calls"] == 2 * tally["_canonical_loop_calls"]
+            assert tally["least_rotation"] == 2 * tally["_canonical_loop"]
+
+    @pytest.mark.parametrize("rank, max_image", [(2, 2), (2, 4), (3, 3)])
+    def test_matches_the_per_letter_search_at_cap_16(self, rank, max_image, monkeypatch):
+        # cap 16 reaches the deep tables: iterate kp is built from kp − j
+        kinds = collections.Counter()
+        for f in seeded_immersions(rank, rank, 60, max_image):
+            fast, slow = self.both(f, 16, monkeypatch, per_letter_scan)
+            assert fast == slow, f.edge_map
+            kinds[fast[0]] += 1
+        assert set(kinds) == {"stabilized_at", "invariant_loop", "cap_exceeded"}
+
+    @pytest.mark.parametrize(
+        "f", [IDENT, FLIP, MIXED, DOUBLE, SQUARES, SAPIR],
+        ids=["IDENT", "FLIP", "MIXED", "DOUBLE", "SQUARES", "SAPIR"],
+    )
+    def test_matches_the_per_letter_search_on_fixtures_at_cap_16(self, f, monkeypatch):
+        fast, slow = self.both(f, 16, monkeypatch, per_letter_scan)
+        assert fast == slow
+
+    @pytest.mark.parametrize(
+        "rank, count, past_one_byte", [(40, 12, False), (130, 5, True)], ids=["rank40", "rank130"]
+    )
+    def test_matches_the_per_letter_search_on_wide_roses(
+        self, rank, count, past_one_byte, monkeypatch
+    ):
+        # letter s is the code point s + rank + 1: below 256 at rank 40,
+        # beyond it at rank 130
+        maps = seeded_wide_immersions(rank, rank, count, 3) + seeded_wide_immersions(
+            rank + 1, rank, count // 2, 3, doubled=2
+        )
+        kinds = collections.Counter()
+        for f in maps:
+            fast, slow = self.both(f, 16, monkeypatch, per_letter_scan)
+            assert fast == slow, f.edge_map
+            kinds[fast[0]] += 1
+        assert set(kinds) == {"stabilized_at", "invariant_loop", "cap_exceeded"}
+        codes = "".join(pullback._power_tables(maps[0])[0])
+        assert (max(map(ord, codes)) > 255) == past_one_byte
+
+    def test_thue_morse_runs_to_the_cap_in_little_memory(self):
+        # SAPIR is the Thue–Morse map; its iterates reach 65,536 letters
+        tracemalloc.start()
+        try:
+            v = stabilization_power(SAPIR, cap=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert v.kind == "cap_exceeded"
-        # each candidate class is keyed in both orientations; the scan
-        # itself rotates no iterate of SAPIR, whose roots all differ in length
-        assert tally["_canonical_loop"] > 0
-        assert tally["least_rotation"] <= 2 * tally["_canonical_loop"]
+        assert v.surviving == ((1, 2, 2), (1, 2, 2))
+        assert peak < 2**19
+
+    @pytest.mark.parametrize(
+        "f",
+        [SAPIR, DOUBLE, rose_map("ab" * 10, "ba" * 10), long_image_immersion(3000, 1)]
+        + seeded_wide_immersions(7, 130, 2, 3),
+        ids=["SAPIR", "DOUBLE", "twenty_fold", "long_image", "rank130_a", "rank130_b"],
+    )
+    def test_tables_hold_the_powers_of_f_up_to_their_bounds(self, f):
+        tables = pullback._power_tables(f)
+        offset = f.domain.num_edges + 1
+        for j, table in enumerate(tables, 1):
+            power = iterate_map(f, j) if j > 1 else f
+            assert table == {
+                chr(s + offset): "".join(chr(x + offset) for x in image)
+                for s, image in power.signed_images.items()
+            }
+            if j > 1:
+                assert max(map(len, table.values())) <= pullback.TABLE_ENTRY_BOUND
+                assert sum(map(len, table.values())) <= pullback.LENGTH_GUARD
+        # the next level would pass a bound: its lengths are the column sums
+        # of M^(J+1), with M the transition matrix
+        columns = [sum(col) for col in zip(*mat_power(transition_matrix(f), len(tables) + 1))]
+        assert (
+            len(tables) == pullback.TABLE_LEVELS
+            or max(columns) > pullback.TABLE_ENTRY_BOUND
+            or 2 * sum(columns) > pullback.LENGTH_GUARD
+        )
 
     @given(
         st.sampled_from(list(rank_two_immersions(3))),
@@ -1239,26 +1367,37 @@ class TestInvariantLoopSearch:
 
     def test_stops_mapping_at_the_first_witness(self, monkeypatch):
         tally = collections.Counter()
-        self.count(monkeypatch, pullback, "immersed_loop_image", tally, lambda a: len(a[1]))
+        self.count(monkeypatch, pullback, "_image_through", tally, lambda a: len(a[1]))
         v = stabilization_power(SQUARES)
         assert (v.kind, v.power, v.degree) == ("invariant_loop", 1, 2)
-        assert tally["immersed_loop_image_calls"] == 1
+        assert tally["_image_through_calls"] == 1
 
     def test_builds_no_iterate_over_the_length_guard(self, monkeypatch):
         # iterates of a single letter grow 20-fold: 160,000 letters, then
         # 3,200,000, which the guard rejects from the letter counts alone
-        lengths = []
-        real = pullback.immersed_loop_image
+        lengths, tables = [], []
+        real_image, real_tables = pullback._image_through, pullback._power_tables
 
-        def measured(f, loop):
-            image = real(f, loop)
+        def measured(table, loop):
+            image = real_image(table, loop)
             lengths.append(len(image))
             return image
 
-        monkeypatch.setattr(pullback, "immersed_loop_image", measured)
+        def recorded(f):
+            tables.extend(real_tables(f))
+            return tables
+
+        monkeypatch.setattr(pullback, "_image_through", measured)
+        monkeypatch.setattr(pullback, "_power_tables", recorded)
         v = stabilization_power(rose_map("ab" * 10, "ba" * 10))
         assert v.kind == "cap_exceeded"
         assert max(lengths) == 160_000
+        # f^2's entries have 400 letters; f^3's would have 8,000, over the
+        # bound, and are never built
+        assert [max(map(len, t.values())) for t in tables] == [20, 400]
+        assert max(len(entry) for t in tables[1:] for entry in t.values()) <= (
+            pullback.TABLE_ENTRY_BOUND
+        )
 
 
 def strip_backtracks(cycle):
@@ -1361,30 +1500,13 @@ def fiber_product_stabilization(f, cap):
         if key not in seen:
             seen.add(key)
             candidates.append(loop)
+    tables = pullback._power_tables(f)
     for gamma in candidates:
-        found = pullback._invariant_loop(f, gamma, cap)
+        found = pullback._invariant_loop(f, gamma, cap, tables)
         if found is not None:
             return found
     surviving = tuple((c.rank, len(c.vertex_ids), len(c.edge_ids)) for c in dirty)
     return StabilizationVerdict("cap_exceeded", surviving=surviving)
-
-
-def long_image_immersion(length, seed):
-    """A rank-2 immersion whose generators map to seeded random reduced
-    words of ``length`` letters, a's image opening and closing with a and
-    b's with b (so the four directions have distinct images)."""
-    rng = random.Random(seed)
-    images = []
-    for first in (1, 2):
-        w = [first]
-        while len(w) < length - 1:
-            x = rng.choice((1, -1, 2, -2))
-            if x != -w[-1] and (len(w) < length - 2 or x != -first):
-                w.append(x)
-        images.append(Word(tuple(w) + (first,), 2))
-    f = GraphMap.from_endomorphism(Endomorphism(2, tuple(images)))
-    assert is_immersion(f)
-    return f
 
 
 class TestLevelOneWalk:
