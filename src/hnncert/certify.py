@@ -76,7 +76,7 @@ from .stallings import graph_rank, subgroup_graph
 from .words import Endomorphism, Word, word_from_string, word_to_string
 
 # certify calls none of these; perfbench/spans.py looks them up in this
-# module by name, until certify owns its trace (ROADMAP item 3)
+# module by name, until certify owns its trace
 from .annuli import audit_31_hyperbolicity  # noqa: F401
 from .annuli import flaring_audit as _flaring_battery  # noqa: F401
 from .graphmap import iterate_map  # noqa: F401

@@ -8,9 +8,12 @@ positive rank.  The product is never built: its components are walked one at
 a time from a step table per factor, least vertex first and only where the
 factors' labels meet, and the first component with as many edges as vertices
 decides.  On an identical pair that is the diagonal, walked first from vertex
-0.  The edge budget is checked first, before any table is built; for an
-immersion it is checked before the image is built at all, from letter
-counts (:func:`essential_disjointness_power`).
+0.  The edge budget is checked first, before any table is built, and in the
+gate before either image of a pair is built, by one rule for every map
+(:func:`essential_disjointness_power`): the free core of φ(H) has at most
+(M·c)_l edges labelled l, where c counts the edges of the free core of H
+per label and M is the transition matrix of φ, because substituting and
+folding never adds an edge of any label.
 
 Preimages under φ^N are recovered without search, which needs the images of
 the 2n directions to start with distinct letters (every immersed rose map
@@ -222,12 +225,6 @@ def _intersection_witness(
     return None
 
 
-def _image_and_core(e: Endomorphism, n: int) -> tuple[LabeledGraph, LabeledGraph]:
-    """The based graph of φ^n(F_n) and its :func:`_free_core_factor`."""
-    g = image_subgroup(e, n).graph
-    return g, _free_core_factor(g)
-
-
 def essential_disjointness_power(
     endos: Sequence[Endomorphism], cap: int = 4, max_edges: int = MAX_PRODUCT_EDGES
 ) -> DisjointnessVerdict:
@@ -248,16 +245,16 @@ def essential_disjointness_power(
     At each power the pairs are tested in order, up to the first that is
     not disjoint, and an image and its checked free core are built when a
     pair first needs them, once per power (equal endomorphisms share them).
-    The budget of each pair is decided from the per-label edge counts of
-    the two free cores before an immersion's image is built.  For an
-    immersion φ (:func:`block_table` is not None), φ^n is an immersion
-    too, so its generator loops fold nowhere and the free core of φ^n(F_n)
-    has exactly (M^n·1)_l edges labelled l, with M the transition matrix
-    of φ; every letter starts the image of some direction, so each count
-    is at least 1 and no image built has more than ``max_edges`` edges.  Any other endomorphism's image is built and
-    its core counted.  A pair over the budget raises the same
-    ProductBudgetError as the product would, without forming a letter of
-    an immersion's φ^n.
+    One rule budgets every pair before either of its images is built at a
+    power: the product of two per-label bounds on the free cores' edge
+    counts.  A map's bound starts at the rose's one edge per label; each
+    power multiplies it by M, the transition matrix of φ, and building the
+    map's free core replaces it with that core's exact counts.  It holds
+    because substituting φ(l) for each edge labelled l of a core and
+    folding gives the core of the image, and folding and coring never add
+    an edge of any label.  For an immersion the bound is M^n·1, exact at
+    every power, since its generator loops fold nowhere.  A pair over the
+    budget raises the same ProductBudgetError as the product would.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -266,31 +263,25 @@ def essential_disjointness_power(
     ranks = {e.rank for e in endos}
     if len(ranks) != 1:
         raise ValueError("endomorphisms act on different ranks")
-    # M per distinct immersion, and its M^n·1
     matrices = {
-        e: transition_matrix(GraphMap.from_endomorphism(e))
-        for e in dict.fromkeys(endos)
-        if block_table(e) is not None
+        e: transition_matrix(GraphMap.from_endomorphism(e)) for e in dict.fromkeys(endos)
     }
-    powered = {e: [1] * e.rank for e in matrices}
+    counts = {e: [1] * e.rank for e in matrices}  # per-label bounds, exact once built
     pairs = [(i, j) for i in range(len(endos)) for j in range(i + 1, len(endos))]
     last_failure: Optional[tuple[int, LabeledGraph, LabeledGraph, tuple[int, int]]] = None
     note = ""
     for n in range(1, cap + 1):
-        powered = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in powered.items()}
-        counts = dict(powered)  # per-label free-core edge counts at power n
+        counts = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in counts.items()}
         built: dict[Endomorphism, tuple[LabeledGraph, LabeledGraph]] = {}
         try:
             for pair in pairs:
                 ei, ej = (endos[k] for k in pair)
-                for e in (ei, ej):
-                    if e not in counts:
-                        built[e] = _image_and_core(e, n)
-                        counts[e] = letter_counts([l for _, _, l in built[e][1].edges], e.rank)
                 check_product_size(sum(map(mul, counts[ei], counts[ej])), max_edges)
                 for e in (ei, ej):
                     if e not in built:
-                        built[e] = _image_and_core(e, n)
+                        g = image_subgroup(e, n).graph
+                        built[e] = g, _free_core_factor(g)
+                        counts[e] = letter_counts([l for _, _, l in built[e][1].edges], e.rank)
                 (gi, ci), (gj, cj) = built[ei], built[ej]
                 if not _cores_disjoint(ci, cj, max_edges):
                     last_failure = (n, gi, gj, pair)

@@ -52,7 +52,6 @@ from .graphmap import (
     is_immersion,
     letter_counts,
     rose,
-    transition_matrix,
 )
 from .stallings import LabeledGraph, component_labels, core, label_clash
 from .words import cyclic_core, free_reduce, least_rotation, primitive_root
@@ -787,8 +786,8 @@ def _project_cycle(
     return tuple(letters)
 
 
-def _fundamental_cycles(edges: list[WalkedEdge], limit: int = 8) -> list[list[int]]:
-    """Up to ``limit`` fundamental cycles of a walked component, as signed
+def _fundamental_cycles(edges: list[WalkedEdge]) -> list[list[int]]:
+    """Up to eight fundamental cycles of a walked component, as signed
     edge ids from the root of :func:`component_tree`, one per non-tree edge
     in product order; ``edges`` are the component's edges sorted into
     product order."""
@@ -800,7 +799,7 @@ def _fundamental_cycles(edges: list[WalkedEdge], limit: int = 8) -> list[list[in
             continue
         back = [-s for s in reversed(tree_path(parent, v))]
         cycles.append(tree_path(parent, u) + [k] + back)
-        if len(cycles) >= limit:
+        if len(cycles) >= 8:
             break
     return cycles
 
@@ -831,7 +830,7 @@ def _power_tables(f: GraphMap) -> list[dict[str, str]]:
     most :data:`LENGTH_GUARD`, so no level outgrows the longest iterate.
     Those lengths are decided before the level is built: an immersion's
     images do not cancel, so f^j(e) and its reverse have as many letters
-    as column e of M^j sums to, with M the :func:`transition_matrix`, and
+    as column e of M^j sums to, with M the transition matrix of f, and
     that column sum is the sum over the letters x of f(e) of |f^(j−1)(x)|.
     """
     offset = f.domain.num_edges + 1
@@ -867,18 +866,19 @@ def _invariant_loop(
     iterate kp is built through T_j from iterate kp − j, with j the smaller
     of kp and the deepest table level.  The search gives up at the first
     iterate longer than :data:`LENGTH_GUARD` letters, and checks that
-    before the iterate is built: f^kp(γ) has 1ᵀ·M^kp·c letters, where c
-    counts γ's letters per edge.  Only the witness loop is decoded to a
-    path.
+    before the iterate is built: f^kp(γ) has Σ_e |f^kp(e)|·c_e letters,
+    where c counts γ's letters per edge, and |f^kp(e)| is the sum over the
+    letters x of f(e) of |f^(kp−1)(x)|.  Only the witness loop is decoded
+    to a path.
     """
-    m = transition_matrix(f)
-    offset = len(m) + 1
-    counts = letter_counts(gamma, len(m))
+    offset = f.domain.num_edges + 1
+    counts = letter_counts(gamma, f.domain.num_edges)
+    lengths = [1] * f.domain.num_edges  # |f^kp(e)| per edge e
     iterates = ["".join(chr(s + offset) for s in gamma)]
     roots = [primitive_root(iterates[0])]
     for kp in range(1, cap + 1):
-        counts = [sum(map(mul, row, counts)) for row in m]
-        if not 0 < sum(counts) <= LENGTH_GUARD:
+        lengths = [sum(lengths[abs(x) - 1] for x in image) for image in f.edge_map]
+        if not 0 < sum(map(mul, lengths, counts)) <= LENGTH_GUARD:
             return None
         j = min(kp, len(tables))
         nxt = _image_through(tables[j - 1], iterates[kp - j])
@@ -899,9 +899,7 @@ def _invariant_loop(
     return None
 
 
-def stabilization_power(
-    f: GraphMap, cap: int = 16, max_edges: int = MAX_PRODUCT_EDGES
-) -> StabilizationVerdict:
+def stabilization_power(f: GraphMap, cap: int = 16) -> StabilizationVerdict:
     """Decide whether the pullback difference of some power is loop-free.
 
     For an immersion, an off-diagonal loop pair at one power yields one at
@@ -914,7 +912,9 @@ def stabilization_power(
 
     Level 1 is read from :func:`product_components` on the subdivision of f,
     one component at a time, as in the disjointness gate; signatures, which
-    only the filtration needs, are never built.  A component is dirty when
+    only the filtration needs, are never built.  A product over
+    :data:`MAX_PRODUCT_EDGES` edges gives cap_exceeded with the surviving
+    entry "product budget exceeded".  A component is dirty when
     it has as many edges as vertices and no vertex (x, x) of the diagonal.
     The candidate loops are the projections to both factors of up to eight
     fundamental cycles per dirty component (:func:`_fundamental_cycles`),
@@ -939,7 +939,7 @@ def stabilization_power(
     sub = subdivide_map(f)
     diagonal = sub.graph.num_vertices + 1  # (x, x) has id x·diagonal
     try:
-        components = product_components(sub.graph, sub.graph, max_edges)
+        components = product_components(sub.graph, sub.graph, MAX_PRODUCT_EDGES)
     except ProductBudgetError:
         return StabilizationVerdict("cap_exceeded", surviving=("product budget exceeded",))
     dirty = [

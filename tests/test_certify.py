@@ -811,8 +811,8 @@ def test_disjointness_budget_is_decided_before_the_images():
 
 
 def test_mixed_family_budget_is_decided_before_the_immersions_image():
-    # a -> ab, b -> abb is no immersion (both images start with a), so its
-    # image is built and counted; the immersion's third power is not built.
+    # a -> ab, b -> abb is no immersion (both images start with a); the
+    # pair's bound trips at power 3, before either third power is built.
     # The witness cycle is read off parent pointers, not a word per product
     # vertex, which took 773 MB here
     t0 = time.monotonic()

@@ -7,8 +7,11 @@ import json
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
+from dataclasses import replace
 from functools import partial
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -372,10 +375,25 @@ def label_counts(g):
     return counts
 
 
+def last_tested_power(verdict):
+    """The last power n such that the gate tested powers 1..n in full."""
+    return 0 if verdict.kind == "cap_exceeded" else verdict.n
+
+
+def assert_matches_eager_on_tested_powers(endos, cap, max_edges, verdict):
+    """The gate's bounds are at least the built cores' counts, so it trips
+    no later than the eager gate, and up to its trip it decides as that
+    gate does."""
+    t = last_tested_power(verdict)
+    assert t <= last_tested_power(eager_gate(endos, cap, max_edges))
+    if t:
+        assert replace(verdict, note="") == eager_gate(endos, t, max_edges)
+
+
 class TestCountDecidedBudget:
-    """The product budget decided from M^n·1 before an immersion's image is
-    built, and from the built core of any other image, against the gate
-    that built every image first."""
+    """The product budget decided from per-label bounds M·c before either
+    image of a pair is built, against the gate that built every image
+    first.  For an immersion the bound is M^n·1, the exact count."""
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_counts_are_the_free_core_labels(self, rank):
@@ -388,6 +406,24 @@ class TestCountDecidedBudget:
                 free = core(image_subgroup(e, n).graph, keep_basepoint=False)
                 assert label_counts(free) == [sum(row) for row in mat_power(m, n)]
             checked += 1
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_bounds_hold_for_every_map(self, rank):
+        # substituting φ(l) for each l-edge of a core and folding never adds
+        # an edge of any label, so M·c bounds the next core, and strictly
+        # somewhere for most non-immersions
+        rng = random.Random(rank)
+        strict = 0
+        for _ in range(60):
+            e = seeded_endos(rng, rank, 3)
+            m = transition_matrix(GraphMap.from_endomorphism(e))
+            c = [1] * rank
+            for n in (1, 2, 3):
+                bound = [sum(map(mul, row, c)) for row in m]
+                c = label_counts(core(image_subgroup(e, n).graph, keep_basepoint=False))
+                assert all(x <= y for x, y in zip(c, bound)), (e, n)
+                strict += c != bound
+        assert strict > 60
 
     def test_matches_the_eager_gate(self):
         rng = random.Random(18)
@@ -403,10 +439,15 @@ class TestCountDecidedBudget:
                 if rng.random() < 0.3:
                     endos.append(endos[0])
                 verdict = essential_disjointness_power(endos, cap=3, max_edges=max_edges)
-                assert verdict == eager_gate(endos, 3, max_edges), (endos, max_edges)
                 counted = all(block_table(e) is not None for e in endos)
+                if counted:
+                    # every bound is exact
+                    assert verdict == eager_gate(endos, 3, max_edges), (endos, max_edges)
+                else:
+                    assert_matches_eager_on_tested_powers(endos, 3, max_edges, verdict)
                 kinds[(counted, verdict.kind, bool(verdict.note))] += 1
-        # both routes trip the budget at power 1 and past it
+        # families with and without a non-immersion trip the budget at
+        # power 1 and past it
         for counted in (True, False):
             assert (counted, "cap_exceeded", True) in kinds
             assert (counted, "not_disjoint_at_cap", True) in kinds
@@ -416,8 +457,20 @@ class TestCountDecidedBudget:
         "endos", [[COLLAPSE, TO_B], [SAPIR, COLLAPSE, SQUARES], [COLLAPSE, COLLAPSE]]
     )
     @pytest.mark.parametrize("max_edges", [1, 4, 30])
-    def test_non_immersion_families_build_then_check(self, endos, max_edges):
-        assert essential_disjointness_power(endos, 3, max_edges) == eager_gate(endos, 3, max_edges)
+    def test_non_immersion_families_check_then_build(self, monkeypatch, endos, max_edges):
+        built = []
+        real = disjointness.image_subgroup
+        monkeypatch.setattr(
+            disjointness, "image_subgroup", lambda e, n: built.append((e, n)) or real(e, n)
+        )
+        verdict = essential_disjointness_power(endos, 3, max_edges)
+        assert_matches_eager_on_tested_powers(endos, 3, max_edges, verdict)
+        trip = last_tested_power(verdict) + 1
+        if verdict.kind == "cap_exceeded" or verdict.note:
+            # the pair that trips the budget is checked before its images
+            # are built, so some image of the family is not built there
+            assert len({e for e, n in built if n == trip}) < len(set(endos))
+        assert all(n <= trip for _, n in built)
 
     def test_trip_at_power_one_names_the_count(self, monkeypatch):
         built = []
@@ -452,10 +505,11 @@ class TestCountDecidedBudget:
         alone = essential_disjointness_power([SAPIR, big], cap=6, max_edges=160)
         assert (alone.kind, alone.n) == ("cap_exceeded", 1)
 
-    def test_a_mixed_pair_never_builds_the_immersion_over_budget(self, monkeypatch):
+    def test_a_mixed_pair_builds_neither_image_over_budget(self, monkeypatch):
         # a -> ab, b -> abb is an automorphism whose images both start with
-        # a: its image is built and its core, the rose, counted; big's free
-        # core has 81 + 81 edges at power 1 and 13,122 at power 2
+        # a: its bound is (2, 3) at power 1 and, from its core there, the
+        # rose, (2, 3) again at power 2; big's free core has 81 + 81 edges
+        # at power 1 and 6,561 + 6,561 at power 2
         auto = endo("ab", "abb")
         big = endo("a" + "ba" * 40, "b" + "ab" * 40)
         assert block_table(auto) is None and block_table(big) is not None
@@ -467,8 +521,49 @@ class TestCountDecidedBudget:
         verdict = essential_disjointness_power([auto, big], cap=4, max_edges=1000)
         assert (verdict.kind, verdict.n) == ("not_disjoint_at_cap", 1)
         assert verdict.note == "search budget exhausted at power 2; verdict covers powers 1..1"
-        assert built == [(auto, 1), (big, 1), (auto, 2)]
+        assert built == [(auto, 1), (big, 1)]
         assert verdict == eager_gate([auto, big], 4, 1000)
+
+    @pytest.mark.parametrize(
+        "endos, n, witness_letters",
+        [
+            (
+                [
+                    ["DCcA", "bbBBd", "dCcaadbC", "AaDDabD"],
+                    ["ADbcDadc", "bdaabCaa", "ccAdAb", "AAcaAAda"],
+                ],
+                5,
+                9_654,
+            ),
+            ([["caBBCCA", "ACbCB", "CBBCBba"], ["BbABAbB", "caAACca", "abBCcc"]], 6, 15_969),
+        ],
+        ids=["rank4", "rank3"],
+    )
+    def test_certify_builds_no_image_at_the_tripping_power(
+        self, monkeypatch, endos, n, witness_letters
+    ):
+        # non-immersion pairs whose images were once built and counted at
+        # the power that trips the budget, one power later than now: 17.8 s
+        # and 958 MB, and 14.7 s and 929 MB with an 80,477-letter witness
+        certify_module = importlib.import_module("hnncert.certify")
+        built = []
+        real = disjointness.image_subgroup
+        monkeypatch.setattr(
+            disjointness, "image_subgroup", lambda e, k: built.append(k) or real(e, k)
+        )
+        config = json.dumps({"rank": len(endos[0]), "endos": endos}).encode()
+        start = time.perf_counter()
+        cert = certify_module.certify(certify_module.parse_config(config))
+        elapsed = time.perf_counter() - start
+        assert cert.verdict == "not_disjoint"
+        assert cert.evidence["disjointness"] == {
+            "kind": "not_disjoint_at_cap",
+            "n": n,
+            "note": f"search budget exhausted at power {n + 1}; verdict covers powers 1..{n}",
+        }
+        assert max(built) == n
+        assert (cert.witness["power"], len(cert.witness["element"])) == (n, witness_letters)
+        assert elapsed < 10
 
 
 # --- the streamed gate and witness against the whole product ---
@@ -605,6 +700,10 @@ LAMINATED = endo("aab", "bba")
 # the basepoint hangs off the core of every image: at power 5 the free core
 # has 33 edges (1,025 product edges) and the based core 48 (1,874)
 HANGING = endo("baaB", "ba")
+# the basepoint hangs off the core on a stem that grows with the power: at
+# power 4 the gate bounds the free cores' product by 685 edges, and the
+# based cores' product has 986
+STEMMED = endo("Ababa", "Abba")
 
 
 def count_walks(monkeypatch):
@@ -738,29 +837,29 @@ class TestStreamedProduct:
         assert peak < 8 * 2**20
 
     def test_witness_respects_the_budget(self):
-        # powers 1..5 fit the free cores' products; the witness's based
-        # product at power 5 does not, so there is no witness
-        verdict = essential_disjointness_power([HANGING, HANGING], cap=5, max_edges=1500)
-        assert verdict == DisjointnessVerdict("not_disjoint_at_cap", n=5)
-        roomy = essential_disjointness_power([HANGING, HANGING], cap=5, max_edges=1874)
+        # powers 1..4 fit the bounds on the free cores' products; the
+        # witness's based product at power 4 does not, so there is no witness
+        verdict = essential_disjointness_power([STEMMED, STEMMED], cap=4, max_edges=800)
+        assert verdict == DisjointnessVerdict("not_disjoint_at_cap", n=4)
+        roomy = essential_disjointness_power([STEMMED, STEMMED], cap=4, max_edges=986)
         assert roomy.witness is not None
-        assert _witness_is_valid([HANGING, HANGING], roomy)
+        assert _witness_is_valid([STEMMED, STEMMED], roomy)
 
     def test_certify_reports_a_missing_witness(self, monkeypatch):
         certify_module = importlib.import_module("hnncert.certify")
         monkeypatch.setattr(
             certify_module,
             "essential_disjointness_power",
-            partial(essential_disjointness_power, max_edges=1500),
+            partial(essential_disjointness_power, max_edges=800),
         )
         config = json.dumps(
-            {"rank": 2, "endos": [["baaB", "ba"], ["baaB", "ba"]], "caps": {"disjointness": 5}}
+            {"rank": 2, "endos": [["Ababa", "Abba"]] * 2, "caps": {"disjointness": 4}}
         ).encode()
         cert = certify_module.certify(certify_module.parse_config(config))
         assert cert.verdict == "inconclusive"
-        assert cert.evidence["disjointness"] == {"kind": "not_disjoint_at_cap", "n": 5, "note": ""}
+        assert cert.evidence["disjointness"] == {"kind": "not_disjoint_at_cap", "n": 4, "note": ""}
         assert cert.evidence["reasons"][-1] == (
-            "family: conjugate intersections persist at every power up to 5 "
+            "family: conjugate intersections persist at every power up to 4 "
             "but no witness could be extracted"
         )
 

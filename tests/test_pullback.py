@@ -1021,6 +1021,14 @@ class TestStabilization:
         assert v.kind == "cap_exceeded"
         assert v.surviving == ((1, 2, 2), (1, 2, 2))
 
+    def test_level_one_product_over_the_budget(self, monkeypatch):
+        # SQUARES subdivides into two edges per label: 2·2 + 2·2 product edges
+        monkeypatch.setattr(pullback, "MAX_PRODUCT_EDGES", 7)
+        v = stabilization_power(SQUARES)
+        assert (v.kind, v.surviving) == ("cap_exceeded", ("product budget exceeded",))
+        monkeypatch.setattr(pullback, "MAX_PRODUCT_EDGES", 8)
+        assert stabilization_power(SQUARES).kind == "invariant_loop"
+
     def test_rejects_non_immersion(self):
         with pytest.raises(ValueError, match="vertex 0"):
             stabilization_power(NON_IMMERSION)
