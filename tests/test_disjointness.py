@@ -542,9 +542,9 @@ class TestCountDecidedBudget:
     def test_certify_builds_no_image_at_the_tripping_power(
         self, monkeypatch, endos, n, witness_letters
     ):
-        # non-immersion pairs whose images were once built and counted at
-        # the power that trips the budget, one power later than now: 17.8 s
-        # and 958 MB, and 14.7 s and 929 MB with an 80,477-letter witness
+        # non-immersion pairs whose images at the power that trips the
+        # budget take 15-18 s and over 900 MB to build, so the pair's bound
+        # must trip before either of them is built
         certify_module = importlib.import_module("hnncert.certify")
         built = []
         real = disjointness.image_subgroup
