@@ -7,13 +7,19 @@ coset by double coset, so the universal statement holds iff no component has
 positive rank.  The product is never built: its components are walked one at
 a time from a step table per factor, least vertex first and only where the
 factors' labels meet, and the first component with as many edges as vertices
-decides.  On an identical pair that is the diagonal, walked first from vertex
-0.  The edge budget is checked first, before any table is built, and in the
+decides; the witness of a failing pair is read off that same component
+whenever the basepoints lie on the cores.  On an identical pair it is the
+diagonal, walked first from vertex 0.  An immersion's images need neither
+folding nor pruning (:func:`stallings.subgroup_graph`,
+:func:`stallings.core`), so each is built directly and is its own core.  The
+edge budget is checked first, before any table is built, and in the
 gate before either image of a pair is built, by one rule for every map
 (:func:`essential_disjointness_power`): the free core of φ(H) has at most
 (M·c)_l edges labelled l, where c counts the edges of the free core of H
 per label and M is the transition matrix of φ, because substituting and
-folding never adds an edge of any label.
+folding never adds an edge of any label.  Each image's own bound is checked
+too, as a pair's product bound leaves a factor unbounded where the other
+factor's bound has a label at 0.
 
 Preimages under φ^N are recovered without search, which needs the images of
 the 2n directions to start with distinct letters (every immersed rose map
@@ -96,16 +102,17 @@ class ImageSubgroup:
     graph: LabeledGraph
 
 
-def _label_tree(g: LabeledGraph) -> dict[int, tuple[int, int]]:
+def _label_tree(g: LabeledGraph, until: Sequence[int] = ()) -> dict[int, tuple[int, int]]:
     """The :func:`pullback.bfs_tree` of g from its basepoint, each vertex
-    taking its neighbours sorted by signed label; a step is a signed label."""
+    taking its neighbours sorted by signed label; a step is a signed label.
+    With ``until``, the tree is built only until those vertices are found."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for u, v, l in g.edges:
         adj.setdefault(u, []).append((l, v))
         adj.setdefault(v, []).append((-l, u))
     for out in adj.values():
         out.sort()
-    return bfs_tree(adj, g.basepoint)
+    return bfs_tree(adj, g.basepoint, until)
 
 
 def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
@@ -125,10 +132,18 @@ def _free_core_factor(g: LabeledGraph) -> LabeledGraph:
     return c
 
 
-def _cores_disjoint(a: LabeledGraph, b: LabeledGraph, max_edges: int) -> bool:
-    """True iff no component of the product of the free cores ``a`` and
-    ``b`` has as many edges as vertices; the walk stops at the first."""
-    return all(len(edges) < vertices for vertices, edges in product_components(a, b, max_edges))
+Component = tuple[int, list[tuple[int, int, int, int, int]]]
+
+
+def _cycle_component(
+    a: LabeledGraph, b: LabeledGraph, max_edges: int
+) -> Optional[Component]:
+    """The first component, least vertex first, of the product of the
+    folded graphs ``a`` and ``b`` with as many edges as vertices, or None if
+    there is none; the walk stops there."""
+    return next(
+        (c for c in product_components(a, b, max_edges) if len(c[1]) >= c[0]), None
+    )
 
 
 def all_conjugates_trivial_intersection(
@@ -147,7 +162,7 @@ def all_conjugates_trivial_intersection(
     """
     if h.rank != k.rank:
         raise ValueError("subgroups live in free groups of different ranks")
-    return _cores_disjoint(_free_core_factor(h), _free_core_factor(k), max_edges)
+    return _cycle_component(_free_core_factor(h), _free_core_factor(k), max_edges) is None
 
 
 @dataclass(frozen=True)
@@ -189,6 +204,7 @@ def _intersection_witness(
     b: LabeledGraph,
     pair: tuple[int, int],
     max_edges: int = MAX_PRODUCT_EDGES,
+    walked: Optional[tuple[LabeledGraph, LabeledGraph, Component]] = None,
 ) -> Optional[IntersectionWitness]:
     """A conjugator g and nontrivial w ∈ H ∩ gKg⁻¹ from the based product.
 
@@ -200,29 +216,42 @@ def _intersection_witness(
     edge ids off the component's tree (:func:`_component_cycle`), at its
     least vertex (x, y); the access words to x and y are the signed labels
     of the factors' :func:`_label_tree` paths, and g is ua·ub⁻¹ and w is
-    ua·cycle·ua⁻¹.  Equal factors share one core and one tree.  None if
-    the product would exceed ``max_edges`` edges.
+    ua·cycle·ua⁻¹.  A tree is built only until x and y are found, as a BFS
+    path is fixed once its vertex is.  Equal factors share one core and one
+    tree.  None if the product would exceed ``max_edges`` edges.
+
+    ``walked`` holds the free cores of ``a`` and ``b`` and the first
+    component of positive rank of their product, as the gate found it.
+    When the based cores have the same vertex counts and edges as those
+    free cores (the basepoints lie on the cores, as for every image of an
+    immersion), the based product is that product, walked in the same
+    order under the same budget, so the component is used as it is.
     """
     ca = core(a, keep_basepoint=True)
     cb = ca if b == a else core(b, keep_basepoint=True)
-    try:
-        components = product_components(ca, cb, max_edges)
-    except ProductBudgetError:
+    if walked is not None and all(
+        (c.num_vertices, c.edges) == (f.num_vertices, f.edges)
+        for c, f in zip((ca, cb), walked)
+    ):
+        found: Optional[Component] = walked[2]
+    else:
+        try:
+            found = _cycle_component(ca, cb, max_edges)
+        except ProductBudgetError:
+            return None
+    if found is None:
         return None
-    for vertices, edges in components:
-        if len(edges) < vertices:
-            continue
-        comp = [(u, v, l) for l, _, _, u, v in sorted(edges)]
-        anchor, cycle_letters = _component_cycle(comp)
-        x, y = divmod(anchor, cb.num_vertices)
-        tree_a = _label_tree(ca)
-        tree_b = tree_a if cb is ca else _label_tree(cb)
-        ua = tuple(tree_path(tree_a, x))
-        ub = tuple(tree_path(tree_b, y))
-        g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
-        w = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
-        return IntersectionWitness(pair, g, w, len(comp) - vertices + 1)
-    return None
+    vertices, edges = found
+    comp = [(u, v, l) for l, _, _, u, v in sorted(edges)]
+    anchor, cycle_letters = _component_cycle(comp)
+    x, y = divmod(anchor, cb.num_vertices)
+    tree_a = _label_tree(ca, (x, y) if cb is ca else (x,))
+    tree_b = tree_a if cb is ca else _label_tree(cb, (y,))
+    ua = tuple(tree_path(tree_a, x))
+    ub = tuple(tree_path(tree_b, y))
+    g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
+    w = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
+    return IntersectionWitness(pair, g, w, len(comp) - vertices + 1)
 
 
 def essential_disjointness_power(
@@ -254,7 +283,16 @@ def essential_disjointness_power(
     folding gives the core of the image, and folding and coring never add
     an edge of any label.  For an immersion the bound is M^n·1, exact at
     every power, since its generator loops fold nowhere.  A pair over the
-    budget raises the same ProductBudgetError as the product would.
+    budget raises the same ProductBudgetError as the product would.  Before
+    an image is built, its own bound sum is checked against ``max_edges``
+    as well: a label at 0 in one factor's bound leaves the other factor's
+    size out of the product.  Every label of an immersion's bound is at
+    least 1, so there the product bound already implies this check.
+
+    The walk that finds a pair not disjoint stops at the first component of
+    positive rank, and that component, with the two free cores, goes to
+    :func:`_intersection_witness`, which walks the based product again only
+    when a based core differs from its free core.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -268,7 +306,7 @@ def essential_disjointness_power(
     }
     counts = {e: [1] * e.rank for e in matrices}  # per-label bounds, exact once built
     pairs = [(i, j) for i in range(len(endos)) for j in range(i + 1, len(endos))]
-    last_failure: Optional[tuple[int, LabeledGraph, LabeledGraph, tuple[int, int]]] = None
+    last_failure: Optional[tuple[int, LabeledGraph, LabeledGraph, tuple[int, int], tuple]] = None
     note = ""
     for n in range(1, cap + 1):
         counts = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in counts.items()}
@@ -277,14 +315,20 @@ def essential_disjointness_power(
             for pair in pairs:
                 ei, ej = (endos[k] for k in pair)
                 check_product_size(sum(map(mul, counts[ei], counts[ej])), max_edges)
-                for e in (ei, ej):
-                    if e not in built:
-                        g = image_subgroup(e, n).graph
-                        built[e] = g, _free_core_factor(g)
-                        counts[e] = letter_counts([l for _, _, l in built[e][1].edges], e.rank)
+                fresh = [e for e in dict.fromkeys((ei, ej)) if e not in built]
+                for e in fresh:
+                    if sum(counts[e]) > max_edges:
+                        raise ProductBudgetError(
+                            f"image core would have {sum(counts[e])} edges (budget {max_edges})"
+                        )
+                for e in fresh:
+                    g = image_subgroup(e, n).graph
+                    built[e] = g, _free_core_factor(g)
+                    counts[e] = letter_counts([l for _, _, l in built[e][1].edges], e.rank)
                 (gi, ci), (gj, cj) = built[ei], built[ej]
-                if not _cores_disjoint(ci, cj, max_edges):
-                    last_failure = (n, gi, gj, pair)
+                found = _cycle_component(ci, cj, max_edges)
+                if found is not None:
+                    last_failure = (n, gi, gj, pair, (ci, cj, found))
                     break
             else:
                 return DisjointnessVerdict("disjoint_at", n=n)
@@ -296,8 +340,8 @@ def essential_disjointness_power(
                 f"verdict covers powers 1..{n - 1}"
             )
             break
-    n, a, b, pair = last_failure
-    witness = _intersection_witness(a, b, pair, max_edges=max_edges)
+    n, a, b, pair, walked = last_failure
+    witness = _intersection_witness(a, b, pair, max_edges, walked)
     return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 
 

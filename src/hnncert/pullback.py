@@ -419,22 +419,29 @@ def _walk_components(
 
 
 def bfs_tree(
-    adj: dict[int, list[tuple[int, int]]], root: int
+    adj: dict[int, list[tuple[int, int]]], root: int, until: Sequence[int] = ()
 ) -> dict[int, tuple[int, int]]:
     """A breadth-first spanning tree of the component of ``root``.
 
     ``adj`` lists per vertex its ``(step, neighbour)`` pairs in the order
     the walk takes them; a step is a nonzero signed id whose negation steps
     back.  Returns vertex -> (parent, step from the parent), in discovery
-    order, the root first as its own parent with step 0.
+    order, the root first as its own parent with step 0.  With ``until``,
+    the walk stops at the first vertex it would visit after every vertex
+    named there is found: a vertex's parent is fixed when it is found, so
+    their paths are the whole tree's.
     """
     parent = {root: (root, 0)}
+    missing = set(until) - {root}
     queue = [root]
     for v in queue:  # the loop also visits the vertices appended to queue
+        if until and not missing:
+            break
         for s, w in adj.get(v, ()):
             if w not in parent:
                 parent[w] = (v, s)
                 queue.append(w)
+                missing.discard(w)
     return parent
 
 

@@ -185,21 +185,42 @@ def fold(g: LabeledGraph) -> LabeledGraph:
 def subgroup_graph(generators: Sequence[Word], rank: int) -> LabeledGraph:
     """Folded wedge of loops at a basepoint recognizing ⟨generators⟩ ≤ F_rank.
 
-    Each generator is folded in as it is added: its longest prefix readable
-    from the basepoint and its longest suffix readable back into it follow
-    existing edges, and only the letters between them get new vertices (at
-    least one letter is left between, to close the loop).  Reading along an
-    edge is a fold, and new vertices keep the order of the wedge vertices
-    they stand for, so the result equals folding the whole wedge.
+    When the 2m end directions of the m nonempty generators (each one's
+    first letter and the inverse of its last letter) are pairwise distinct,
+    the wedge is already folded: its inner vertices see two distinct
+    directions, as the generators are reduced, and its basepoint sees the 2m
+    end directions.  Its sorted edges are then emitted directly, the
+    basepoint 0 and each generator's inner vertices numbered in order, as
+    :meth:`_Folder.graph` numbers an unfolded wedge.  The images φ^n of an
+    immersion always meet this condition.
+
+    Otherwise each generator is folded in as it is added: its longest prefix
+    readable from the basepoint and its longest suffix readable back into it
+    follow existing edges, and only the letters between them get new
+    vertices (at least one letter is left between, to close the loop).
+    Reading along an edge is a fold, and new vertices keep the order of the
+    wedge vertices they stand for, so the result equals folding the whole
+    wedge.
     """
-    folder = _Folder(1)  # basepoint is 0
-    find, out = folder.uf.find, folder.out
     for w in generators:
         if w.rank != rank:
             raise ValueError("generator rank mismatch")
-        letters = w.letters
-        if not letters:
-            continue
+    loops = [w.letters for w in generators if w.letters]
+    ends = [x for letters in loops for x in (letters[0], -letters[-1])]
+    if len(set(ends)) == len(ends):
+        edges: list[Edge] = []
+        top = 0
+        for letters in loops:
+            u = 0
+            for k, x in enumerate(letters, 1):
+                v = top + k if k < len(letters) else 0
+                edges.append((u, v, x) if x > 0 else (v, u, -x))
+                u = v
+            top += len(letters) - 1
+        return LabeledGraph(rank, top + 1, tuple(sorted(edges)), 0)
+    folder = _Folder(1)  # basepoint is 0
+    find, out = folder.uf.find, folder.out
+    for letters in loops:
         # the state is folded here, so each read steps from a class root to
         # a class root: one find per letter
         head, p = find(0), 0
@@ -240,20 +261,28 @@ def core(g: LabeledGraph, keep_basepoint: bool = True) -> LabeledGraph:
     """Iteratively delete valence-one vertices (never a kept basepoint).
 
     Isolated vertices left behind are dropped too (a collapsed forest is the
-    empty graph), again excepting a kept basepoint.
+    empty graph), again excepting a kept basepoint.  Valences are counted
+    first: when no vertex has valence below 2, nothing is deleted, and the
+    graph comes back with its edges sorted, as the pruning would number
+    them.  So the image of an immersion, whose vertices all have valence 2
+    or more, is its own free and based core.
     """
     if keep_basepoint and g.basepoint is None:
         keep_basepoint = False
     protected = g.basepoint if keep_basepoint else None
 
+    val = [0] * g.num_vertices
+    for u, v, _ in g.edges:
+        val[u] += 1
+        val[v] += 1
+    if all(d >= 2 for d in val):
+        return LabeledGraph(g.rank, g.num_vertices, tuple(sorted(g.edges)), protected)
+
     alive_edges = set(range(len(g.edges)))
     incident: list[set[int]] = [set() for _ in range(g.num_vertices)]
-    val = [0] * g.num_vertices
     for i, (u, v, _) in enumerate(g.edges):
         incident[u].add(i)
         incident[v].add(i)
-        val[u] += 1
-        val[v] += 1
 
     queue = [v for v in range(g.num_vertices) if val[v] == 1 and v != protected]
     dead = [False] * g.num_vertices
@@ -279,7 +308,7 @@ def core(g: LabeledGraph, keep_basepoint: bool = True) -> LabeledGraph:
     new_edges = tuple(
         sorted((index[u], index[v], l) for i, (u, v, l) in enumerate(g.edges) if i in alive_edges)
     )
-    base = index[g.basepoint] if keep_basepoint else None
+    base = index[protected] if protected is not None else None
     return LabeledGraph(g.rank, len(keep), new_edges, base)
 
 
