@@ -27,11 +27,12 @@ from hnncert.certify import (
     parse_config,
     parse_report,
 )
+from hnncert import disjointness
 from hnncert.disjointness import DisjointnessVerdict, image_subgroup
 from hnncert.expansion import ExpansionVerdict
-from hnncert.graphmap import PowerIterationError, TrainTrackVerdict
+from hnncert.graphmap import GraphMap, PowerIterationError, TrainTrackVerdict, is_immersion
 from hnncert.pullback import StabilizationVerdict
-from hnncert.stallings import membership
+from hnncert.stallings import LabeledGraph, fold, membership, subgroup_graph
 from hnncert.words import Endomorphism, Word, free_reduce, word_from_string, word_to_string
 
 
@@ -895,6 +896,77 @@ def test_seeded_corpus_image_generators_are_basepoint_loops():
                     assert membership(graph, word)
                     checked += 1
     assert checked > 10_000
+
+
+def test_seeded_corpus_immersion_images_equal_their_folded_wedges():
+    # an immersion's images are built without folding; each must equal the
+    # fold of the raw wedge of its generator loops
+    checked = 0
+    for config in seeded_corpus(1000):
+        for e in config.endomorphisms:
+            if not is_immersion(GraphMap.from_endomorphism(e)):
+                continue
+            for n in range(1, 5):
+                images = e.power(n).images
+                edges, top = [], 0
+                for word in images:
+                    path = [0, *range(top + 1, top + len(word)), 0]
+                    edges += [
+                        (u, v, x) if x > 0 else (v, u, -x)
+                        for u, v, x in zip(path, path[1:], word.letters)
+                    ]
+                    top += len(word) - 1
+                wedge = LabeledGraph(e.rank, top + 1, tuple(edges), 0)
+                assert subgroup_graph(list(images), e.rank) == fold(wedge)
+                checked += 1
+    assert checked == 143 * 4
+
+
+# The two slowest not_disjoint configs of a 700-config sweep, with the
+# SHA-256 of their reports; the witness of the first is 74,076 letters
+SLOW_NOT_DISJOINT = [
+    (
+        dict(rank=2, endos=[["Abb", "Ab"], ["BaBaa", "AAABb"], ["aB", "baBa"]]),
+        "790a7d6adecee68bb7d6eb4539c4de8f353dca91c2e9f0a8fe915eaf39072c55",
+    ),
+    (
+        dict(rank=2, endos=[["BBBAbb", "AAbAbBAB"], ["BaBbBb", "aBbBbAB"]]),
+        "572c5cc810e3ed1c00a0efaf1d951517b181305c393633fdfaffdf400df37903",
+    ),
+]
+
+
+def test_the_gate_component_gives_the_fresh_witness(monkeypatch):
+    # the witness read off the component the gate walked equals the one
+    # found by walking the based cores' product afresh
+    real_witness = disjointness._intersection_witness
+    real_walk = disjointness.product_components
+    walks, reused = [], []
+
+    def walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    def both(a, b, pair, max_edges, walked):
+        del walks[:]
+        got = real_witness(a, b, pair, max_edges, walked)
+        reused.append(not walks)
+        assert got == real_witness(a, b, pair, max_edges)
+        return got
+
+    monkeypatch.setattr(disjointness, "product_components", walk)
+    monkeypatch.setattr(disjointness, "_intersection_witness", both)
+    not_disjoint = 0
+    for config in seeded_corpus(1000):
+        not_disjoint += certify(config).verdict == "not_disjoint"
+    assert not_disjoint == 99
+    # both paths are taken: based cores equal to the free cores, and not
+    assert len(reused) >= 99 and 0 < sum(reused) < len(reused)
+    del reused[:]
+    for config, digest in SLOW_NOT_DISJOINT:
+        report = emit_report(certify(parse_config(config_bytes(**config))))
+        assert hashlib.sha256(report).hexdigest() == digest
+    assert len(reused) == 2
 
 
 def certified_configs():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnncert import disjointness, pullback
+from hnncert import disjointness, pullback, stallings
 from hnncert.disjointness import (
     DisjointnessVerdict,
     IntersectionWitness,
@@ -565,6 +565,48 @@ class TestCountDecidedBudget:
         assert (cert.witness["power"], len(cert.witness["element"])) == (n, witness_letters)
         assert elapsed < 10
 
+    def test_an_image_is_budgeted_by_its_own_bound(self):
+        # a -> a, b -> b, c -> a has no c in its image, so the pair's
+        # product bound, 2·1 + 1·1 + 0·3, leaves out the 3 c-edges of the
+        # second image; its own bound, 5 edges, is over the budget
+        first = endo("a", "b", "a", rank=3)
+        second = endo("a", "b", "ccc", rank=3)
+        verdict = essential_disjointness_power([first, second], cap=2, max_edges=4)
+        assert verdict == DisjointnessVerdict(
+            "cap_exceeded", n=1, note="image core would have 5 edges (budget 4)"
+        )
+
+    def test_certify_stops_an_image_growing_past_a_zero_label(self):
+        # the first map's free core never has a c-edge and the second's has
+        # 3^n, so only the second map's own bound stops it: without that
+        # check, power 12 built a 531,441-vertex image, in 7.6 s and 631 MB
+        certify_module = importlib.import_module("hnncert.certify")
+        config = json.dumps(
+            {
+                "rank": 3,
+                "endos": [["a", "bb", "baB"], ["a", "b", "ccc"]],
+                "caps": {"disjointness": 12},
+            }
+        ).encode()
+        start = time.perf_counter()
+        cert = certify_module.certify(certify_module.parse_config(config))
+        elapsed = time.perf_counter() - start
+        assert cert.verdict == "obstruction_BS"
+        assert cert.evidence["disjointness"] == {
+            "kind": "not_disjoint_at_cap",
+            "n": 11,
+            "note": "search budget exhausted at power 12; verdict covers powers 1..11",
+        }
+        assert elapsed < 10
+        # tracing slows the run several times over, so it is timed apart
+        tracemalloc.start()
+        try:
+            assert certify_module.certify(certify_module.parse_config(config)) == cert
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * 2**20
+
 
 # --- the streamed gate and witness against the whole product ---
 
@@ -738,6 +780,17 @@ class TestAccessWord:
         for v, word in words.items():
             assert tuple(pullback.tree_path(tree, v)) == word
 
+    @given(st.integers(2, 3).flatmap(small_subgroup), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_tree_stopped_at_its_targets_keeps_their_paths(self, g, data):
+        c = core(g, keep_basepoint=True)
+        full = disjointness._label_tree(c)
+        targets = data.draw(st.lists(st.sampled_from(sorted(full)), max_size=3))
+        tree = disjointness._label_tree(c, targets)
+        assert list(tree) == list(full)[: len(tree)]
+        for v in targets:
+            assert pullback.tree_path(tree, v) == pullback.tree_path(full, v)
+
 
 def positive_rank_components(a, b):
     """The edges, in product order, of each component of positive rank of
@@ -862,6 +915,25 @@ class TestStreamedProduct:
             "family: conjugate intersections persist at every power up to 4 "
             "but no witness could be extracted"
         )
+
+    def test_identical_rank3_certify_folds_nothing_and_walks_once_per_power(
+        self, monkeypatch
+    ):
+        # the images of an immersion are built without a fold, and the
+        # witness is read off the component the gate walked last
+        certify_module = importlib.import_module("hnncert.certify")
+        folders = []
+        real_folder = stallings._Folder
+        monkeypatch.setattr(
+            stallings, "_Folder", lambda n: folders.append(n) or real_folder(n)
+        )
+        calls, walked = count_walks(monkeypatch)
+        config = json.dumps({"rank": 3, "endos": [["aab", "bbc", "cca"]] * 2}).encode()
+        cert = certify_module.certify(certify_module.parse_config(config))
+        assert cert.verdict == "not_disjoint"
+        assert cert.evidence["disjointness"]["n"] == 5
+        assert folders == []
+        assert len(calls) == len(walked) == 5
 
     def test_identical_rank3_certify_peak_memory(self, tmp_path):
         # the whole products of this pair peaked near 180 MB.  A process

@@ -312,8 +312,64 @@ def wedge_generators(draw):
     return rank, gens
 
 
+@st.composite
+def distinct_end_generators(draw):
+    """Rank 1-3 generators whose 2m end directions, each nonempty one's
+    first letter and the inverse of its last letter, are pairwise distinct,
+    as the images of an immersion's powers are; empty words may come
+    between them."""
+    rank = draw(st.integers(1, 3))
+    signs = [x for x in range(-rank, rank + 1) if x]
+    ends = draw(st.permutations(signs))
+    gens = []
+    for i in range(draw(st.integers(0, rank))):
+        first, final = ends[2 * i], -ends[2 * i + 1]
+        letters = [first]
+        if first != final or not draw(st.booleans()):
+            for x in draw(st.lists(st.sampled_from(signs), max_size=6)):
+                if x != -letters[-1]:
+                    letters.append(x)
+            if final == -letters[-1]:
+                letters.append(next(y for y in signs if y not in (-letters[-1], -final)))
+            letters.append(final)
+        gens.append(Word(tuple(letters), rank))
+        if draw(st.booleans()):
+            gens.append(Word((), rank))
+    return rank, gens
+
+
 class TestWorklistFold:
     """The worklist fold against the multi-pass fold it replaced."""
+
+    @given(distinct_end_generators())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_multi_pass_fold_on_folded_wedges(self, drawn):
+        # distinct end directions leave nothing to fold: the builder emits
+        # the wedge's sorted edges as they are, and so does every fold
+        rank, gens = drawn
+        nv, edges = wedge_edges(gens)
+        wedge = LabeledGraph(rank, nv, tuple(edges), 0)
+        expected = multi_pass_fold(wedge)
+        assert is_folded(wedge)
+        assert fold_with_map(wedge) == expected
+        assert expected[1] == list(range(nv))
+        assert subgroup_graph(gens, rank) == expected[0] == fold(wedge)
+        assert subgroup_graph(gens, rank).edges == tuple(sorted(edges))
+
+    def test_only_clashing_ends_build_a_folder(self, monkeypatch):
+        made = []
+        real = stallings_module._Folder
+        monkeypatch.setattr(
+            stallings_module, "_Folder", lambda n: made.append(n) or real(n)
+        )
+        assert subgroup_graph([W("aab"), W("bba"), W("")], 2).num_vertices == 5
+        assert subgroup_graph([W("a"), W("b")], 2).num_vertices == 1
+        assert made == []
+        # two first letters a; then the last letter of abA, whose inverse
+        # is its first letter a
+        assert subgroup_graph([W("ab"), W("ab")], 2).num_vertices == 2
+        assert subgroup_graph([W("abA")], 2).num_vertices == 2
+        assert made == [1, 1]
 
     @given(wedge_generators())
     @settings(max_examples=300, deadline=None)
@@ -423,7 +479,93 @@ def random_order_core(g, keep_basepoint, order):
     )
 
 
+def pruning_core(g, keep_basepoint=True):
+    """``core`` as it was before it counted valences first: always build
+    the incidence sets and the queue, and prune."""
+    if keep_basepoint and g.basepoint is None:
+        keep_basepoint = False
+    protected = g.basepoint if keep_basepoint else None
+    alive_edges = set(range(len(g.edges)))
+    incident = [set() for _ in range(g.num_vertices)]
+    val = [0] * g.num_vertices
+    for i, (u, v, _) in enumerate(g.edges):
+        incident[u].add(i)
+        incident[v].add(i)
+        val[u] += 1
+        val[v] += 1
+    queue = [v for v in range(g.num_vertices) if val[v] == 1 and v != protected]
+    dead = [False] * g.num_vertices
+    while queue:
+        v = queue.pop()
+        if dead[v] or val[v] != 1 or v == protected:
+            continue
+        dead[v] = True
+        (ei,) = (i for i in incident[v] if i in alive_edges)
+        alive_edges.discard(ei)
+        a, b, _ = g.edges[ei]
+        for x in (a, b):
+            val[x] -= 1
+            if x != v and val[x] == 1 and x != protected:
+                queue.append(x)
+    keep = [v for v in range(g.num_vertices) if not dead[v] and (val[v] > 0 or v == protected)]
+    index = {v: i for i, v in enumerate(keep)}
+    new_edges = tuple(
+        sorted((index[u], index[v], l) for i, (u, v, l) in enumerate(g.edges) if i in alive_edges)
+    )
+    base = index[g.basepoint] if keep_basepoint else None
+    return LabeledGraph(g.rank, len(keep), new_edges, base)
+
+
+def min_valence(g):
+    val = [0] * g.num_vertices
+    for u, v, _ in g.edges:
+        val[u] += 1
+        val[v] += 1
+    return min(val, default=None)
+
+
+def without_low_valence(g, rng):
+    """``g`` with edges added at random, in random order, until no vertex
+    has valence below 2."""
+    edges = list(g.edges)
+    val = [0] * g.num_vertices
+    for u, v, _ in edges:
+        val[u] += 1
+        val[v] += 1
+    for u in range(g.num_vertices):
+        while val[u] < 2:
+            v = rng.randrange(g.num_vertices)
+            edges.append((u, v, rng.randint(1, g.rank)))
+            val[u] += 1
+            val[v] += 1
+    rng.shuffle(edges)
+    return LabeledGraph(g.rank, g.num_vertices, tuple(edges), g.basepoint)
+
+
 class TestCore:
+    def test_matches_the_pruning_core(self):
+        rng = random.Random(11)
+        pruned = whole = 0
+        for _ in range(400):
+            g = random_multigraph(rng)
+            for h in (g, without_low_valence(g, rng)):
+                if min_valence(h) is not None and min_valence(h) >= 2:
+                    whole += 1
+                else:
+                    pruned += 1
+                for keep in (True, False):
+                    assert core(h, keep_basepoint=keep) == pruning_core(h, keep), (h, keep)
+        assert pruned > 300 and whole > 300
+
+    def test_a_graph_with_no_low_valence_is_its_own_core(self):
+        g = subgroup_graph([W("aab", 3), W("bbc", 3), W("cca", 3)], 3)
+        assert min_valence(g) == 2
+        assert core(g) == g
+        assert core(g, keep_basepoint=False) == LabeledGraph(3, g.num_vertices, g.edges)
+        # unsorted edges come back sorted, as the pruning numbers them
+        shuffled = LabeledGraph(3, g.num_vertices, g.edges[::-1], 0)
+        assert core(shuffled) == g == pruning_core(shuffled)
+
     def test_path_collapses_to_nothing(self):
         g = LabeledGraph(1, 4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
         c = core(g, keep_basepoint=False)
