@@ -97,11 +97,6 @@ class Annulus:
     def ring_lengths(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rings)
 
-    @property
-    def girth(self) -> int:
-        """Length of the middle ring."""
-        return len(self.rings[len(self.rings) // 2])
-
 
 def _common_graph(maps: Sequence[GraphMap]) -> MarkedGraph:
     if not maps:
@@ -224,10 +219,6 @@ class HyperbolicityAuditReport:
     checked: int
     violations: tuple[AuditViolation, ...]
     note: str
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
 
 
 def length_two_admissible_words(r: int) -> list[AnnulusWord]:

@@ -39,7 +39,7 @@ from .pullback import (
     ProductBudgetError,
     bfs_tree,
     check_product_size,
-    component_tree,
+    incidence_lists,
     product_components,
     tree_path,
 )
@@ -97,22 +97,21 @@ def _decode_blocks(
 class ImageSubgroup:
     """Based Stallings graph of φ^N(F_n)."""
 
-    endomorphism: Endomorphism
-    power: int
     graph: LabeledGraph
 
 
 def _label_tree(g: LabeledGraph, until: Sequence[int] = ()) -> dict[int, tuple[int, int]]:
-    """The :func:`pullback.bfs_tree` of g from its basepoint, each vertex
-    taking its neighbours sorted by signed label; a step is a signed label.
-    With ``until``, the tree is built only until those vertices are found."""
-    adj: dict[int, list[tuple[int, int]]] = {}
+    """The :func:`pullback.bfs_tree` of the folded graph g from its
+    basepoint, each vertex taking its neighbours by signed label, ascending;
+    a step is a signed label.  A folded graph has one neighbour per signed
+    label, so each vertex keeps them in a table, and only the vertices the
+    walk visits sort theirs.  With ``until``, the tree is built only until
+    those vertices are found."""
+    table: list[dict[int, int]] = [{} for _ in range(g.num_vertices)]
     for u, v, l in g.edges:
-        adj.setdefault(u, []).append((l, v))
-        adj.setdefault(v, []).append((-l, u))
-    for out in adj.values():
-        out.sort()
-    return bfs_tree(adj, g.basepoint, until)
+        table[u][l] = v
+        table[v][-l] = u
+    return bfs_tree(lambda v: sorted(table[v].items()), g.basepoint, until)
 
 
 def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
@@ -120,7 +119,7 @@ def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
     if n < 1:
         raise ValueError("power must be >= 1")
     powered = e.power(n)
-    return ImageSubgroup(e, n, subgroup_graph(list(powered.images), e.rank))
+    return ImageSubgroup(subgroup_graph(list(powered.images), e.rank))
 
 
 def _free_core_factor(g: LabeledGraph) -> LabeledGraph:
@@ -186,17 +185,27 @@ def _component_cycle(edges: Sequence[Edge]) -> tuple[int, tuple[int, ...]]:
     of a cycle there, based at that vertex.
 
     ``edges`` are the component's edges in product order.  The cycle runs
-    down the BFS tree of :func:`pullback.component_tree` to the first
-    non-tree edge met, vertex by vertex in BFS order, across it and back up
-    the tree.  It is a reduced closed path, and the product of two folded
-    graphs is folded, so its label word is reduced and not empty.
+    down the breadth-first tree of the :func:`pullback.incidence_lists`,
+    rooted at the least vertex, to the first non-tree edge met, vertex by
+    vertex in BFS order, across it and back up the tree.  The walk stops
+    there: incidence (k, w) at v is off the tree exactly when w is found
+    already and (w, −k) is not v's own parent step, and the paths of v and
+    w are fixed by then.  It is a reduced closed path, and the product of
+    two folded graphs is folded, so its label word is reduced and not empty.
     """
-    adj, parent = component_tree([(u, v) for u, v, _ in edges])
-    tree = {abs(s) for _, s in parent.values()}
-    v, k, w = next((v, k, w) for v in parent for k, w in adj[v] if abs(k) not in tree)
-    steps = tree_path(parent, v) + [k] + [-s for s in reversed(tree_path(parent, w))]
-    root = next(iter(parent))
-    return root, tuple(edges[s - 1][2] if s > 0 else -edges[-s - 1][2] for s in steps)
+    adj = incidence_lists([(u, v) for u, v, _ in edges])
+    root = min(adj)
+    parent = {root: (root, 0)}
+    queue = [root]
+    for v in queue:  # the loop also visits the vertices appended to queue
+        for k, w in adj[v]:
+            if w not in parent:
+                parent[w] = (v, k)
+                queue.append(w)
+            elif parent[v] != (w, -k):
+                steps = tree_path(parent, v) + [k] + [-s for s in reversed(tree_path(parent, w))]
+                return root, tuple(edges[s - 1][2] if s > 0 else -edges[-s - 1][2] for s in steps)
+    raise ValueError("component has no cycle")
 
 
 def _intersection_witness(

@@ -433,10 +433,10 @@ def tighten_cyclic(g: MarkedGraph, loop: Sequence[int]) -> Path:
 
 # --- legal-loop sampling ---
 
+LEGAL_LOOP_ATTEMPTS = 400  # loops random_legal_loop draws before it gives up
 
-def random_legal_loop(
-    f: GraphMap, length: int, rng: random.Random, max_attempts: int = 400
-) -> Path:
+
+def random_legal_loop(f: GraphMap, length: int, rng: random.Random) -> Path:
     """A uniform-ish random length-``length`` loop crossing only legal turns
     of ``f`` (including the wraparound turn).
 
@@ -460,7 +460,7 @@ def random_legal_loop(
         ]
         for s in dirs
     }
-    for _ in range(max_attempts):
+    for _ in range(LEGAL_LOOP_ATTEMPTS):
         path = [rng.choice(dirs)]
         for _ in range(length - 1):
             candidates = successors[path[-1]]

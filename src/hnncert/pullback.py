@@ -5,8 +5,9 @@ combinatorially: a map whose edges traverse paths is first subdivided so
 every edge maps onto a single rose edge, and the product then pairs every
 two vertices (all of them map to the rose's one vertex) and every two
 edges with equal image edge.  Product vertex x·nb + y is the pair (x, y),
-with nb the right factor's vertex count; a :class:`ProductPairs` reads the
-pairs off the ids, so no tuple is built per product vertex.
+with nb the right factor's vertex count; a :class:`ProductPairs` record
+(na, nb) reads the pairs off the ids, so no tuple is built per product
+vertex.
 
 Points of a graph are exact values: a vertex ``('v', id)`` or an interior
 edge point ``('e', edge_id, offset)`` with a rational offset in (0, 1).  A
@@ -37,22 +38,15 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, groupby, product, repeat
-from operator import eq, mul
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import mul
 from typing import NamedTuple, Optional, Union
 
-from .graphmap import (
-    GraphMap,
-    MarkedGraph,
-    Path,
-    is_immersion,
-    letter_counts,
-    rose,
-)
+from .graphmap import GraphMap, Path, is_immersion, letter_counts
 from .stallings import LabeledGraph, component_labels, core, label_clash
 from .words import cyclic_core, free_reduce, least_rotation, primitive_root
 
@@ -96,17 +90,17 @@ def point_image_power(f: GraphMap, p: Point, k: int) -> Point:
 
 @dataclass(frozen=True)
 class Subdivided:
-    """A graph subdivided so each edge maps onto a single codomain edge.
+    """A graph subdivided so each edge maps onto a single edge of the rose
+    of ``graph.rank``.
 
-    ``graph`` stores each piece with a positive codomain edge id as label
+    ``graph`` stores each piece with a positive rose edge id as label
     (reversed pieces are stored flipped); metadata recovers exact positions:
     ``vertex_point`` in the original graph, and per stored edge
     ``edge_meta = (parent_edge, lo, hi, ascending)`` giving the covered
     segment and whether the stored orientation ascends it.  Every vertex
-    maps to the codomain's one vertex.
+    maps to the rose's one vertex.
     """
 
-    codomain: MarkedGraph
     graph: LabeledGraph
     vertex_point: tuple[Point, ...]
     edge_meta: tuple[tuple[int, Fraction, Fraction, bool], ...]
@@ -194,7 +188,7 @@ def _refine(f: GraphMap, previous: Subdivided) -> tuple[Subdivided, list[int]]:
             edges.append((a, b, l) if l > 0 else (b, a, -l))
             metas.append((e, lo, hi, l > 0))
     graph = LabeledGraph(f.codomain.num_edges, len(vertex_point), tuple(edges))
-    return Subdivided(f.codomain, graph, tuple(vertex_point), tuple(metas)), images
+    return Subdivided(graph, tuple(vertex_point), tuple(metas)), images
 
 
 def subdivide_level(f: GraphMap, level: int) -> Subdivided:
@@ -220,7 +214,6 @@ def as_product_factor(g: LabeledGraph) -> Subdivided:
     if clash is not None:
         raise ValueError(f"input is not an immersion: label clash at vertex {clash}")
     return Subdivided(
-        rose(g.rank),
         g,
         tuple(zip(repeat("v"), range(g.num_vertices))),
         tuple(
@@ -245,56 +238,25 @@ class ProductComponent(NamedTuple):
         return "higher_rank"
 
 
+@dataclass(frozen=True)
 class ProductPairs(Sequence):
-    """The pairs (x, y), x < na and y < nb, with x major: the sequence
-    ``tuple(itertools.product(range(na), range(nb)))`` without its tuples.
+    """The pairs (x, y), x < na and y < nb, x major: pair v is
+    ``divmod(v, nb)``, and ``index((x, y))`` is ``x * nb + y``."""
 
-    Pair v is ``divmod(v, nb)`` and ``index((x, y))`` is ``x * nb + y``;
-    it equals a tuple or list of the same pairs.
-    """
-
-    __slots__ = ("na", "nb")
-
-    def __init__(self, na: int, nb: int) -> None:
-        self.na = na
-        self.nb = nb
+    na: int
+    nb: int
 
     def __len__(self) -> int:
         return self.na * self.nb
 
-    def __getitem__(self, v):
-        if isinstance(v, slice):
-            return tuple(map(divmod, range(len(self))[v], repeat(self.nb)))
+    def __getitem__(self, v: int) -> tuple[int, int]:
         return divmod(range(len(self))[v], self.nb)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return product(range(self.na), range(self.nb))
-
-    def __contains__(self, pair) -> bool:
-        return (
-            isinstance(pair, tuple)
-            and len(pair) == 2
-            and pair[0] in range(self.na)
-            and pair[1] in range(self.nb)
-        )
-
-    def index(self, pair) -> int:
-        if pair not in self:
+    def index(self, pair: tuple[int, int]) -> int:
+        x, y = pair
+        if not (0 <= x < self.na and 0 <= y < self.nb):
             raise ValueError(f"{pair!r} is not in the product's vertex pairs")
-        return range(self.na).index(pair[0]) * self.nb + range(self.nb).index(pair[1])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ProductPairs):
-            return len(self) == len(other) and (not self or self.nb == other.nb)
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"ProductPairs({self.na}, {self.nb})"
+        return x * self.nb + y
 
 
 @dataclass(frozen=True)
@@ -419,17 +381,17 @@ def _walk_components(
 
 
 def bfs_tree(
-    adj: dict[int, list[tuple[int, int]]], root: int, until: Sequence[int] = ()
+    out: Callable[[int], Iterable[tuple[int, int]]], root: int, until: Sequence[int] = ()
 ) -> dict[int, tuple[int, int]]:
     """A breadth-first spanning tree of the component of ``root``.
 
-    ``adj`` lists per vertex its ``(step, neighbour)`` pairs in the order
-    the walk takes them; a step is a nonzero signed id whose negation steps
-    back.  Returns vertex -> (parent, step from the parent), in discovery
-    order, the root first as its own parent with step 0.  With ``until``,
-    the walk stops at the first vertex it would visit after every vertex
-    named there is found: a vertex's parent is fixed when it is found, so
-    their paths are the whole tree's.
+    ``out(v)`` gives v's ``(step, neighbour)`` pairs in the order the walk
+    takes them; a step is a nonzero signed id whose negation steps back.
+    Returns vertex -> (parent, step from the parent), in discovery order,
+    the root first as its own parent with step 0.  With ``until``, the walk
+    stops at the first vertex it would visit after every vertex named there
+    is found: a vertex's parent is fixed when it is found, so their paths
+    are the whole tree's.
     """
     parent = {root: (root, 0)}
     missing = set(until) - {root}
@@ -437,7 +399,7 @@ def bfs_tree(
     for v in queue:  # the loop also visits the vertices appended to queue
         if until and not missing:
             break
-        for s, w in adj.get(v, ()):
+        for s, w in out(v):
             if w not in parent:
                 parent[w] = (v, s)
                 queue.append(w)
@@ -456,21 +418,15 @@ def tree_path(parent: dict[int, tuple[int, int]], v: int) -> list[int]:
     return steps
 
 
-def component_tree(
-    ends: Sequence[tuple[int, int]],
-) -> tuple[dict[int, list[tuple[int, int]]], dict[int, tuple[int, int]]]:
-    """The :func:`bfs_tree` of a connected graph given by its edges ``(u, v)``.
-
-    Edge k is the signed id k + 1 read from u to v and −(k + 1) from v to u.
-    Each vertex lists its ``(signed id, neighbour)`` incidences in edge
-    order, and the tree is rooted at the least vertex.  Returns the
-    incidences and the tree.
-    """
+def incidence_lists(ends: Sequence[tuple[int, int]]) -> dict[int, list[tuple[int, int]]]:
+    """Per vertex of a graph given by its edges ``(u, v)``, its ``(signed
+    id, neighbour)`` incidences in edge order: edge k is the signed id k + 1
+    read from u to v and −(k + 1) from v to u."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for k, (u, v) in enumerate(ends, 1):
         adj.setdefault(u, []).append((k, v))
         adj.setdefault(v, []).append((-k, u))
-    return adj, bfs_tree(adj, min(adj))
+    return adj
 
 
 def fiber_product(
@@ -478,7 +434,7 @@ def fiber_product(
     right: Union[Subdivided, LabeledGraph],
     max_edges: int = MAX_PRODUCT_EDGES,
 ) -> FiberProduct:
-    """Fiber product over the common codomain.
+    """Fiber product over the rose of the factors' rank.
 
     Accepts ready factors (:func:`subdivide_map`, :func:`subdivide_level`)
     or folded labeled graphs over a rose.  Product vertex ``x * nb + y`` is
@@ -492,7 +448,7 @@ def fiber_product(
     """
     a = _coerce_factor(left)
     b = _coerce_factor(right)
-    if a.codomain != b.codomain:
+    if a.graph.rank != b.graph.rank:
         raise ValueError("factors have different codomains")
     edges: list[tuple[int, int, int]] = []
     edge_pairs: list[tuple[int, int]] = []
@@ -644,7 +600,6 @@ class PullbackLevel:
 
 @dataclass(frozen=True)
 class PullbackFiltration:
-    map: GraphMap
     levels: tuple[PullbackLevel, ...]
 
     def level(self, i: int) -> PullbackLevel:
@@ -712,7 +667,7 @@ def pullback_filtration(
             raise RuntimeError(f"level {i - 1} components do not persist into level {i}")
         prev_signatures = Counter(signatures)
         levels.append(PullbackLevel(i, fp, comps, flags))
-    return PullbackFiltration(f, tuple(levels))
+    return PullbackFiltration(tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -795,10 +750,12 @@ def _project_cycle(
 
 def _fundamental_cycles(edges: list[WalkedEdge]) -> list[list[int]]:
     """Up to eight fundamental cycles of a walked component, as signed
-    edge ids from the root of :func:`component_tree`, one per non-tree edge
-    in product order; ``edges`` are the component's edges sorted into
-    product order."""
-    _, parent = component_tree([(u, v) for _, _, _, u, v in edges])
+    edge ids from the root of the :func:`bfs_tree` of its
+    :func:`incidence_lists`, at its least vertex, one per non-tree edge in
+    product order; ``edges`` are the component's edges sorted into product
+    order."""
+    adj = incidence_lists([(u, v) for _, _, _, u, v in edges])
+    parent = bfs_tree(adj.__getitem__, min(adj))
     tree = {abs(s) for _, s in parent.values()}
     cycles = []
     for k, (_, _, _, u, v) in enumerate(edges, 1):

@@ -346,7 +346,7 @@ def graph_rank(g: LabeledGraph) -> int:
 
 
 def subgraph_on(
-    g: LabeledGraph, vertex_subset: Iterable[int], basepoint: Optional[int] = None
+    g: LabeledGraph, vertex_subset: Iterable[int]
 ) -> tuple[LabeledGraph, dict[int, int]]:
     """Induced subgraph on ``vertex_subset``; returns it with the old→new vertex map."""
     keep = sorted(set(vertex_subset))
@@ -358,8 +358,7 @@ def subgraph_on(
             if u in index and v in index
         )
     )
-    base = index[basepoint] if basepoint is not None else None
-    return LabeledGraph(g.rank, len(keep), edges, base), index
+    return LabeledGraph(g.rank, len(keep), edges), index
 
 
 def _bfs_code(g: LabeledGraph, root: int) -> tuple:

@@ -31,7 +31,7 @@ from hnncert import disjointness
 from hnncert.disjointness import DisjointnessVerdict, image_subgroup
 from hnncert.expansion import ExpansionVerdict
 from hnncert.graphmap import GraphMap, PowerIterationError, TrainTrackVerdict, is_immersion
-from hnncert.pullback import StabilizationVerdict
+from hnncert.pullback import StabilizationVerdict, tree_path
 from hnncert.stallings import LabeledGraph, fold, membership, subgroup_graph
 from hnncert.words import Endomorphism, Word, free_reduce, word_from_string, word_to_string
 
@@ -967,6 +967,82 @@ def test_the_gate_component_gives_the_fresh_witness(monkeypatch):
         report = emit_report(certify(parse_config(config_bytes(**config))))
         assert hashlib.sha256(report).hexdigest() == digest
     assert len(reused) == 2
+
+
+def whole_bfs_tree(adj, root, until=()):
+    """``pullback.bfs_tree`` as it was when it read an adjacency dict
+    (test-local copy)."""
+    parent = {root: (root, 0)}
+    missing = set(until) - {root}
+    queue = [root]
+    for v in queue:
+        if until and not missing:
+            break
+        for s, w in adj.get(v, ()):
+            if w not in parent:
+                parent[w] = (v, s)
+                queue.append(w)
+                missing.discard(w)
+    return parent
+
+
+def whole_tree_component_cycle(edges):
+    """``_component_cycle`` as it was before it stopped at the first
+    non-tree edge: the whole BFS tree, then a scan in BFS order for that
+    edge (test-local copy)."""
+    adj = {}
+    for k, (u, v, _) in enumerate(edges, 1):
+        adj.setdefault(u, []).append((k, v))
+        adj.setdefault(v, []).append((-k, u))
+    parent = whole_bfs_tree(adj, min(adj))
+    tree = {abs(s) for _, s in parent.values()}
+    v, k, w = next((v, k, w) for v in parent for k, w in adj[v] if abs(k) not in tree)
+    steps = tree_path(parent, v) + [k] + [-s for s in reversed(tree_path(parent, w))]
+    root = next(iter(parent))
+    return root, tuple(edges[s - 1][2] if s > 0 else -edges[-s - 1][2] for s in steps)
+
+
+def sorted_adjacency_label_tree(g, until=()):
+    """``_label_tree`` as it was before it read a per-vertex table: the
+    whole graph's adjacency lists, each sorted (test-local copy)."""
+    adj = {}
+    for u, v, l in g.edges:
+        adj.setdefault(u, []).append((l, v))
+        adj.setdefault(v, []).append((-l, u))
+    for out in adj.values():
+        out.sort()
+    return whole_bfs_tree(adj, g.basepoint, until)
+
+
+def test_witness_cycles_and_trees_match_their_whole_graph_versions(monkeypatch):
+    # every component and based core the gate reads a witness from, over
+    # the corpus's not_disjoint families: the cycle found by the walk that
+    # stops at the first non-tree edge, and the trees read off per-vertex
+    # tables, equal the whole-graph versions, in the trees' order too
+    real_cycle, real_tree = disjointness._component_cycle, disjointness._label_tree
+    cycles, trees = [], []
+
+    def cycle(edges):
+        got = real_cycle(edges)
+        assert got == whole_tree_component_cycle(edges)
+        cycles.append(got)
+        return got
+
+    def tree(g, until=()):
+        got = real_tree(g, until)
+        assert list(got.items()) == list(sorted_adjacency_label_tree(g, until).items())
+        whole = real_tree(g)
+        assert list(whole.items()) == list(sorted_adjacency_label_tree(g).items())
+        trees.append(len(whole))
+        return got
+
+    monkeypatch.setattr(disjointness, "_component_cycle", cycle)
+    monkeypatch.setattr(disjointness, "_label_tree", tree)
+    not_disjoint = 0
+    for config in seeded_corpus(1000):
+        not_disjoint += certify(config).verdict == "not_disjoint"
+    assert not_disjoint == 99
+    assert len(cycles) >= 99 and len(trees) >= len(cycles)
 
 
 def certified_configs():

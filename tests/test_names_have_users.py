@@ -1,13 +1,17 @@
-"""Every module-level function and class in ``src/hnncert`` has a user.
+"""Every module-level function and class in ``src/hnncert``, and every
+method and property of its classes, has a user.
 
 A name counts as used when code outside its own definition refers to it:
 anywhere in ``src/``, in the acceptance gate ``tests/test_acceptance.py``,
 or in ``perfbench/*.py``.  An import alone is not a use; the reference must
 reach the defining module, by a name imported from it, as an attribute of
-that module, or inside the module itself.  ``perfbench`` binds the modules
-at run time and looks names up by string, so there any attribute or string
-of the name counts.  A name with no such user must be in ``LIBRARY``, with
-the reason it stays.
+that module, or inside the module itself.  A method or property is used by
+any attribute of its name, as the type of the object is not known; dunder
+methods serve Python's protocols and are not checked.  ``perfbench`` binds
+the modules at run time and looks names up by string, so there any
+attribute or string of the name counts.  A name with no such user must be
+in ``LIBRARY``, keyed ``module.name`` or ``module.Class.name``, with the
+reason it stays.
 """
 
 import ast
@@ -28,7 +32,8 @@ LIBRARY = {
     "stallings.membership": "named API for subgroup membership, and the oracle that checks folding keeps each generator a basepoint loop",
 }
 
-DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITION = (*FUNCTION, ast.ClassDef)
 
 
 def parse(path):
@@ -62,16 +67,35 @@ def imports(tree):
     return modules, names
 
 
+def methods(top):
+    """The methods and properties a class defines, dunders aside."""
+    if not isinstance(top, ast.ClassDef):
+        return []
+    return [
+        m for m in top.body
+        if isinstance(m, FUNCTION) and not (m.name.startswith("__") and m.name.endswith("__"))
+    ]
+
+
+def scoped(top):
+    """(owner, node) per node under the top-level statement ``top``; owner
+    is () outside any definition, (name,) in a top-level definition and
+    (class, method) in a method."""
+    owner = (top.name,) if isinstance(top, DEFINITION) else ()
+    inner = {node: (top.name, m.name) for m in methods(top) for node in ast.walk(m)}
+    return ((inner.get(node, owner), node) for node in ast.walk(top))
+
+
 def uses(path, loose):
     """(owner, module or None, name) per reference in ``path``; owner is
-    the top-level definition around it (or None), module the hnncert
-    module it reaches (None: any, or ``path``'s own)."""
+    as :func:`scoped` gives it, module the hnncert module the reference
+    reaches (None: any, or ``path``'s own), and "." for an attribute of any
+    other object, which only a method or property can be."""
     tree = parse(path)
     modules, names = imports(tree)
     out = set()
     for top in tree.body:
-        owner = top.name if isinstance(top, DEFINITION) else None
-        for node in ast.walk(top):
+        for owner, node in scoped(top):
             if isinstance(node, ast.Name) and node.id in names:
                 out.add((owner, *names[node.id]))
             elif isinstance(node, ast.Name) and path.parent == SRC:
@@ -80,8 +104,8 @@ def uses(path, loose):
                 base = node.value.id if isinstance(node.value, ast.Name) else None
                 if base in modules:
                     out.add((owner, modules[base], node.attr))
-                elif loose:
-                    out.add((owner, None, node.attr))
+                else:
+                    out.add((owner, None if loose else ".", node.attr))
             elif loose and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 out.add((owner, None, node.value))
     return out
@@ -89,22 +113,29 @@ def uses(path, loose):
 
 def usage():
     """Every top-level definition of ``src/hnncert`` as ``module.name``,
-    mapped to whether something other than itself refers to it."""
+    and every method and property as ``module.Class.name``, mapped to
+    whether something other than itself refers to it."""
     sources = sorted(SRC.glob("*.py"))
     acceptance = ROOT / "tests" / "test_acceptance.py"
     users = [(p, uses(p, False)) for p in [*sources, acceptance]]
     users += [(p, uses(p, True)) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+
+    def used(path, owner, modules):
+        return any(
+            name == owner[-1]
+            and module in modules
+            and not (user == path and refs_owner[: len(owner)] == owner)
+            for user, refs in users
+            for refs_owner, module, name in refs
+        )
+
     out = {}
     for path in sources:
         for top in parse(path).body:
             if isinstance(top, DEFINITION):
-                out[f"{path.stem}.{top.name}"] = any(
-                    name == top.name
-                    and module in (None, path.stem)
-                    and not (user == path and owner == top.name)
-                    for user, refs in users
-                    for owner, module, name in refs
-                )
+                out[f"{path.stem}.{top.name}"] = used(path, (top.name,), (None, path.stem))
+            for m in methods(top):
+                out[f"{path.stem}.{top.name}.{m.name}"] = used(path, (top.name, m.name), (None, "."))
     return out
 
 
@@ -116,3 +147,10 @@ def test_every_src_name_has_a_user():
 def test_library_names_exist_and_have_no_user():
     used = usage()
     assert {key: used.get(key) for key in LIBRARY} == {key: False for key in LIBRARY}
+
+
+def test_methods_and_properties_are_checked_and_dunders_are_not():
+    used = usage()
+    assert used["pullback.ProductPairs.index"] is True  # read by the acceptance gate
+    assert used["pullback.Subdivided.point_keys"] is True  # a cached property
+    assert "pullback.ProductPairs.__len__" not in used

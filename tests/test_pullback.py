@@ -297,7 +297,7 @@ class TestProductEdgeStream:
         fp = fiber_product(left, right)
         a, b = fp.left.graph, fp.right.graph
         pairs, edges, edge_pairs = dict_indexed_product(a, b)
-        assert fp.vertex_pairs == pairs
+        assert tuple(fp.vertex_pairs) == pairs
         assert list(fp.graph.edges) == edges
         assert list(fp.edge_pairs) == edge_pairs
         for v, (x, y) in enumerate(pairs):
@@ -522,7 +522,7 @@ def oracle_subdivide_level(f, level):
                 edges.append((b, a, -s))
                 metas.append((e, cuts[m], cuts[m + 1], False))
     graph = LabeledGraph(g.codomain.num_edges, len(vertex_point), tuple(edges))
-    return Subdivided(g.codomain, graph, tuple(vertex_point), tuple(metas))
+    return Subdivided(graph, tuple(vertex_point), tuple(metas))
 
 
 def oracle_previous_images(f, sub, previous):
@@ -640,18 +640,7 @@ class TestComponentWalkOracle:
 
 
 class TestProductPairs:
-    """ProductPairs is the sequence tuple(product(range(na), range(nb)))."""
-
-    SLICES = (
-        slice(None),
-        slice(1, None),
-        slice(None, -1),
-        slice(None, None, -1),
-        slice(1, 5, 2),
-        slice(-3, None),
-        slice(4, 1, -1),
-        slice(40, 50),
-    )
+    """ProductPairs reads the pairs of tuple(product(range(na), range(nb)))."""
 
     def test_matches_the_tuple_of_pairs(self):
         for na, nb in itertools.product(range(7), repeat=2):
@@ -663,8 +652,6 @@ class TestProductPairs:
             for v in (len(want), -len(want) - 1):
                 with pytest.raises(IndexError):
                     pairs[v]
-            for s in self.SLICES:
-                assert pairs[s] == want[s]
             assert tuple(pairs) == want
             for v, pair in enumerate(want):
                 assert pair in pairs
@@ -673,16 +660,11 @@ class TestProductPairs:
                 assert missing not in pairs
                 with pytest.raises(ValueError):
                     pairs.index(missing)
-            assert pairs == want and want == pairs
-            assert pairs == list(want) and list(want) == pairs
-            assert pairs != want + ((na, nb),) and want + ((na, nb),) != pairs
             assert pairs == ProductPairs(na, nb)
-            assert hash(pairs) == hash(ProductPairs(na, nb)) == hash(want)
+            assert hash(pairs) == hash(ProductPairs(na, nb))
 
     def test_unequal_shapes(self):
         assert ProductPairs(2, 3) != ProductPairs(3, 2)
-        assert ProductPairs(2, 3) != tuple(itertools.product(range(3), range(2)))
-        assert ProductPairs(0, 3) == ProductPairs(2, 0) == ()
 
     def test_fiber_product_index_is_the_vertex_id(self):
         a = core(stallings("aab", "ba"), keep_basepoint=True)
@@ -704,7 +686,7 @@ class TestProductStructureErrors:
         graph = LabeledGraph(1, 2, ((0, 1, 1), (1, 0, 1)))
         points = (("e", 1, self.THIRD), ("e", 1, self.TWO_THIRDS))
         metas = ((1, self.THIRD, self.TWO_THIRDS, True), (1, self.TWO_THIRDS, self.THIRD, True))
-        sub = pullback.Subdivided(rose(1), graph, points, metas)
+        sub = pullback.Subdivided(graph, points, metas)
         with pytest.raises(RuntimeError, match="without intrinsic vertices"):
             fiber_product(sub, sub).components()
 
@@ -717,7 +699,7 @@ class TestProductStructureErrors:
             (2, self.THIRD, self.TWO_THIRDS, True),
             (1, self.TWO_THIRDS, Fraction(1), True),
         )
-        sub = pullback.Subdivided(rose(1), graph, points, metas)
+        sub = pullback.Subdivided(graph, points, metas)
         with pytest.raises(RuntimeError, match="arc left its edge"):
             fiber_product(sub, sub).components()
 
