@@ -12,14 +12,11 @@ whenever the basepoints lie on the cores.  On an identical pair it is the
 diagonal, walked first from vertex 0.  An immersion's images need neither
 folding nor pruning (:func:`stallings.subgroup_graph`,
 :func:`stallings.core`), so each is built directly and is its own core.  The
-edge budget is checked first, before any table is built, and in the
-gate before either image of a pair is built, by one rule for every map
-(:func:`essential_disjointness_power`): the free core of φ(H) has at most
-(M·c)_l edges labelled l, where c counts the edges of the free core of H
-per label and M is the transition matrix of φ, because substituting and
-folding never adds an edge of any label.  Each image's own bound is checked
-too, as a pair's product bound leaves a factor unbounded where the other
-factor's bound has a label at 0.
+edge budget is checked first, before any table is built, and in the gate
+before any image of a power is built (:func:`essential_disjointness_power`):
+the free core of φ(H) has at most (M·c)_l edges labelled l, where c counts
+the edges of the free core of H per label and M is the transition matrix of
+φ, because substituting and folding never adds an edge of any label.
 
 Preimages under φ^N are recovered without search, which needs the images of
 the 2n directions to start with distinct letters (every immersed rose map
@@ -106,7 +103,10 @@ def _label_tree(g: LabeledGraph, until: Sequence[int] = ()) -> dict[int, tuple[i
     a step is a signed label.  A folded graph has one neighbour per signed
     label, so each vertex keeps them in a table, and only the vertices the
     walk visits sort theirs.  With ``until``, the tree is built only until
-    those vertices are found."""
+    those vertices are found, so if they are all the basepoint, it is the
+    root alone and no table is built."""
+    if until and not set(until) - {g.basepoint}:
+        return {g.basepoint: (g.basepoint, 0)}
     table: list[dict[int, int]] = [{} for _ in range(g.num_vertices)]
     for u, v, l in g.edges:
         table[u][l] = v
@@ -270,38 +270,32 @@ def essential_disjointness_power(
 
     Disjointness is monotone in N: φ^(n+1)(F_n) ⊆ φ^n(F_n), so a pair
     disjoint at n stays disjoint at every later power.  Each N is still
-    tested in full, one power after another.  If every N fails, the
-    verdict carries a witness from the last power.
-    If the product budget ``max_edges`` is exhausted at a power n > 1, the
-    powers 1..n−1 were each fully tested and failed, so the verdict is
-    not_disjoint_at_cap for n − 1 with the witness from power n − 1 and a
-    note naming n; exhausting it at power 1 yields cap_exceeded.  The
-    witness is read off the based cores' product, which is larger than the
-    free cores' one; if that product exceeds ``max_edges`` the witness is
-    None.
+    tested in full, one power after another, in three passes.  Budget: each
+    pair's product of per-label bounds on the free cores' edge counts is
+    checked against ``max_edges`` in family order, then each map's own bound
+    sum.  Build: each distinct map's image and checked free core is built
+    once, and its exact counts replace its bound.  Test: the pairs are
+    walked in family order up to the first that is not disjoint, which
+    gives the witness.  So the verdict's kind and power depend on the family
+    as a set, and only the witness pair follows its order.
 
-    At each power the pairs are tested in order, up to the first that is
-    not disjoint, and an image and its checked free core are built when a
-    pair first needs them, once per power (equal endomorphisms share them).
-    One rule budgets every pair before either of its images is built at a
-    power: the product of two per-label bounds on the free cores' edge
-    counts.  A map's bound starts at the rose's one edge per label; each
-    power multiplies it by M, the transition matrix of φ, and building the
-    map's free core replaces it with that core's exact counts.  It holds
-    because substituting φ(l) for each edge labelled l of a core and
-    folding gives the core of the image, and folding and coring never add
-    an edge of any label.  For an immersion the bound is M^n·1, exact at
-    every power, since its generator loops fold nowhere.  A pair over the
-    budget raises the same ProductBudgetError as the product would.  Before
-    an image is built, its own bound sum is checked against ``max_edges``
-    as well: a label at 0 in one factor's bound leaves the other factor's
-    size out of the product.  Every label of an immersion's bound is at
-    least 1, so there the product bound already implies this check.
+    A map's bound starts at the rose's one edge per label, and each power
+    multiplies it by M, the transition matrix of φ: substituting φ(l) for
+    each edge labelled l of a core and folding gives the core of the image,
+    and folding and coring never add an edge of any label.  For an
+    immersion the bound is M^n·1, exact at every power.  If every power up
+    to ``cap`` fails, the witness is from ``cap``.  A bound over the
+    budget at a power n > 1 leaves powers 1..n−1 fully tested and failed,
+    so the verdict is not_disjoint_at_cap for n − 1 with the witness from
+    power n − 1 and a note naming n; at power 1 it yields cap_exceeded.
+    Since the exact counts are within the bounds, no walk of the gate
+    exceeds the budget.
 
     The walk that finds a pair not disjoint stops at the first component of
     positive rank, and that component, with the two free cores, goes to
     :func:`_intersection_witness`, which walks the based product again only
-    when a based core differs from its free core.
+    when a based core differs from its free core; if that product exceeds
+    ``max_edges`` the witness is None.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -315,32 +309,18 @@ def essential_disjointness_power(
     }
     counts = {e: [1] * e.rank for e in matrices}  # per-label bounds, exact once built
     pairs = [(i, j) for i in range(len(endos)) for j in range(i + 1, len(endos))]
-    last_failure: Optional[tuple[int, LabeledGraph, LabeledGraph, tuple[int, int], tuple]] = None
+    last_failure: Optional[tuple[int, tuple[int, int], LabeledGraph, LabeledGraph, tuple]] = None
     note = ""
     for n in range(1, cap + 1):
         counts = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in counts.items()}
-        built: dict[Endomorphism, tuple[LabeledGraph, LabeledGraph]] = {}
         try:
-            for pair in pairs:
-                ei, ej = (endos[k] for k in pair)
-                check_product_size(sum(map(mul, counts[ei], counts[ej])), max_edges)
-                fresh = [e for e in dict.fromkeys((ei, ej)) if e not in built]
-                for e in fresh:
-                    if sum(counts[e]) > max_edges:
-                        raise ProductBudgetError(
-                            f"image core would have {sum(counts[e])} edges (budget {max_edges})"
-                        )
-                for e in fresh:
-                    g = image_subgroup(e, n).graph
-                    built[e] = g, _free_core_factor(g)
-                    counts[e] = letter_counts([l for _, _, l in built[e][1].edges], e.rank)
-                (gi, ci), (gj, cj) = built[ei], built[ej]
-                found = _cycle_component(ci, cj, max_edges)
-                if found is not None:
-                    last_failure = (n, gi, gj, pair, (ci, cj, found))
-                    break
-            else:
-                return DisjointnessVerdict("disjoint_at", n=n)
+            for i, j in pairs:
+                check_product_size(sum(map(mul, counts[endos[i]], counts[endos[j]])), max_edges)
+            for c in counts.values():
+                if sum(c) > max_edges:
+                    raise ProductBudgetError(
+                        f"image core would have {sum(c)} edges (budget {max_edges})"
+                    )
         except ProductBudgetError as exc:
             if last_failure is None:
                 return DisjointnessVerdict("cap_exceeded", n=n, note=str(exc))
@@ -349,7 +329,18 @@ def essential_disjointness_power(
                 f"verdict covers powers 1..{n - 1}"
             )
             break
-    n, a, b, pair, walked = last_failure
+        built = {e: image_subgroup(e, n).graph for e in counts}
+        cores = {e: _free_core_factor(g) for e, g in built.items()}
+        counts = {e: letter_counts([l for _, _, l in c.edges], e.rank) for e, c in cores.items()}
+        for i, j in pairs:
+            ei, ej = endos[i], endos[j]
+            found = _cycle_component(cores[ei], cores[ej], max_edges)
+            if found is not None:
+                last_failure = (n, (i, j), built[ei], built[ej], (cores[ei], cores[ej], found))
+                break
+        else:
+            return DisjointnessVerdict("disjoint_at", n=n)
+    n, pair, a, b, walked = last_failure
     witness = _intersection_witness(a, b, pair, max_edges, walked)
     return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 

@@ -203,11 +203,6 @@ def subdivide_level(f: GraphMap, level: int) -> Subdivided:
     return sub
 
 
-def subdivide_map(f: GraphMap) -> Subdivided:
-    """Subdivide the domain of ``f``: one step from the bare rose."""
-    return subdivide_level(f, 1)
-
-
 def as_product_factor(g: LabeledGraph) -> Subdivided:
     """Wrap a folded labeled graph (an immersion over the rose) as a factor."""
     clash = label_clash(g)
@@ -436,7 +431,7 @@ def fiber_product(
 ) -> FiberProduct:
     """Fiber product over the rose of the factors' rank.
 
-    Accepts ready factors (:func:`subdivide_map`, :func:`subdivide_level`)
+    Accepts ready factors (:func:`subdivide_level`)
     or folded labeled graphs over a rose.  Product vertex ``x * nb + y`` is
     the pair (x, y), with nb the right factor's vertex count, so
     ``vertex_pairs`` lists the pairs with x major.  Each edge pairs edge i
@@ -900,7 +895,7 @@ def stabilization_power(f: GraphMap, cap: int = 16) -> StabilizationVerdict:
     """
     if not is_immersion(f):
         raise ValueError("map is not an immersion: direction clash at vertex 0")
-    sub = subdivide_map(f)
+    sub = subdivide_level(f, 1)
     diagonal = sub.graph.num_vertices + 1  # (x, x) has id x·diagonal
     try:
         components = product_components(sub.graph, sub.graph, MAX_PRODUCT_EDGES)

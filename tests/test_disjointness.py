@@ -315,29 +315,39 @@ class TestEssentialDisjointness:
 
 
 def eager_gate(endos, cap, max_edges):
-    """``essential_disjointness_power`` as it was before the count-decided
-    budget: every image of a power built and cored, then the pairs tested
-    in order, the budget checked on the built cores."""
+    """``essential_disjointness_power`` with exact counts for bounds: every
+    image of a power built and cored, then every pair budgeted on the built
+    cores in order and every core on its own, and only then the pairs
+    tested in order."""
+    pairs = list(itertools.combinations(range(len(endos)), 2))
     last_failure = None
     note = ""
     for n in range(1, cap + 1):
-        try:
-            built = {e: image_subgroup(e, n).graph for e in dict.fromkeys(endos)}
-            images = [built[e] for e in endos]
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(len(images))
-                    for j in range(i + 1, len(images))
-                    if not all_conjugates_trivial_intersection(images[i], images[j], max_edges)
-                ),
-                None,
-            )
-        except ProductBudgetError as exc:
+        built = {e: image_subgroup(e, n).graph for e in dict.fromkeys(endos)}
+        counts = [label_counts(core(built[e], keep_basepoint=False)) for e in endos]
+        over = [
+            f"fiber product would have {total} edges (budget {max_edges})"
+            for total in (sum(map(mul, counts[i], counts[j])) for i, j in pairs)
+            if total > max_edges
+        ] + [
+            f"image core would have {sum(c)} edges (budget {max_edges})"
+            for c in counts
+            if sum(c) > max_edges
+        ]
+        if over:
             if last_failure is None:
-                return DisjointnessVerdict("cap_exceeded", n=n, note=str(exc))
+                return DisjointnessVerdict("cap_exceeded", n=n, note=over[0])
             note = f"search budget exhausted at power {n}; verdict covers powers 1..{n - 1}"
             break
+        images = [built[e] for e in endos]
+        bad = next(
+            (
+                (i, j)
+                for i, j in pairs
+                if not all_conjugates_trivial_intersection(images[i], images[j], max_edges)
+            ),
+            None,
+        )
         if bad is None:
             return DisjointnessVerdict("disjoint_at", n=n)
         last_failure = (n, images, bad)
@@ -486,9 +496,12 @@ class TestCountDecidedBudget:
         assert verdict == eager_gate([SAPIR, SQUARES], 4, 7)
         assert built == []
 
-    def test_a_pair_after_the_first_failure_is_never_budgeted(self, monkeypatch):
-        # SAPIR meets itself at every power, so the pairs with big, whose
-        # products would exceed the budget already at power 1, are not tested
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 0, 1)])
+    def test_every_pair_is_budgeted_before_any_image(self, monkeypatch, order):
+        # SAPIR meets itself at every power, but every pair's budget is
+        # checked before any image of a power is built, so the pairs with
+        # big, 2·81 + 2·81 product edges already at power 1, trip the
+        # budget there in each of the family's three distinct orders
         big = endo("a" + "ba" * 40, "b" + "ab" * 40)
         assert block_table(big) is not None
         built = []
@@ -496,14 +509,13 @@ class TestCountDecidedBudget:
         monkeypatch.setattr(
             disjointness, "image_subgroup", lambda e, n: built.append((e, n)) or real(e, n)
         )
-        verdict = essential_disjointness_power([SAPIR, SAPIR, big], cap=6, max_edges=160)
-        assert (verdict.kind, verdict.n, verdict.witness.pair) == ("not_disjoint_at_cap", 3, (0, 1))
-        assert verdict.note == "search budget exhausted at power 4; verdict covers powers 1..3"
-        assert built == [(SAPIR, 1), (SAPIR, 2), (SAPIR, 3)]
-        # the eager gate would build big's fourth power, 81⁴ letters per generator
-        assert verdict == eager_gate([SAPIR, SAPIR], 6, 160)
-        alone = essential_disjointness_power([SAPIR, big], cap=6, max_edges=160)
-        assert (alone.kind, alone.n) == ("cap_exceeded", 1)
+        endos = [(SAPIR, SAPIR, big)[k] for k in order]
+        verdict = essential_disjointness_power(endos, cap=6, max_edges=160)
+        assert verdict == DisjointnessVerdict(
+            "cap_exceeded", n=1, note="fiber product would have 324 edges (budget 160)"
+        )
+        assert built == []
+        assert essential_disjointness_power([SAPIR, big], cap=6, max_edges=160) == verdict
 
     def test_a_mixed_pair_builds_neither_image_over_budget(self, monkeypatch):
         # a -> ab, b -> abb is an automorphism whose images both start with
@@ -790,6 +802,21 @@ class TestAccessWord:
         assert list(tree) == list(full)[: len(tree)]
         for v in targets:
             assert pullback.tree_path(tree, v) == pullback.tree_path(full, v)
+
+    def test_a_tree_until_the_basepoint_builds_no_table(self):
+        # the witness of an identical pair sits on the diagonal's vertex 0,
+        # so both its access words are empty and no step table is needed
+        class Untabled:
+            num_vertices, basepoint = 3, 1
+
+            @property
+            def edges(self):
+                raise AssertionError("the step table was built")
+
+        for until in ((1,), (1, 1)):
+            assert disjointness._label_tree(Untabled(), until) == {1: (1, 0)}
+        g = core(image_subgroup(SAPIR, 2).graph, keep_basepoint=True)
+        assert disjointness._label_tree(g, (0, 0)) == {0: (0, 0)}
 
 
 def positive_rank_components(a, b):

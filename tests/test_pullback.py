@@ -40,7 +40,6 @@ from hnncert.pullback import (
     pullback_filtration,
     stabilization_power,
     subdivide_level,
-    subdivide_map,
 )
 from hnncert.stallings import (
     LabeledGraph,
@@ -143,7 +142,7 @@ class TestSubdivide:
         assert sub.graph.edges == ((0, 0, 1), (0, 0, 2))
 
     def test_reversed_letter_is_stored_flipped(self):
-        sub = subdivide_map(FLIP)
+        sub = subdivide_level(FLIP, 1)
         assert sub.graph.edges == ((0, 0, 1),)
         assert sub.edge_meta[0][3] is False  # stored orientation descends a
 
@@ -162,7 +161,7 @@ class TestSubdivide:
 
 class TestFiberProduct:
     def test_identity_product_is_diagonal_rose(self):
-        fp = fiber_product(subdivide_map(IDENT), subdivide_map(IDENT))
+        fp = fiber_product(subdivide_level(IDENT, 1), subdivide_level(IDENT, 1))
         assert fp.graph.num_vertices == 1
         assert len(fp.graph.edges) == 2
         comps = fp.components()
@@ -189,7 +188,7 @@ class TestFiberProduct:
         assert not membership(fp.graph, word_from_string("aaa", 1))
 
     def test_sapir_level_one_census(self):
-        fp = fiber_product(subdivide_map(SAPIR), subdivide_map(SAPIR))
+        fp = fiber_product(subdivide_level(SAPIR, 1), subdivide_level(SAPIR, 1))
         assert fp.graph.num_vertices == 9
         assert len(fp.graph.edges) == 8
         census = sorted(
@@ -206,7 +205,7 @@ class TestFiberProduct:
 
     def test_product_of_folded_factors_is_folded(self):
         for f in (SAPIR, MIXED, SQUARES):
-            sub = subdivide_map(f)
+            sub = subdivide_level(f, 1)
             assert is_folded(fiber_product(sub, sub).graph)
 
     def test_diagonal_component_copies_the_factor(self):
@@ -228,7 +227,7 @@ class TestFiberProduct:
 
     def test_rejects_non_immersion_map(self):
         # a map enters as its subdivision; a non-immersion's is not folded
-        g = subdivide_map(NON_IMMERSION).graph
+        g = subdivide_level(NON_IMMERSION, 1).graph
         with pytest.raises(ValueError, match="immersion"):
             fiber_product(g, g)
 
@@ -239,11 +238,11 @@ class TestFiberProduct:
 
     def test_rejects_codomain_mismatch(self):
         with pytest.raises(ValueError, match="codomain"):
-            fiber_product(subdivide_map(DOUBLE), subdivide_map(SAPIR))
+            fiber_product(subdivide_level(DOUBLE, 1), subdivide_level(SAPIR, 1))
 
     def test_budget_guard(self):
         with pytest.raises(ProductBudgetError):
-            fiber_product(subdivide_map(SAPIR), subdivide_map(SAPIR), max_edges=3)
+            fiber_product(subdivide_level(SAPIR, 1), subdivide_level(SAPIR, 1), max_edges=3)
 
     def test_offender_is_named(self):
         for build in (lambda f: pullback_filtration(f, 1), stabilization_power):
@@ -318,7 +317,7 @@ class TestProductEdgeStream:
             for level in (1, 2, 3):
                 sub = subdivide_level(f, level)
                 self.check(sub, sub)
-        self.check(subdivide_map(DOUBLE), subdivide_map(DOUBLE))
+        self.check(subdivide_level(DOUBLE, 1), subdivide_level(DOUBLE, 1))
 
     def test_budget_is_checked_on_call(self):
         a = stallings("ab", "ba")
@@ -552,7 +551,7 @@ class TestRefineOracle:
             assert len(f_images) == sub.graph.num_vertices
             for p, k in zip(sub.vertex_point, f_images):
                 assert point_image(f, p) == below.vertex_point[k]
-        assert subdivide_map(f) == oracle_subdivide_level(f, 1)
+        assert subdivide_level(f, 1) == oracle_subdivide_level(f, 1)
 
     def check_filtration(self, f, depth):
         """Every level of the filtration equals the product, components and
@@ -967,7 +966,7 @@ class TestSubdivisionInvariance:
         # subdividing an already-subdivided factor changes nothing
         sub = subdivide_level(SAPIR, 1)
         again = fiber_product(sub, sub)
-        direct = fiber_product(subdivide_map(SAPIR), subdivide_map(SAPIR))
+        direct = fiber_product(subdivide_level(SAPIR, 1), subdivide_level(SAPIR, 1))
         assert canonical_code(again.graph) == canonical_code(direct.graph)
 
 
@@ -1020,7 +1019,7 @@ class TestStabilization:
         # an off-diagonal loop at one power exists iff one exists at power 1,
         # checked here directly on the products of iterated maps
         for f, dirty in ((SAPIR, True), (MIXED, False), (SQUARES, True)):
-            sub = subdivide_map(iterate_map(f, n))
+            sub = subdivide_level(iterate_map(f, n), 1)
             fp = fiber_product(sub, sub)
             found = any(
                 c.rank >= 1 and not c.contains_diagonal for c in fp.components()
@@ -1628,7 +1627,7 @@ class TestDoubleCosetOracle:
     )
     def test_scan_matches_product(self, images, rank, dirty):
         assert self._scan(images, rank=rank) == dirty
-        sub = subdivide_map(rose_map(*images, rank=rank))
+        sub = subdivide_level(rose_map(*images, rank=rank), 1)
         fp = fiber_product(sub, sub)
         found = any(
             c.rank >= 1 and not c.contains_diagonal for c in fp.components()
