@@ -488,18 +488,12 @@ def certify(config: CertificationConfig) -> Certificate:
             disjoint_power = verdict.n
         elif verdict.kind == "not_disjoint_at_cap":
             w = verdict.witness
-            if w is None:
-                reasons.append(
-                    "family: conjugate intersections persist at every power up "
-                    f"to {verdict.n} but no witness could be extracted"
-                )
-            else:
-                not_disjoint_witness = {
-                    "pair": [w.pair[0] + 1, w.pair[1] + 1],
-                    "power": verdict.n,
-                    "conjugator": word_to_string(w.conjugator),
-                    "element": word_to_string(w.element),
-                }
+            not_disjoint_witness = {
+                "pair": [w.pair[0] + 1, w.pair[1] + 1],
+                "power": verdict.n,
+                "conjugator": word_to_string(w.conjugator),
+                "element": word_to_string(w.element),
+            }
         else:
             reasons.append(
                 f"family: disjointness search exceeded budget ({verdict.note})"

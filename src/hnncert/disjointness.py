@@ -1,22 +1,28 @@
 """Essential disjointness of endomorphism images, and preimages in images.
 
-The images φ_i^N(F_n) are represented by based Stallings graphs.  Whether
-H ∩ gKg⁻¹ is trivial for *every* g is decided exactly on the basepoint-free
-core fiber product: its components realize the conjugate intersections double
-coset by double coset, so the universal statement holds iff no component has
-positive rank.  The product is never built: its components are walked one at
-a time from a step table per factor, least vertex first and only where the
-factors' labels meet, and the first component with as many edges as vertices
-decides; the witness of a failing pair is read off that same component
-whenever the basepoints lie on the cores.  On an identical pair it is the
-diagonal, walked first from vertex 0.  An immersion's images need neither
-folding nor pruning (:func:`stallings.subgroup_graph`,
-:func:`stallings.core`), so each is built directly and is its own core.  The
-edge budget is checked first, before any table is built, and in the gate
-before any image of a power is built (:func:`essential_disjointness_power`):
-the free core of φ(H) has at most (M·c)_l edges labelled l, where c counts
-the edges of the free core of H per label and M is the transition matrix of
-φ, because substituting and folding never adds an edge of any label.
+The images φ_i^N(F_n) are represented by based Stallings graphs, one per
+image: its based core.  Whether H ∩ gKg⁻¹ is trivial for *every* g is
+decided exactly on the product of the based cores.  The free cores' product
+realizes the conjugate intersections double coset by double coset, so the
+universal statement holds iff none of its components has positive rank.  An
+embedded cycle of the based cores' product spells a cyclically reduced word,
+so it lies in the free cores' product, which the based one contains.  So the
+based product has a component of positive rank exactly when the free one
+does.  The product is never built: its components are walked one at a time
+from a step table per factor, least vertex first and only where the
+factors' labels meet, and the first component with as many edges as
+vertices decides; the witness of a failing pair is read off that same
+component.  On an identical pair it is the diagonal, walked first from
+vertex 0.  An immersion's images need neither folding nor pruning
+(:func:`stallings.subgroup_graph`, :func:`stallings.core`), and the
+basepoint of each has valence 2n, so each is built directly and is its own
+based and free core.  The edge budget is checked first, before any table is
+built, and in the gate before any image of a power is built
+(:func:`essential_disjointness_power`): the based core of φ(H) is the core
+of the fold of φ substituted into the based core of H, so it has at most
+(M·c)_l edges labelled l, where c counts the edges of the based core of H
+per label and M is the transition matrix of φ, because folding and coring
+never add an edge of any label.
 
 Preimages under φ^N are recovered without search, which needs the images of
 the 2n directions to start with distinct letters (every immersed rose map
@@ -122,27 +128,26 @@ def image_subgroup(e: Endomorphism, n: int) -> ImageSubgroup:
     return ImageSubgroup(subgroup_graph(list(powered.images), e.rank))
 
 
-def _free_core_factor(g: LabeledGraph) -> LabeledGraph:
-    """The basepoint-free core of ``g``, as a factor of the core product;
-    ValueError if it is not folded."""
-    c = core(g, keep_basepoint=False)
+def _core_factor(g: LabeledGraph) -> LabeledGraph:
+    """The based core of ``g``, as a factor of the core product; ValueError
+    if it is not folded."""
+    c = core(g, keep_basepoint=True)
     if not is_folded(c):
         raise ValueError("input is not an immersion: graph is not folded")
     return c
 
 
-Component = tuple[int, list[tuple[int, int, int, int, int]]]
+ProductEdge = tuple[int, int, int, int, int]
 
 
 def _cycle_component(
     a: LabeledGraph, b: LabeledGraph, max_edges: int
-) -> Optional[Component]:
-    """The first component, least vertex first, of the product of the
-    folded graphs ``a`` and ``b`` with as many edges as vertices, or None if
-    there is none; the walk stops there."""
-    return next(
-        (c for c in product_components(a, b, max_edges) if len(c[1]) >= c[0]), None
-    )
+) -> Optional[list[ProductEdge]]:
+    """The edges of the first component, least vertex first, of the product
+    of the folded graphs ``a`` and ``b`` with as many edges as vertices, or
+    None if there is none; the walk stops there."""
+    components = product_components(a, b, max_edges)
+    return next((edges for vertices, edges in components if len(edges) >= vertices), None)
 
 
 def all_conjugates_trivial_intersection(
@@ -150,18 +155,18 @@ def all_conjugates_trivial_intersection(
 ) -> bool:
     """True iff H ∩ gKg⁻¹ = {e} for every g in the ambient free group.
 
-    Decided on the basepoint-free core fiber product, whose components
-    realize exactly the conjugate intersections: the answer is True iff no
-    component has positive rank, that is, as many edges as vertices.  The
-    components are walked one at a time (:func:`pullback.product_components`)
-    and the first such one answers False, so a product of positive rank is
-    walked only up to it, and one of rank 0 is walked whole.  Budget first:
-    ProductBudgetError is raised if the product would exceed ``max_edges``
-    edges, before any step table is built.
+    Decided on the product of the based cores: the answer is True iff no
+    component has positive rank, that is, as many edges as vertices (see
+    the module docstring).  The components are walked one at a time
+    (:func:`pullback.product_components`) and the first such one answers
+    False, so a product of positive rank is walked only up to it, and one
+    of rank 0 is walked whole.  Budget first: ProductBudgetError is raised
+    if the product would exceed ``max_edges`` edges, before any step table
+    is built.
     """
     if h.rank != k.rank:
         raise ValueError("subgroups live in free groups of different ranks")
-    return _cycle_component(_free_core_factor(h), _free_core_factor(k), max_edges) is None
+    return _cycle_component(_core_factor(h), _core_factor(k), max_edges) is None
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,6 @@ class IntersectionWitness:
     pair: tuple[int, int]
     conjugator: Word
     element: Word
-    component_rank: int
 
 
 @dataclass(frozen=True)
@@ -208,59 +212,29 @@ def _component_cycle(edges: Sequence[Edge]) -> tuple[int, tuple[int, ...]]:
     raise ValueError("component has no cycle")
 
 
-def _intersection_witness(
-    a: LabeledGraph,
-    b: LabeledGraph,
-    pair: tuple[int, int],
-    max_edges: int = MAX_PRODUCT_EDGES,
-    walked: Optional[tuple[LabeledGraph, LabeledGraph, Component]] = None,
-) -> Optional[IntersectionWitness]:
-    """A conjugator g and nontrivial w ∈ H ∩ gKg⁻¹ from the based product.
+def _read_witness(
+    a: LabeledGraph, b: LabeledGraph, pair: tuple[int, int], found: Sequence[ProductEdge]
+) -> IntersectionWitness:
+    """A conjugator g and nontrivial w ∈ H ∩ gKg⁻¹ from ``found``, a
+    component of positive rank of the product of the based cores ``a`` and
+    ``b``, as :func:`_cycle_component` gives it.
 
-    The witness comes from the product component with the least vertex id
-    among those of positive rank.  The components are walked least vertex
-    first (:func:`pullback.product_components`), so the walk ends at that
-    component; its edges, sorted, are in product order.  On an identical
-    pair it is the diagonal, walked first.  The cycle is read as signed
+    Its edges, sorted, are in product order.  The cycle is read as signed
     edge ids off the component's tree (:func:`_component_cycle`), at its
     least vertex (x, y); the access words to x and y are the signed labels
     of the factors' :func:`_label_tree` paths, and g is ua·ub⁻¹ and w is
     ua·cycle·ua⁻¹.  A tree is built only until x and y are found, as a BFS
-    path is fixed once its vertex is.  Equal factors share one core and one
-    tree.  None if the product would exceed ``max_edges`` edges.
-
-    ``walked`` holds the free cores of ``a`` and ``b`` and the first
-    component of positive rank of their product, as the gate found it.
-    When the based cores have the same vertex counts and edges as those
-    free cores (the basepoints lie on the cores, as for every image of an
-    immersion), the based product is that product, walked in the same
-    order under the same budget, so the component is used as it is.
+    path is fixed once its vertex is.  Equal factors share one tree.
     """
-    ca = core(a, keep_basepoint=True)
-    cb = ca if b == a else core(b, keep_basepoint=True)
-    if walked is not None and all(
-        (c.num_vertices, c.edges) == (f.num_vertices, f.edges)
-        for c, f in zip((ca, cb), walked)
-    ):
-        found: Optional[Component] = walked[2]
-    else:
-        try:
-            found = _cycle_component(ca, cb, max_edges)
-        except ProductBudgetError:
-            return None
-    if found is None:
-        return None
-    vertices, edges = found
-    comp = [(u, v, l) for l, _, _, u, v in sorted(edges)]
-    anchor, cycle_letters = _component_cycle(comp)
-    x, y = divmod(anchor, cb.num_vertices)
-    tree_a = _label_tree(ca, (x, y) if cb is ca else (x,))
-    tree_b = tree_a if cb is ca else _label_tree(cb, (y,))
+    anchor, cycle_letters = _component_cycle([(u, v, l) for l, _, _, u, v in sorted(found)])
+    x, y = divmod(anchor, b.num_vertices)
+    tree_a = _label_tree(a, (x, y) if b is a else (x,))
+    tree_b = tree_a if b is a else _label_tree(b, (y,))
     ua = tuple(tree_path(tree_a, x))
     ub = tuple(tree_path(tree_b, y))
     g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
     w = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
-    return IntersectionWitness(pair, g, w, len(comp) - vertices + 1)
+    return IntersectionWitness(pair, g, w)
 
 
 def essential_disjointness_power(
@@ -270,32 +244,29 @@ def essential_disjointness_power(
 
     Disjointness is monotone in N: φ^(n+1)(F_n) ⊆ φ^n(F_n), so a pair
     disjoint at n stays disjoint at every later power.  Each N is still
-    tested in full, one power after another, in three passes.  Budget: each
-    pair's product of per-label bounds on the free cores' edge counts is
-    checked against ``max_edges`` in family order, then each map's own bound
-    sum.  Build: each distinct map's image and checked free core is built
-    once, and its exact counts replace its bound.  Test: the pairs are
-    walked in family order up to the first that is not disjoint, which
-    gives the witness.  So the verdict's kind and power depend on the family
-    as a set, and only the witness pair follows its order.
+    tested in full, one power after another, in three passes, on one graph
+    per distinct map: the based core of its image.  Budget: the largest
+    pair's product of per-label bounds on the based cores' edge counts is
+    checked against ``max_edges``, then the largest map's own bound sum.
+    Build: each distinct map's image and checked based core is built once,
+    and its exact counts replace its bound.  Test: the pairs are walked in
+    family order up to the first that is not disjoint, and its first
+    component of positive rank gives the witness.  So the verdict's kind,
+    power and note depend on the family as a set, and only the witness pair
+    follows its order.
 
     A map's bound starts at the rose's one edge per label, and each power
     multiplies it by M, the transition matrix of φ: substituting φ(l) for
-    each edge labelled l of a core and folding gives the core of the image,
-    and folding and coring never add an edge of any label.  For an
-    immersion the bound is M^n·1, exact at every power.  If every power up
-    to ``cap`` fails, the witness is from ``cap``.  A bound over the
+    each edge labelled l of a based core and folding gives a based graph of
+    the image, and folding and coring never add an edge of any label.  For
+    an immersion the bound is M^n·1, exact at every power.  If every power
+    up to ``cap`` fails, the witness is from ``cap``.  A bound over the
     budget at a power n > 1 leaves powers 1..n−1 fully tested and failed,
     so the verdict is not_disjoint_at_cap for n − 1 with the witness from
     power n − 1 and a note naming n; at power 1 it yields cap_exceeded.
     Since the exact counts are within the bounds, no walk of the gate
-    exceeds the budget.
-
-    The walk that finds a pair not disjoint stops at the first component of
-    positive rank, and that component, with the two free cores, goes to
-    :func:`_intersection_witness`, which walks the based product again only
-    when a based core differs from its free core; if that product exceeds
-    ``max_edges`` the witness is None.
+    exceeds the budget, and every not_disjoint_at_cap verdict carries its
+    witness.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -309,40 +280,42 @@ def essential_disjointness_power(
     }
     counts = {e: [1] * e.rank for e in matrices}  # per-label bounds, exact once built
     pairs = [(i, j) for i in range(len(endos)) for j in range(i + 1, len(endos))]
-    last_failure: Optional[tuple[int, tuple[int, int], LabeledGraph, LabeledGraph, tuple]] = None
+    # the last failing power, its first failing pair, their cores and the
+    # first component of positive rank of their product
+    failure: Optional[tuple[int, tuple[int, int], LabeledGraph, LabeledGraph, list]] = None
     note = ""
     for n in range(1, cap + 1):
         counts = {e: [sum(map(mul, row, c)) for row in matrices[e]] for e, c in counts.items()}
         try:
-            for i, j in pairs:
-                check_product_size(sum(map(mul, counts[endos[i]], counts[endos[j]])), max_edges)
-            for c in counts.values():
-                if sum(c) > max_edges:
-                    raise ProductBudgetError(
-                        f"image core would have {sum(c)} edges (budget {max_edges})"
-                    )
+            check_product_size(
+                max(sum(map(mul, counts[endos[i]], counts[endos[j]])) for i, j in pairs),
+                max_edges,
+            )
+            largest = max(map(sum, counts.values()))
+            if largest > max_edges:
+                raise ProductBudgetError(
+                    f"image core would have {largest} edges (budget {max_edges})"
+                )
         except ProductBudgetError as exc:
-            if last_failure is None:
+            if failure is None:
                 return DisjointnessVerdict("cap_exceeded", n=n, note=str(exc))
             note = (
                 f"search budget exhausted at power {n}; "
                 f"verdict covers powers 1..{n - 1}"
             )
             break
-        built = {e: image_subgroup(e, n).graph for e in counts}
-        cores = {e: _free_core_factor(g) for e, g in built.items()}
+        cores = {e: _core_factor(image_subgroup(e, n).graph) for e in counts}
         counts = {e: letter_counts([l for _, _, l in c.edges], e.rank) for e, c in cores.items()}
-        for i, j in pairs:
-            ei, ej = endos[i], endos[j]
-            found = _cycle_component(cores[ei], cores[ej], max_edges)
+        for pair in pairs:
+            a, b = (cores[endos[k]] for k in pair)
+            found = _cycle_component(a, b, max_edges)
             if found is not None:
-                last_failure = (n, (i, j), built[ei], built[ej], (cores[ei], cores[ej], found))
+                failure = (n, pair, a, b, found)
                 break
         else:
             return DisjointnessVerdict("disjoint_at", n=n)
-    n, pair, a, b, walked = last_failure
-    witness = _intersection_witness(a, b, pair, max_edges, walked)
-    return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
+    n, pair, a, b, found = failure
+    return DisjointnessVerdict("not_disjoint_at_cap", n, _read_witness(a, b, pair, found), note)
 
 
 def preimage_in_image(e: Endomorphism, s: int, alpha: Word) -> Optional[Word]:

@@ -34,6 +34,7 @@ from hnncert.graphmap import GraphMap, PowerIterationError, TrainTrackVerdict, i
 from hnncert.pullback import StabilizationVerdict, tree_path
 from hnncert.stallings import LabeledGraph, fold, membership, subgroup_graph
 from hnncert.words import Endomorphism, Word, free_reduce, word_from_string, word_to_string
+from test_disjointness import walk_and_read
 
 
 def config_bytes(**kwargs) -> bytes:
@@ -939,35 +940,31 @@ SLOW_NOT_DISJOINT = [
 
 def test_the_gate_component_gives_the_fresh_witness(monkeypatch):
     # the witness read off the component the gate walked equals the one
-    # found by walking the based cores' product afresh
-    real_witness = disjointness._intersection_witness
-    real_walk = disjointness.product_components
-    walks, reused = [], []
+    # read the same way off a fresh walk of the based cores' product
+    certify_module = importlib.import_module("hnncert.certify")
+    real_gate = certify_module.essential_disjointness_power
+    witnessed = []
 
-    def walk(*args):
-        walks.append(args)
-        return real_walk(*args)
+    def gate(endos, **kwargs):
+        verdict = real_gate(endos, **kwargs)
+        if verdict.kind == "not_disjoint_at_cap":
+            pair = verdict.witness.pair
+            a, b = (image_subgroup(endos[k], verdict.n).graph for k in pair)
+            assert verdict.witness == walk_and_read(a, b, pair)
+            witnessed.append(verdict.n)
+        return verdict
 
-    def both(a, b, pair, max_edges, walked):
-        del walks[:]
-        got = real_witness(a, b, pair, max_edges, walked)
-        reused.append(not walks)
-        assert got == real_witness(a, b, pair, max_edges)
-        return got
-
-    monkeypatch.setattr(disjointness, "product_components", walk)
-    monkeypatch.setattr(disjointness, "_intersection_witness", both)
+    monkeypatch.setattr(certify_module, "essential_disjointness_power", gate)
     not_disjoint = 0
     for config in seeded_corpus(1000):
         not_disjoint += certify(config).verdict == "not_disjoint"
-    assert not_disjoint == 99
-    # both paths are taken: based cores equal to the free cores, and not
-    assert len(reused) >= 99 and 0 < sum(reused) < len(reused)
-    del reused[:]
+    # the gate also witnesses 58 families whose verdict is obstruction_BS
+    assert (not_disjoint, len(witnessed)) == (99, 157)
+    del witnessed[:]
     for config, digest in SLOW_NOT_DISJOINT:
         report = emit_report(certify(parse_config(config_bytes(**config))))
         assert hashlib.sha256(report).hexdigest() == digest
-    assert len(reused) == 2
+    assert witnessed == [5, 7]
 
 
 def whole_bfs_tree(adj, root, until=()):

@@ -22,7 +22,6 @@ from hnncert import disjointness, pullback, stallings
 from hnncert.disjointness import (
     DisjointnessVerdict,
     IntersectionWitness,
-    _intersection_witness,
     all_conjugates_trivial_intersection,
     block_table,
     decode_in_image,
@@ -227,7 +226,6 @@ class TestEssentialDisjointness:
         assert verdict.kind == "not_disjoint_at_cap"
         assert verdict.n == 1
         assert verdict.witness is not None
-        assert verdict.witness.component_rank >= 1
         assert _witness_is_valid([SAPIR, SQUARES], verdict)
 
     def test_duplicated_endomorphism_never_disjoint(self):
@@ -314,29 +312,45 @@ class TestEssentialDisjointness:
         assert built == [(SAPIR, 1), (SQUARES, 1), (SAPIR, 2), (SQUARES, 2)]
 
 
+def walk_and_read(a, b, pair, max_edges=pullback.MAX_PRODUCT_EDGES):
+    """The witness read off the first component of positive rank of the
+    product of the based cores of ``a`` and ``b``, walked afresh, or None if
+    there is none; ProductBudgetError if the product is over ``max_edges``."""
+    ca = core(a, keep_basepoint=True)
+    cb = core(b, keep_basepoint=True)
+    found = next(
+        (
+            edges
+            for vertices, edges in disjointness.product_components(ca, cb, max_edges)
+            if len(edges) >= vertices
+        ),
+        None,
+    )
+    return None if found is None else disjointness._read_witness(ca, cb, pair, found)
+
+
 def eager_gate(endos, cap, max_edges):
     """``essential_disjointness_power`` with exact counts for bounds: every
     image of a power built and cored, then every pair budgeted on the built
-    cores in order and every core on its own, and only then the pairs
-    tested in order."""
+    based cores and every core on its own, the largest of each named, and
+    only then the pairs tested in order."""
     pairs = list(itertools.combinations(range(len(endos)), 2))
     last_failure = None
     note = ""
     for n in range(1, cap + 1):
         built = {e: image_subgroup(e, n).graph for e in dict.fromkeys(endos)}
-        counts = [label_counts(core(built[e], keep_basepoint=False)) for e in endos]
-        over = [
-            f"fiber product would have {total} edges (budget {max_edges})"
-            for total in (sum(map(mul, counts[i], counts[j])) for i, j in pairs)
-            if total > max_edges
-        ] + [
-            f"image core would have {sum(c)} edges (budget {max_edges})"
-            for c in counts
-            if sum(c) > max_edges
-        ]
-        if over:
+        counts = [label_counts(core(built[e], keep_basepoint=True)) for e in endos]
+        pair_edges = max(sum(map(mul, counts[i], counts[j])) for i, j in pairs)
+        image_edges = max(map(sum, counts))
+        if max(pair_edges, image_edges) > max_edges:
             if last_failure is None:
-                return DisjointnessVerdict("cap_exceeded", n=n, note=over[0])
+                what, edges = (
+                    ("fiber product", pair_edges)
+                    if pair_edges > max_edges
+                    else ("image core", image_edges)
+                )
+                note = f"{what} would have {edges} edges (budget {max_edges})"
+                return DisjointnessVerdict("cap_exceeded", n=n, note=note)
             note = f"search budget exhausted at power {n}; verdict covers powers 1..{n - 1}"
             break
         images = [built[e] for e in endos]
@@ -352,7 +366,7 @@ def eager_gate(endos, cap, max_edges):
             return DisjointnessVerdict("disjoint_at", n=n)
         last_failure = (n, images, bad)
     n, images, (i, j) = last_failure
-    witness = _intersection_witness(images[i], images[j], (i, j), max_edges=max_edges)
+    witness = walk_and_read(images[i], images[j], (i, j), max_edges)
     return DisjointnessVerdict("not_disjoint_at_cap", n=n, witness=witness, note=note)
 
 
@@ -738,7 +752,7 @@ def whole_product_witness(a, b, pair):
         ub = access_words(cb, cb.basepoint)[y]
         g = reduce(ua + tuple(-s for s in reversed(ub)), a.rank)
         elem = reduce(ua + cycle_letters + tuple(-s for s in reversed(ua)), a.rank)
-        return IntersectionWitness(pair, g, elem, len(edges) - len(verts) + 1)
+        return IntersectionWitness(pair, g, elem)
     return None
 
 
@@ -755,8 +769,8 @@ LAMINATED = endo("aab", "bba")
 # has 33 edges (1,025 product edges) and the based core 48 (1,874)
 HANGING = endo("baaB", "ba")
 # the basepoint hangs off the core on a stem that grows with the power: at
-# power 4 the gate bounds the free cores' product by 685 edges, and the
-# based cores' product has 986
+# power 4 the based cores' product has 986 edges, and the gate bounds it,
+# from the based cores at power 3, by 2,600
 STEMMED = endo("Ababa", "Abba")
 
 
@@ -860,13 +874,13 @@ class TestStreamedProduct:
         h = data.draw(small_subgroup(rank))
         k = data.draw(small_subgroup(rank))
         assert all_conjugates_trivial_intersection(h, k) == product_rank_is_zero(h, k)
-        assert _intersection_witness(h, k, (0, 1)) == whole_product_witness(h, k, (0, 1))
+        assert walk_and_read(h, k, (0, 1)) == whole_product_witness(h, k, (0, 1))
 
     @pytest.mark.parametrize("e", [LAMINATED, RANK3_CYCLE, HANGING], ids=["rank2", "rank3", "hanging"])
     def test_witness_matches_the_whole_product_on_identical_pairs(self, e):
         for n in range(1, 6):
             g = image_subgroup(e, n).graph
-            got = _intersection_witness(g, g, (0, 1))
+            got = walk_and_read(g, g, (0, 1))
             assert got is not None
             assert got == whole_product_witness(g, g, (0, 1))
 
@@ -880,7 +894,8 @@ class TestStreamedProduct:
         g = image_subgroup(RANK3_CYCLE, 3).graph
         with pytest.raises(ProductBudgetError):
             all_conjugates_trivial_intersection(g, g, max_edges=10)
-        assert _intersection_witness(g, g, (0, 1), max_edges=10) is None
+        with pytest.raises(ProductBudgetError):
+            walk_and_read(g, g, (0, 1), max_edges=10)
         assert (calls, tables, walked) == ([10, 10], [], [])
         assert not all_conjugates_trivial_intersection(g, g)
         assert len(tables) == 2
@@ -895,7 +910,7 @@ class TestStreamedProduct:
         calls, walked = count_walks(monkeypatch)
         g = image_subgroup(e, 5).graph
         assert not all_conjugates_trivial_intersection(g, g)
-        assert _intersection_witness(g, g, (0, 1)) is not None
+        assert walk_and_read(g, g, (0, 1)) is not None
         diagonal = (core_vertices, core_vertices + e.rank - 1)
         assert walked == [diagonal, diagonal]
 
@@ -917,15 +932,19 @@ class TestStreamedProduct:
         assert peak < 8 * 2**20
 
     def test_witness_respects_the_budget(self):
-        # powers 1..4 fit the bounds on the free cores' products; the
-        # witness's based product at power 4 does not, so there is no witness
-        verdict = essential_disjointness_power([STEMMED, STEMMED], cap=4, max_edges=800)
-        assert verdict == DisjointnessVerdict("not_disjoint_at_cap", n=4)
-        roomy = essential_disjointness_power([STEMMED, STEMMED], cap=4, max_edges=986)
-        assert roomy.witness is not None
+        # the product the witness is read from is the one the gate budgets:
+        # its bound at power 4 is over both budgets, so each verdict stops
+        # at power 3 with the witness of that power
+        for max_edges in (800, 986):
+            verdict = essential_disjointness_power([STEMMED, STEMMED], cap=4, max_edges=max_edges)
+            assert (verdict.kind, verdict.n) == ("not_disjoint_at_cap", 3)
+            assert verdict.note == "search budget exhausted at power 4; verdict covers powers 1..3"
+            assert _witness_is_valid([STEMMED, STEMMED], verdict)
+        roomy = essential_disjointness_power([STEMMED, STEMMED], cap=4, max_edges=2600)
+        assert (roomy.n, roomy.note) == (4, "")
         assert _witness_is_valid([STEMMED, STEMMED], roomy)
 
-    def test_certify_reports_a_missing_witness(self, monkeypatch):
+    def test_certify_reports_the_witness_below_the_budget(self, monkeypatch):
         certify_module = importlib.import_module("hnncert.certify")
         monkeypatch.setattr(
             certify_module,
@@ -936,23 +955,28 @@ class TestStreamedProduct:
             {"rank": 2, "endos": [["Ababa", "Abba"]] * 2, "caps": {"disjointness": 4}}
         ).encode()
         cert = certify_module.certify(certify_module.parse_config(config))
-        assert cert.verdict == "inconclusive"
-        assert cert.evidence["disjointness"] == {"kind": "not_disjoint_at_cap", "n": 4, "note": ""}
-        assert cert.evidence["reasons"][-1] == (
-            "family: conjugate intersections persist at every power up to 4 "
-            "but no witness could be extracted"
-        )
+        assert cert.verdict == "not_disjoint"
+        assert cert.evidence["disjointness"] == {
+            "kind": "not_disjoint_at_cap",
+            "n": 3,
+            "note": "search budget exhausted at power 4; verdict covers powers 1..3",
+        }
+        assert (cert.witness["pair"], cert.witness["power"]) == ([1, 2], 3)
 
     def test_identical_rank3_certify_folds_nothing_and_walks_once_per_power(
         self, monkeypatch
     ):
-        # the images of an immersion are built without a fold, and the
-        # witness is read off the component the gate walked last
+        # the images of an immersion are built without a fold, each is cored
+        # once, and the witness is read off the component the gate walked
+        # last, with no further walk
         certify_module = importlib.import_module("hnncert.certify")
-        folders = []
-        real_folder = stallings._Folder
+        folders, cored = [], []
+        real_folder, real_core = stallings._Folder, disjointness.core
         monkeypatch.setattr(
             stallings, "_Folder", lambda n: folders.append(n) or real_folder(n)
+        )
+        monkeypatch.setattr(
+            disjointness, "core", lambda g, **kw: cored.append(g) or real_core(g, **kw)
         )
         calls, walked = count_walks(monkeypatch)
         config = json.dumps({"rank": 3, "endos": [["aab", "bbc", "cca"]] * 2}).encode()
@@ -960,7 +984,7 @@ class TestStreamedProduct:
         assert cert.verdict == "not_disjoint"
         assert cert.evidence["disjointness"]["n"] == 5
         assert folders == []
-        assert len(calls) == len(walked) == 5
+        assert len(calls) == len(walked) == len(cored) == 5
 
     def test_identical_rank3_certify_peak_memory(self, tmp_path):
         # the whole products of this pair peaked near 180 MB.  A process

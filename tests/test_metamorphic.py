@@ -5,12 +5,14 @@ The multiple HNN extension does not change when its edges are reordered or
 the generators renamed, so neither may the verdict.  Each case conjugates
 every map by a signed permutation σ: x_i ↦ x_π(i)^±1 (and every marking map
 with it, so each representative is conjugated by σ too), permutes or
-reverses the family, and asserts the same verdict, power N, disjointness
-kind and disjointness n.  Every witness is checked as well: a not_disjoint
-element must be nontrivial and lie, as stated, in both image subgroups, and
-a Baumslag-Solitar witness must pass the benchmark's independent checker.
+reverses the family, and asserts the same verdict, power N and
+disjointness evidence, its note included unless the gate was skipped.
+Every witness is checked as well: a not_disjoint element must be
+nontrivial and lie, as stated, in both image subgroups, and a
+Baumslag-Solitar witness must pass the benchmark's independent checker.
 """
 
+import collections
 import importlib.util
 import itertools
 import random
@@ -21,12 +23,13 @@ import pytest
 
 from hnncert.certify import ConfigError, MarkingPair, certify, parse_config
 from hnncert.disjointness import (
+    DisjointnessVerdict,
     all_conjugates_trivial_intersection,
     block_table,
     essential_disjointness_power,
     image_subgroup,
 )
-from hnncert.stallings import membership
+from hnncert.stallings import graph_rank, membership, subgroup_graph
 from hnncert.words import Endomorphism, Word, reduce, word_from_string
 from test_certify import REFERENCE_REPORTS, config_bytes, seeded_corpus
 
@@ -66,8 +69,11 @@ def relabel(config, sigma, order):
 
 
 def outcome(cert):
-    disjointness = cert.evidence["disjointness"]
-    return cert.verdict, cert.n, disjointness["kind"], disjointness["n"]
+    disjointness = dict(cert.evidence["disjointness"])
+    if disjointness["kind"] == "skipped":
+        # its note names the non-injective maps by their place in the family
+        del disjointness["note"]
+    return cert.verdict, cert.n, disjointness
 
 
 def check_witness(config, cert):
@@ -131,8 +137,21 @@ def test_seeded_corpus():
     assert verdicts == {"inconclusive", "obstruction_BS", "not_disjoint", "certified_hyperbolic"}
 
 
+def assert_valid_witness(family, verdict):
+    """The verdict's element is nontrivial and lies in the based image of
+    the first map of its pair, and conjugated by its conjugator, in the
+    second's."""
+    i, j = verdict.witness.pair
+    g, element = verdict.witness.conjugator, verdict.witness.element
+    moved = reduce(g.inverse().letters + element.letters + g.letters, g.rank)
+    assert not element.is_empty()
+    assert membership(image_subgroup(family[i], verdict.n).graph, element)
+    assert membership(image_subgroup(family[j], verdict.n).graph, moved)
+
+
 A = endo("a", "bab")
 C = endo("aab", "bba")
+D = endo("aaab", "bbba")
 
 
 @pytest.mark.parametrize(
@@ -156,13 +175,22 @@ def test_a_repeated_map_at_a_small_budget(max_edges, expected):
                     for i, j in itertools.combinations(range(3), 2)
                     if not all_conjugates_trivial_intersection(images[i], images[j])
                 ]
-                i, j = verdict.witness.pair
-                assert (i, j) == failing[0]
-                g, element = verdict.witness.conjugator, verdict.witness.element
-                moved = reduce(g.inverse().letters + element.letters + g.letters, 2)
-                assert not element.is_empty()
-                assert membership(images[i], element)
-                assert membership(images[j], moved)
+                assert verdict.witness.pair == failing[0]
+                assert_valid_witness(family, verdict)
+
+
+def test_the_over_budget_note_names_the_largest_pair():
+    # at power 1 the pairs of A, C and D have 12, 16 and 24 product edges,
+    # all over the budget; naming the first of them in family order made
+    # the note follow the order
+    rng = random.Random(24)
+    for order in itertools.permutations((A, C, D)):
+        for sigma in [None] + [signed_permutation(rng, 2) for _ in range(3)]:
+            family = order if sigma is None else [sigma[0].compose(e).compose(sigma[1]) for e in order]
+            verdict = essential_disjointness_power(family, cap=3, max_edges=10)
+            assert verdict == DisjointnessVerdict(
+                "cap_exceeded", n=1, note="fiber product would have 24 edges (budget 10)"
+            ), (order, sigma)
 
 
 def three_map_families(count, seed=3):
@@ -197,8 +225,59 @@ def test_three_map_families_in_every_order():
     kinds = set()
     for config in families:
         expected = certified(config)
-        kinds.add(expected[2])
+        kinds.add(expected[2]["kind"])
         for order in list(itertools.permutations(range(3)))[1:]:
             sigma = signed_permutation(rng, config.rank)
             assert certified(relabel(config, sigma, order)) == expected, (config, order, sigma)
     assert {"not_disjoint_at_cap", "disjoint_at"} <= kinds
+
+
+def injective_families(configs):
+    """The configs of two or more maps, each injective: the families whose
+    disjointness ``certify`` decides."""
+    return [
+        config
+        for config in configs
+        if len(config.endomorphisms) > 1
+        and all(
+            graph_rank(subgroup_graph(list(e.images), config.rank)) == config.rank
+            for e in config.endomorphisms
+        )
+    ]
+
+
+@pytest.mark.parametrize("max_edges", [200, 1000, 5000])
+def test_every_capped_verdict_carries_a_valid_witness(max_edges):
+    # every graph the gate walks or reads a witness from is budgeted before
+    # it is built, so no walk can go over the budget and lose the witness
+    kinds = collections.Counter()
+    for config in injective_families(seeded_corpus(1000) + three_map_families(60)):
+        family = config.endomorphisms
+        verdict = essential_disjointness_power(family, config.disjointness_cap, max_edges)
+        kinds[verdict.kind, bool(verdict.note)] += 1
+        if verdict.kind == "not_disjoint_at_cap":
+            assert_valid_witness(family, verdict)
+    assert kinds["not_disjoint_at_cap", False] and kinds["not_disjoint_at_cap", True]
+
+
+@pytest.mark.parametrize(
+    "endos, max_edges, n",
+    [
+        ([["bA", "AAbB"], ["Ab", "BBAb"]], 200, 3),
+        ([["bAa", "ba"], ["Ba", "aa"], ["AA", "ab"]], 5000, 6),
+        ([["Ba", "baaA"], ["bbBaA", "AAb"], ["aB", "Aaa"]], 5000, 7),
+    ],
+)
+def test_a_stem_counts_at_its_full_growth(endos, max_edges, n):
+    # the bound counts the stems of these non-immersions' based cores at
+    # their full M-growth, so at cap 8 they go over the budget one power
+    # before their free cores' bounds did (which gave disjoint_at 4, and
+    # not_disjoint_at_cap 7 and 8), and stop with the witness of power n
+    family = parse_config(config_bytes(rank=2, endos=endos)).endomorphisms
+    verdict = essential_disjointness_power(family, cap=8, max_edges=max_edges)
+    assert (verdict.kind, verdict.n, verdict.note) == (
+        "not_disjoint_at_cap",
+        n,
+        f"search budget exhausted at power {n + 1}; verdict covers powers 1..{n}",
+    )
+    assert_valid_witness(family, verdict)

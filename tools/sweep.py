@@ -10,9 +10,15 @@ whose ``src`` is imported instead of this one's):
     python3 tools/sweep.py run --tree ../parent before.json
 
 Compare two records, printing each config whose report moved with its
-verdict, disjointness kind and n before and after:
+verdict, disjointness kind and n before and after, and each config found in
+one record only:
 
     python3 tools/sweep.py compare before.json after.json
+
+The comparison counts moved verdicts apart from moved report bytes, and
+exits with status 1 when a verdict or a status (``ok``, ``timeout``,
+``memory``) moved or a config is in one record only, so it can gate a
+change that must keep every verdict.
 
 The configs are drawn like ``seeded_corpus`` in tests/test_certify.py, at
 default caps: rank 2-4 over abcd/ABCD, one to three maps, 400 with images of
@@ -120,25 +126,37 @@ def _outcome(record: dict) -> str:
     return f"{record['verdict']} {record['kind']} n {record['n']}"
 
 
-def compare(before: Path, after: Path) -> None:
+def compare(before: Path, after: Path) -> int:
+    """Print what moved between two records; 1 if a verdict or a status
+    moved or a config is in one record only, else 0."""
     old, new = (json.loads(p.read_text()) for p in (before, after))
-    new_by_config = {json.dumps(r["config"]): r for r in new["configs"]}
-    moved = 0
-    for a in old["configs"]:
-        key = json.dumps(a["config"])
+    old_by_config, new_by_config = (
+        {json.dumps(r["config"]): r for r in record["configs"]} for record in (old, new)
+    )
+    moved = verdicts = unmatched = 0
+    for key, a in old_by_config.items():
         b = new_by_config.get(key)
         if b is None:
             print(f"only before: {key}")
+            unmatched += 1
             continue
         if (a["status"], a.get("digest")) == (b["status"], b.get("digest")):
             continue
         moved += 1
-        print(key)
+        verdict_moved = (a["status"], a.get("verdict")) != (b["status"], b.get("verdict"))
+        verdicts += verdict_moved
+        print(key + ("  (verdict moved)" if verdict_moved else ""))
         print(f"  {_outcome(a)} ({a['seconds']} s) -> {_outcome(b)} ({b['seconds']} s)")
+    for key in new_by_config:
+        if key not in old_by_config:
+            print(f"only after: {key}")
+            unmatched += 1
     print(
-        f"{moved} of {len(old['configs'])} reports moved; "
+        f"{moved} of {len(old['configs'])} reports moved, {verdicts} of them in verdict "
+        f"or status; {unmatched} configs in one record only; "
         f"{old['seconds']} s -> {new['seconds']} s"
     )
+    return int(verdicts > 0 or unmatched > 0)
 
 
 def main(argv=None) -> None:
@@ -154,7 +172,7 @@ def main(argv=None) -> None:
     if args.mode == "run":
         run(args.tree.resolve(), args.out)
     else:
-        compare(args.before, args.after)
+        sys.exit(compare(args.before, args.after))
 
 
 if __name__ == "__main__":
